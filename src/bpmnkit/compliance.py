@@ -13,18 +13,8 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 
-import xml.etree.ElementTree as ET
-
-from .model import ElementCategory, categorize_element
-from .xmlio import (
-    BPMN_NS,
-    BpmnDocument,
-    MissingBpmnNamespace,
-    XmlSyntaxError,
-    local_name,
-    parse,
-    qname,
-)
+from .model import ATTACHMENT_TAG, DocumentIndex, IndexedLink
+from .xmlio import BpmnDocument, MissingBpmnNamespace, XmlSyntaxError, local_name, parse
 
 
 class RuleCode(str, Enum):
@@ -112,20 +102,7 @@ def validate(doc: BpmnDocument) -> ComplianceReport:
 class _Checker:
     def __init__(self, doc: BpmnDocument):
         self.doc = doc
-        self.order: dict[int, int] = {}
-        self.first_index: dict[str, int] = {}
-        self.by_id: dict[str, ET.Element] = {}
-        self.duplicates: list[tuple[str, int]] = []
-        for idx, elem in enumerate(doc.root.iter()):
-            self.order[id(elem)] = idx
-            eid = elem.get("id")
-            if not eid:
-                continue
-            if eid in self.by_id:
-                self.duplicates.append((eid, idx))
-            else:
-                self.by_id[eid] = elem
-                self.first_index[eid] = idx
+        self.index = DocumentIndex(doc)
         self.findings: list[tuple[int, Diagnostic]] = []
 
     def run(self) -> ComplianceReport:
@@ -143,38 +120,32 @@ class _Checker:
     def _position(self, element_id: str | None) -> int:
         if element_id is None:
             return -1
-        return self.first_index.get(element_id, 1 << 30)
+        return self.index.positions.get(element_id, 1 << 30)
 
     # R5 ------------------------------------------------------------------
 
     def _check_unique_ids(self) -> None:
-        for eid, idx in self.duplicates:
+        for eid, idx in self.index.repeats:
             self._add(idx, RuleCode.R5_WELLFORMED, eid, f"id {eid!r} is declared more than once")
 
     # R1 / R2 ---------------------------------------------------------------
 
-    def _semantic_elements(self, tag: str) -> list[ET.Element]:
-        return list(self.doc.root.iter(qname(tag)))
-
-    def _sequence_flows(self) -> list[ET.Element]:
-        return self._semantic_elements("sequenceFlow")
-
     def _check_gateways(self) -> None:
-        flows = self._sequence_flows()
-        outgoing: dict[str, list[ET.Element]] = {}
-        for flow in flows:
-            source = flow.get("sourceRef")
-            if source:
-                outgoing.setdefault(source, []).append(flow)
+        outgoing: dict[str, list[IndexedLink]] = {}
+        for flow in self.index.links:
+            if flow.tag == "sequenceFlow" and flow.source:
+                outgoing.setdefault(flow.source, []).append(flow)
 
         for tag in ("exclusiveGateway", "inclusiveGateway"):
-            for gateway in self._semantic_elements(tag):
-                gid = gateway.get("id", "")
+            for gateway in self.index.nodes:
+                if gateway.tag != tag:
+                    continue
+                gid = gateway.id or ""
                 exits = outgoing.get(gid, [])
                 if len(exits) < 2:
                     continue  # no branching decision exists
-                default = gateway.get("default")
-                exit_ids = [f.get("id") for f in exits]
+                default = gateway.element.get("default")
+                exit_ids = [f.element.get("id") for f in exits]
                 if tag == "exclusiveGateway":
                     if not default:
                         self._add(self._position(gid), RuleCode.R1_DEFAULT_FLOW, gid,
@@ -185,11 +156,10 @@ class _Checker:
                                   f"default flow {default!r} of gateway {gid!r} is not one of "
                                   "its outgoing flows")
                 for flow in exits:
-                    fid = flow.get("id", "")
+                    fid = flow.element.get("id", "")
                     if fid == default:
                         continue
-                    cond = flow.find(qname("conditionExpression"))
-                    if cond is None or not (cond.text and cond.text.strip()):
+                    if flow.condition is None:
                         self._add(self._position(fid), RuleCode.R2_CONDITION_EXPR, fid,
                                   f"non-default flow {fid!r} out of gateway {gid!r} has no "
                                   "condition expression")
@@ -197,69 +167,51 @@ class _Checker:
     # R3 ------------------------------------------------------------------
 
     def _check_data_references(self) -> None:
-        for ref in self._semantic_elements("dataObjectReference"):
-            rid = ref.get("id", "")
-            target = ref.get("dataObjectRef")
+        for ref in self.index.nodes:
+            if ref.tag != "dataObjectReference":
+                continue
+            rid = ref.id or ""
+            target = ref.element.get("dataObjectRef")
             if not target:
                 self._add(self._position(rid), RuleCode.R3_DATA_REF_ORDER, rid,
                           f"dataObjectReference {rid!r} declares no dataObjectRef")
                 continue
-            declaration = self.by_id.get(target)
+            declaration = self.index.elements.get(target)
             if declaration is None or local_name(declaration.tag) != "dataObject":
                 self._add(self._position(rid), RuleCode.R3_DATA_REF_ORDER, rid,
                           f"dataObjectReference {rid!r} targets undeclared data object "
                           f"{target!r}")
-            elif self.first_index[target] > self._position(rid):
+            elif self.index.positions[target] > self._position(rid):
                 self._add(self._position(rid), RuleCode.R3_DATA_REF_ORDER, rid,
                           f"data object {target!r} is declared after its first reference "
                           f"{rid!r}")
 
     # R4 ------------------------------------------------------------------
 
-    def _flow_nodes(self) -> dict[str, ET.Element]:
-        found = {}
-        for elem in self.doc.root.iter():
-            if not isinstance(elem.tag, str) or not elem.tag.startswith(f"{{{BPMN_NS}}}"):
-                continue
-            tag = local_name(elem.tag)
-            if categorize_element(tag) in (ElementCategory.TASK, ElementCategory.GATEWAY,
-                                           ElementCategory.EVENT):
-                eid = elem.get("id")
-                if eid:
-                    found.setdefault(eid, elem)
-        return found
-
     def _check_connectivity(self) -> None:
-        flow_nodes = self._flow_nodes()
+        flow_nodes = {node.id: node.tag for node in self.index.flow_nodes()}
         forward: dict[str, list[str]] = {nid: [] for nid in flow_nodes}
         backward: dict[str, list[str]] = {nid: [] for nid in flow_nodes}
 
-        def link(source: str, target: str) -> None:
-            forward[source].append(target)
-            backward[target].append(source)
-
-        for flow in self._sequence_flows():
-            fid = flow.get("id", "")
-            source, target = flow.get("sourceRef"), flow.get("targetRef")
-            unresolved = [r for r in (source, target) if not r or r not in self.by_id]
-            if unresolved:
-                self._add(self._position(fid), RuleCode.R4_CONNECTIVITY, fid,
-                          f"sequence flow {fid!r} references unknown element(s) "
-                          f"{', '.join(repr(r) for r in unresolved)}")
+        for link in self.index.links:
+            source, target = link.source, link.target
+            if link.tag == "sequenceFlow":
+                unresolved = [r for r in (source, target)
+                              if not r or r not in self.index.elements]
+                if unresolved:
+                    fid = link.element.get("id", "")
+                    self._add(self._position(fid), RuleCode.R4_CONNECTIVITY, fid,
+                              f"sequence flow {fid!r} references unknown element(s) "
+                              f"{', '.join(repr(r) for r in unresolved)}")
+                    continue
+            elif link.tag != ATTACHMENT_TAG:
                 continue
             if source in flow_nodes and target in flow_nodes:
-                link(source, target)
+                forward[source].append(target)
+                backward[target].append(source)
 
-        for boundary in self._semantic_elements("boundaryEvent"):
-            bid = boundary.get("id")
-            host = boundary.get("attachedToRef")
-            if bid in flow_nodes and host in flow_nodes:
-                link(host, bid)
-
-        starts = [nid for nid, elem in flow_nodes.items()
-                  if local_name(elem.tag) == "startEvent"]
-        ends = [nid for nid, elem in flow_nodes.items()
-                if local_name(elem.tag) == "endEvent"]
+        starts = [nid for nid, tag in flow_nodes.items() if tag == "startEvent"]
+        ends = [nid for nid, tag in flow_nodes.items() if tag == "endEvent"]
         reaches_from_start = _closure(starts, forward)
         reaches_an_end = _closure(ends, backward)
 

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 
-from .model import ElementCategory, categorize_element
+from .model import ATTACHMENT_TAG, DocumentIndex
 from .xmlio import (
-    BPMN_NS,
     BPMNDI_NS,
     DC_NS,
     DI_NS,
@@ -20,7 +19,6 @@ from .xmlio import (
     DiagramInterchange,
     DiEntry,
     DocumentWithoutProcess,
-    local_name,
 )
 
 NODE_WIDTH = 100
@@ -37,43 +35,26 @@ def auto_layout(doc: BpmnDocument) -> DiagramInterchange:
     if not processes:
         raise DocumentWithoutProcess("no process definition found")
 
+    index = DocumentIndex(doc)
     entries = []
     base_index = len(doc.root)
     for offset, process in enumerate(processes):
-        diagram = _layout_process(process, offset)
+        diagram = _layout_process(index, process, offset)
         entries.append(DiEntry((), base_index + offset, diagram))
     return DiagramInterchange(entries)
 
 
-def _layout_process(process: ET.Element, offset: int) -> ET.Element:
+def _layout_process(index: DocumentIndex, process: ET.Element, offset: int) -> ET.Element:
     pid = process.get("id", f"process_{offset}")
-    node_ids: list[str] = []
-    node_tags: dict[str, str] = {}
-    flows: list[tuple[str, str, str]] = []
-    attachments: list[tuple[str, str]] = []
-
-    for elem in process.iter():
-        if not isinstance(elem.tag, str) or not elem.tag.startswith(f"{{{BPMN_NS}}}"):
-            continue
-        tag = local_name(elem.tag)
-        eid = elem.get("id")
-        if not eid:
-            continue
-        category = categorize_element(tag)
-        if category in (ElementCategory.TASK, ElementCategory.GATEWAY, ElementCategory.EVENT):
-            if eid not in node_tags:
-                node_ids.append(eid)
-                node_tags[eid] = tag
-            if tag == "boundaryEvent" and elem.get("attachedToRef"):
-                attachments.append((elem.get("attachedToRef"), eid))
-        elif tag == "sequenceFlow":
-            source, target = elem.get("sourceRef"), elem.get("targetRef")
-            if source and target:
-                flows.append((eid, source, target))
-
-    edges = [(s, t) for _, s, t in flows if s in node_tags and t in node_tags]
-    edges += [(host, b) for host, b in attachments if host in node_tags and b in node_tags]
-    layers = _longest_path_layers(node_ids, node_tags, edges)
+    node_ids = [node.id for node in index.flow_nodes() if node.process is process]
+    members = set(node_ids)
+    links = [link for link in index.links if link.process is process
+             and link.source in members and link.target in members]
+    flows = [link for link in links
+             if link.tag == "sequenceFlow" and link.element.get("id")]
+    edges = [(link.source, link.target) for link in flows]
+    edges += [(link.source, link.target) for link in links if link.tag == ATTACHMENT_TAG]
+    layers = _longest_path_layers(node_ids, edges)
 
     rows: dict[str, int] = {}
     per_layer: dict[int, int] = {}
@@ -97,17 +78,15 @@ def _layout_process(process: ET.Element, offset: int) -> ET.Element:
         ET.SubElement(shape, f"{{{DC_NS}}}Bounds", {
             "x": str(x), "y": str(y), "width": str(NODE_WIDTH), "height": str(NODE_HEIGHT),
         })
-    for fid, source, target in flows:
-        if source not in node_tags or target not in node_tags:
-            continue
+    for flow in flows:
         edge = ET.SubElement(plane, f"{{{BPMNDI_NS}}}BPMNEdge",
-                             {"id": f"di_edge_{fid}", "bpmnElement": fid})
-        for x, y in _waypoints(bounds[source], bounds[target]):
+                             {"id": f"di_edge_{flow.id}", "bpmnElement": flow.id})
+        for x, y in _waypoints(bounds[flow.source], bounds[flow.target]):
             ET.SubElement(edge, f"{{{DI_NS}}}waypoint", {"x": str(x), "y": str(y)})
     return diagram
 
 
-def _longest_path_layers(node_ids: list[str], node_tags: dict[str, str],
+def _longest_path_layers(node_ids: list[str],
                          edges: list[tuple[str, str]]) -> dict[str, int]:
     """Longest-path layering from the start events, with back edges (found by
     DFS in document order) excluded so cycles terminate."""

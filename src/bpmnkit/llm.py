@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -77,28 +75,6 @@ class LlmClientConfig:
     timeout: float = 120.0
     retry_count: int = 2
     backoff: float = 0.5
-    rate_limit_per_minute: int | None = None
-
-
-class RateLimiter:
-    """Sliding-window limiter shared by all requests through one client."""
-
-    def __init__(self, per_minute: int):
-        self.per_minute = per_minute
-        self._lock = threading.Lock()
-        self._stamps: deque[float] = deque()
-
-    def acquire(self) -> None:
-        while True:
-            with self._lock:
-                now = time.monotonic()
-                while self._stamps and now - self._stamps[0] >= 60.0:
-                    self._stamps.popleft()
-                if len(self._stamps) < self.per_minute:
-                    self._stamps.append(now)
-                    return
-                wait = 60.0 - (now - self._stamps[0])
-            time.sleep(max(wait, 0.01))
 
 
 class HttpChatClient:
@@ -106,12 +82,8 @@ class HttpChatClient:
         if not cfg.endpoint or not cfg.model:
             raise ValueError("remote chat client requires endpoint and model")
         self.cfg = cfg
-        self._limiter = (RateLimiter(cfg.rate_limit_per_minute)
-                         if cfg.rate_limit_per_minute else None)
 
     def complete_once(self, messages: Sequence[ChatMessage]) -> str:
-        if self._limiter:
-            self._limiter.acquire()
         payload = {
             "model": self.cfg.model,
             "messages": [m.to_dict() for m in messages],
@@ -214,32 +186,53 @@ def extract_json(text: str):
     raise ValueError("response contains no parseable JSON value")
 
 
-def parse_json_with_retry(client, messages: Sequence[ChatMessage], response: str,
-                          schema: dict, max_retries: int = 3,
-                          retry_count: int = 0, backoff: float = 0.0):
-    """Validate a response against a JSON schema, re-prompting the model with
-    the validation error up to ``max_retries`` times.
+JSON_COMPLAINT = ("The previous response was not valid against the required JSON "
+                  "schema: {error}. Reply again with only the corrected JSON.")
 
-    Returns (validated payload, raw response text).
+
+def parse_with_retry(client, messages: Sequence[ChatMessage], response: str, parse,
+                     complaint: str, max_retries: int, retry_count: int = 0,
+                     backoff: float = 0.0, stage: str | None = None):
+    """Parse a response with ``parse``, re-prompting the model up to
+    ``max_retries`` times with ``complaint`` (its ``{error}`` field filled
+    from the parser's ValueError). The final failure is tagged with ``stage``.
+
+    Returns (parsed value, raw response text).
     """
     conversation = list(messages)
     raw = response
     last_error = ""
     for attempt in range(max_retries + 1):
         try:
-            payload = extract_json(raw)
+            return parse(raw), raw
+        except ValueError as exc:
+            last_error = str(exc)
+        if attempt == max_retries:
+            break
+        conversation = conversation + [
+            assistant(raw if raw.strip() else "(empty response)"),
+            user(complaint.format(error=last_error)),
+        ]
+        raw = complete(client, conversation, retry_count=retry_count, backoff=backoff)
+    raise SchemaFailureAfterRetries(last_error, raw, max_retries + 1, stage)
+
+
+def parse_json_with_retry(client, messages: Sequence[ChatMessage], response: str,
+                          schema: dict, max_retries: int = 3,
+                          retry_count: int = 0, backoff: float = 0.0,
+                          stage: str | None = None):
+    """Validate a response against a JSON schema, re-prompting the model with
+    the validation error up to ``max_retries`` times.
+
+    Returns (validated payload, raw response text).
+    """
+    def parse(raw: str):
+        payload = extract_json(raw)
+        try:
             jsonschema.validate(payload, schema)
-            return payload, raw
-        except (ValueError, jsonschema.ValidationError) as exc:
-            last_error = getattr(exc, "message", str(exc))
-            if attempt == max_retries:
-                break
-            conversation = conversation + [
-                assistant(raw if raw.strip() else "(empty response)"),
-                user(
-                    "The previous response was not valid against the required JSON "
-                    f"schema: {last_error}. Reply again with only the corrected JSON."
-                ),
-            ]
-            raw = complete(client, conversation, retry_count=retry_count, backoff=backoff)
-    raise SchemaFailureAfterRetries(last_error, raw, max_retries + 1)
+        except jsonschema.ValidationError as exc:
+            raise ValueError(exc.message) from exc
+        return payload
+
+    return parse_with_retry(client, messages, response, parse, JSON_COMPLAINT, max_retries,
+                            retry_count=retry_count, backoff=backoff, stage=stage)

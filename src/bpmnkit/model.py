@@ -3,17 +3,19 @@
 Elements are grouped into five categories (tasks, gateways, events, data,
 flows); anything unrecognized maps to ``OTHER`` and stays out of the metrics.
 Tasks/gateways/events/data become nodes, flow elements become edges.
+``DocumentIndex`` gathers what graph building, compliance and layout share in
+one walk, so the three agree on ids, nodes, links and process membership.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import xml.etree.ElementTree as ET
 
-from .xmlio import BpmnDocument, DocumentWithoutProcess, local_name, qname
+from .xmlio import BPMN_NS, BpmnDocument, DocumentWithoutProcess, qname
 
 ATTACHMENT_TAG = "boundaryAttachment"
 
@@ -141,6 +143,132 @@ def effective_label(node: BpmnNode) -> str:
     return label if label else node.tag
 
 
+class IndexedNode(NamedTuple):
+    element: ET.Element
+    id: str | None
+    tag: str
+    category: ElementCategory
+    process: ET.Element | None
+
+
+class IndexedLink(NamedTuple):
+    """A flow element or a boundary attachment. ``id`` is synthesized for
+    anonymous flows and attachments; ``source``/``target`` are falsy when the
+    link cannot be resolved (already reported in the index warnings)."""
+    element: ET.Element
+    id: str
+    tag: str
+    source: str | None
+    target: str | None
+    condition: str | None
+    process: ET.Element | None
+
+
+_FLOW_NODE_CATEGORIES = (ElementCategory.TASK, ElementCategory.GATEWAY, ElementCategory.EVENT)
+_BPMN_PREFIX = f"{{{BPMN_NS}}}"
+_CONDITION = qname("conditionExpression")
+_SOURCE_REF = qname("sourceRef")
+_TARGET_REF = qname("targetRef")
+
+
+class DocumentIndex:
+    """What graph building, compliance and layout need to know about a
+    document, gathered in one walk in document order.
+
+    The first element carrying an id owns it; later elements reusing the id
+    are only recorded in ``repeats`` and are otherwise ignored (not nodes, not
+    links, no attachment). Positions count ``root.iter()`` order, root at 0.
+    """
+
+    def __init__(self, doc: BpmnDocument):
+        self.elements: dict[str, ET.Element] = {}  # id -> the element owning it
+        self.positions: dict[str, int] = {}  # id -> position of that element
+        self.repeats: list[tuple[str, int]] = []  # (id, position) of each reuse
+        self.nodes: list[IndexedNode] = []  # tasks, gateways, events, data; ids optional
+        self.links: list[IndexedLink] = []  # flow elements and boundary attachments
+        self.defaults: set[str] = set()  # ids named by a ``default`` attribute
+        self.warnings: list[str] = []  # graph-build warnings, in walk order
+        elements, positions, repeats = self.elements, self.positions, self.repeats
+        nodes, links, defaults, warnings = self.nodes, self.links, self.defaults, self.warnings
+        cut = len(_BPMN_PREFIX)
+        position = -1
+        anonymous = 0
+
+        def visit(parent: Iterable[ET.Element], process: ET.Element | None,
+                  activity: str | None) -> None:
+            nonlocal position, anonymous
+            for elem in parent:
+                position += 1
+                eid = elem.get("id")
+                repeat = eid in positions
+                if repeat:
+                    repeats.append((eid, position))
+                elif eid:
+                    positions[eid] = position
+                    elements[eid] = elem
+                tag = elem.tag
+                inner_process, inner_activity = process, activity
+                if isinstance(tag, str) and tag.startswith(_BPMN_PREFIX):
+                    tag = tag[cut:]
+                    category = _CATEGORY_BY_TAG.get(tag)
+                    if category is None:
+                        if tag == "process":
+                            inner_process = elem
+                    elif repeat:
+                        warnings.append(f"duplicate element id {eid!r} skipped")
+                    elif category is ElementCategory.FLOW:
+                        if not eid:
+                            anonymous += 1
+                        links.append(_link(elem, eid or f"_anon_{tag}_{anonymous}", tag,
+                                           process, activity, warnings))
+                    else:
+                        if not eid:
+                            warnings.append(f"{tag} element without id skipped")
+                        elif category is not ElementCategory.DATA:
+                            inner_activity = eid
+                        nodes.append(IndexedNode(elem, eid, tag, category, process))
+                        default = elem.get("default")
+                        if default:
+                            defaults.add(default)
+                        host = elem.get("attachedToRef") if tag == "boundaryEvent" else None
+                        if host and eid:
+                            links.append(IndexedLink(elem, f"{eid}__attached", ATTACHMENT_TAG,
+                                                     host, eid, None, process))
+                if len(elem):
+                    visit(elem, inner_process, inner_activity)
+
+        visit((doc.root,), None, None)
+
+    def flow_nodes(self) -> list[IndexedNode]:
+        """Tasks, gateways and events with an id, in document order."""
+        return [n for n in self.nodes if n.id and n.category in _FLOW_NODE_CATEGORIES]
+
+
+def _link(elem: ET.Element, link_id: str, tag: str, process: ET.Element | None,
+          activity: str | None, warnings: list[str]) -> IndexedLink:
+    condition = None
+    if tag == "dataInputAssociation":
+        ref = elem.find(_SOURCE_REF)
+        source = ref.text.strip() if ref is not None and ref.text else None
+        target = activity
+    elif tag == "dataOutputAssociation":
+        ref = elem.find(_TARGET_REF)
+        source = activity
+        target = ref.text.strip() if ref is not None and ref.text else None
+    else:
+        source, target = elem.get("sourceRef"), elem.get("targetRef")
+        if tag == "sequenceFlow":
+            cond = elem.find(_CONDITION)
+            if cond is not None and cond.text and cond.text.strip():
+                condition = cond.text.strip()
+    if not source or not target:
+        if tag in ("dataInputAssociation", "dataOutputAssociation"):
+            warnings.append(f"{tag} {link_id!r} dropped: unresolved endpoints")
+        else:
+            warnings.append(f"{tag} {link_id!r} dropped: missing sourceRef/targetRef")
+    return IndexedLink(elem, link_id, tag, source, target, condition, process)
+
+
 def build_graph(doc: BpmnDocument) -> tuple[BpmnGraph, list[str]]:
     """Build the typed graph for a document. Sub-process contents are
     flattened in; boundary events gain an implicit attachment edge from their
@@ -150,97 +278,22 @@ def build_graph(doc: BpmnDocument) -> tuple[BpmnGraph, list[str]]:
     if not doc.processes():
         raise DocumentWithoutProcess("no process definition found")
 
-    nodes: list[BpmnNode] = []
-    node_ids: set[str] = set()
-    warnings: list[str] = []
-    raw_edges: list[BpmnEdge] = []
-    default_flow_ids: set[str] = set()
-    anon_counter = iter(range(1, 1 << 30))
-    bpmn_prefix = f"{{{doc.root.tag[1:].split('}', 1)[0]}}}"
-
-    def visit(elem: ET.Element, activity_id: str | None) -> None:
-        for child in elem:
-            if not isinstance(child.tag, str) or not child.tag.startswith(bpmn_prefix):
-                visit(child, activity_id)
-                continue
-            tag = local_name(child.tag)
-            category = categorize_element(tag)
-            child_id = child.get("id")
-            child_activity = activity_id
-
-            if category in (ElementCategory.TASK, ElementCategory.GATEWAY,
-                            ElementCategory.EVENT, ElementCategory.DATA):
-                if not child_id:
-                    warnings.append(f"{tag} element without id skipped")
-                elif child_id in node_ids:
-                    warnings.append(f"duplicate element id {child_id!r} skipped")
-                else:
-                    node_ids.add(child_id)
-                    nodes.append(BpmnNode(child_id, tag, child.get("name", ""), category))
-                    if category is not ElementCategory.DATA:
-                        child_activity = child_id
-                default = child.get("default")
-                if default:
-                    default_flow_ids.add(default)
-                if tag == "boundaryEvent":
-                    host = child.get("attachedToRef")
-                    if host and child_id:
-                        raw_edges.append(BpmnEdge(f"{child_id}__attached", host,
-                                                  child_id, ATTACHMENT_TAG))
-            elif category is ElementCategory.FLOW:
-                edge = _flow_edge(child, tag, activity_id, warnings, anon_counter)
-                if edge is not None:
-                    raw_edges.append(edge)
-
-            visit(child, child_activity)
-
-    visit(doc.root, None)
-
+    index = DocumentIndex(doc)
+    nodes = [BpmnNode(n.id, n.tag, n.element.get("name", ""), n.category)
+             for n in index.nodes if n.id]
+    node_ids = {node.id for node in nodes}
+    warnings = list(index.warnings)
     edges = []
-    for edge in raw_edges:
-        if edge.source in node_ids and edge.target in node_ids:
-            edges.append(edge)
+    for link in index.links:
+        if not link.source or not link.target:
+            continue
+        if link.source in node_ids and link.target in node_ids:
+            edges.append(BpmnEdge(link.id, link.source, link.target, link.tag, link.condition,
+                                  link.id in index.defaults))
         else:
-            missing = edge.target if edge.source in node_ids else edge.source
-            warnings.append(f"{edge.tag} {edge.id!r} dropped: endpoint {missing!r} not found")
-
-    edges = [
-        edge if edge.id not in default_flow_ids
-        else BpmnEdge(edge.id, edge.source, edge.target, edge.tag, edge.condition, True)
-        for edge in edges
-    ]
+            missing = link.target if link.source in node_ids else link.source
+            warnings.append(f"{link.tag} {link.id!r} dropped: endpoint {missing!r} not found")
     return BpmnGraph(nodes, edges), warnings
-
-
-def _flow_edge(elem: ET.Element, tag: str, activity_id: str | None,
-               warnings: list[str], anon_counter) -> BpmnEdge | None:
-    elem_id = elem.get("id") or f"_anon_{tag}_{next(anon_counter)}"
-    if tag in ("sequenceFlow", "messageFlow", "association"):
-        source, target = elem.get("sourceRef"), elem.get("targetRef")
-        condition = None
-        if tag == "sequenceFlow":
-            cond_elem = elem.find(qname("conditionExpression"))
-            if cond_elem is not None and cond_elem.text and cond_elem.text.strip():
-                condition = cond_elem.text.strip()
-        if not source or not target:
-            warnings.append(f"{tag} {elem_id!r} dropped: missing sourceRef/targetRef")
-            return None
-        return BpmnEdge(elem_id, source, target, tag, condition)
-    if tag == "dataInputAssociation":
-        ref = elem.find(qname("sourceRef"))
-        source = ref.text.strip() if ref is not None and ref.text else None
-        if not source or not activity_id:
-            warnings.append(f"dataInputAssociation {elem_id!r} dropped: unresolved endpoints")
-            return None
-        return BpmnEdge(elem_id, source, activity_id, tag)
-    if tag == "dataOutputAssociation":
-        ref = elem.find(qname("targetRef"))
-        target = ref.text.strip() if ref is not None and ref.text else None
-        if not target or not activity_id:
-            warnings.append(f"dataOutputAssociation {elem_id!r} dropped: unresolved endpoints")
-            return None
-        return BpmnEdge(elem_id, activity_id, target, tag)
-    return None
 
 
 @dataclass(frozen=True)

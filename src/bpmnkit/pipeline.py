@@ -21,11 +21,10 @@ from typing import Any, Sequence
 from .compliance import ComplianceReport, validate
 from .layout import auto_layout
 from .llm import (
-    ChatMessage,
-    SchemaFailureAfterRetries,
     complete,
     extract_json,
     parse_json_with_retry,
+    parse_with_retry,
     system,
     user,
 )
@@ -277,6 +276,9 @@ _REPAIR_INSTRUCTION = (
     "element and new_xml the new child element. For delete, only target_id is needed. "
     "Respond with only the JSON array."
 )
+
+_XML_COMPLAINT = ("That response was not a parseable BPMN 2.0 XML document ({error}). "
+                  "Reply again with only the corrected XML.")
 
 TRANSLATE_SYSTEM_PROMPT = (
     "You are a professional translator for business process models. Translate every "
@@ -610,14 +612,9 @@ def reconstruct(description: str, client, run_dir: str | Path | None = None,
         prompt = _stage_prompt(stage, description, payloads)
         messages = [system(_STAGE_SYSTEM_PROMPTS[stage]), user(prompt)]
         response = complete(client, messages, retry_count=retry_count)
-        try:
-            payload, raw = parse_json_with_retry(client, messages, response,
-                                                 STAGE_SCHEMAS[stage],
-                                                 max_retries=json_retries,
-                                                 retry_count=retry_count)
-        except SchemaFailureAfterRetries as exc:
-            exc.stage = stage
-            raise
+        payload, raw = parse_json_with_retry(client, messages, response, STAGE_SCHEMAS[stage],
+                                             max_retries=json_retries,
+                                             retry_count=retry_count, stage=stage)
         artifact = StageArtifact(stage, payload, raw)
         artifacts.append(artifact)
         payloads[stage] = payload
@@ -629,8 +626,10 @@ def reconstruct(description: str, client, run_dir: str | Path | None = None,
     xml_prompt = _stage_prompt(STAGE_BPMN_XML, description, payloads)
     messages = [system(_STAGE_SYSTEM_PROMPTS[STAGE_BPMN_XML]), user(xml_prompt)]
     response = complete(client, messages, retry_count=retry_count)
-    doc, raw = _xml_with_retry(client, messages, response, max_retries=json_retries,
-                               retry_count=retry_count)
+    doc, raw = parse_with_retry(client, messages, response,
+                                lambda text: parse(extract_xml(text)), _XML_COMPLAINT,
+                                max_retries=json_retries, retry_count=retry_count,
+                                stage=STAGE_BPMN_XML)
     xml_artifact = StageArtifact(STAGE_BPMN_XML, serialize(doc).decode("utf-8"), raw)
     artifacts.append(xml_artifact)
     if run_path is not None:
@@ -668,26 +667,3 @@ def _stage_prompt(stage: str, description: str, payloads: dict[str, Any]) -> str
             parts.append(f"Validated {previous.replace('_', ' ')} from the previous stage:")
             parts.append(canonical_json(payloads[previous]))
     return "\n\n".join(parts)
-
-
-def _xml_with_retry(client, messages: Sequence[ChatMessage], response: str,
-                    max_retries: int, retry_count: int = 0):
-    conversation = list(messages)
-    raw = response
-    last_error = ""
-    for attempt in range(max_retries + 1):
-        try:
-            return parse(extract_xml(raw)), raw
-        except (ValueError, XmlSyntaxError, MissingBpmnNamespace) as exc:
-            last_error = str(exc)
-            if attempt == max_retries:
-                break
-            conversation = conversation + [
-                ChatMessage("assistant", raw if raw.strip() else "(empty response)"),
-                user(f"That response was not a parseable BPMN 2.0 XML document "
-                     f"({last_error}). Reply again with only the corrected XML."),
-            ]
-            raw = complete(client, conversation, retry_count=retry_count)
-    failure = SchemaFailureAfterRetries(last_error, raw, max_retries + 1,
-                                        stage=STAGE_BPMN_XML)
-    raise failure

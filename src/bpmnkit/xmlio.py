@@ -15,7 +15,6 @@ import unicodedata
 import xml.etree.ElementTree as ET
 from copy import deepcopy
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Sequence
 
 logger = logging.getLogger(__name__)
@@ -119,14 +118,6 @@ def parse(data: bytes | str) -> BpmnDocument:
             f"root element is {root.tag!r}, expected {qname('definitions')!r}"
         )
     return BpmnDocument(root, nsmap, _sniff_encoding(raw))
-
-
-def read_document(path: str | Path) -> BpmnDocument:
-    return parse(Path(path).read_bytes())
-
-
-def write_document(doc: BpmnDocument, path: str | Path) -> None:
-    Path(path).write_bytes(serialize(doc))
 
 
 # --- serialization -----------------------------------------------------------

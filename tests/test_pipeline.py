@@ -301,3 +301,34 @@ class TestReconstruct:
         doc1, _ = reconstruct(DESCRIPTION, client1)
         doc2, _ = reconstruct(DESCRIPTION, client2)
         assert serialize(doc1) == serialize(doc2)
+
+    def test_unparseable_stage6_reprompts_once_then_succeeds(self):
+        script = json.loads(fixture_path("mock_reconstruct_ok.json").read_text())
+        client = MockChatClient(script[:5] + ["not xml at all"] + script[5:])
+        doc, artifacts = reconstruct(DESCRIPTION, client)
+        assert validate(doc).compliant
+        assert client.call_count == 7  # six stages + one stage-6 reprompt
+        reprompt = client.calls[6]
+        assert reprompt[-2].role == "assistant"
+        assert reprompt[-2].content == "not xml at all"
+        assert reprompt[-1].role == "user"
+        assert reprompt[-1].content.startswith(
+            "That response was not a parseable BPMN 2.0 XML document (")
+        assert reprompt[-1].content.endswith(
+            "). Reply again with only the corrected XML.")
+        complaints = [call for call in client.calls
+                      if "not a parseable BPMN 2.0 XML document" in call[-1].content]
+        assert complaints == [reprompt]
+        assert artifacts[-1].raw_response == script[5]
+
+    def test_persistent_stage6_garbage_raises_stage_tagged(self):
+        script = json.loads(fixture_path("mock_reconstruct_ok.json").read_text())
+        json_retries = 2
+        replies = [f"garbage {i}" for i in range(json_retries + 1)]
+        client = MockChatClient(script[:5] + replies)
+        with pytest.raises(SchemaFailureAfterRetries) as exc:
+            reconstruct(DESCRIPTION, client, json_retries=json_retries)
+        assert exc.value.stage == "bpmn_xml"
+        assert exc.value.attempts == json_retries + 1
+        assert exc.value.raw == replies[-1]
+        assert client.call_count == 5 + json_retries + 1
