@@ -17,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .atomic import write_atomic
 from .embeddings import EmbeddingProvider
 from .model import build_graph
 from .similarity import CompareOptions, compare
@@ -96,7 +97,7 @@ class CorpusManifest:
 
     def save(self, path: str | Path) -> None:
         payload = {"entries": [entry.to_dict() for entry in self.entries]}
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        write_atomic(path, (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
 
 
 @dataclass
@@ -178,6 +179,20 @@ def _evaluate_pair(model_id: str, truth_path: Path, recon_path: Path,
         return {"model_id": model_id, "error": f"{type(exc).__name__}: {exc}"}
 
 
+def _read_record(path: Path) -> dict | None:
+    """A stored per-pair result, or None when the file is missing, does not
+    parse (an interrupted write, say) or has no ``model_id``: that pair is
+    then not done."""
+    try:
+        record = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError):
+        logger.warning("ignoring unreadable result file %s", path)
+        return None
+    return record if isinstance(record, dict) and "model_id" in record else None
+
+
 def _pair_ids(pairs: list[tuple[str | Path, str | Path]]) -> list[str]:
     ids = []
     seen: dict[str, int] = {}
@@ -206,19 +221,18 @@ def batch_evaluate(pairs: list[tuple[str | Path, str | Path]],
     records: list[dict] = []
     todo: list[tuple[str, Path, Path]] = []
     for model_id, (truth, recon) in zip(ids, pairs):
-        if out_dir is not None:
-            existing = out_dir / f"{model_id}.json"
-            if existing.exists():
-                records.append(json.loads(existing.read_text(encoding="utf-8")))
-                continue
-        todo.append((model_id, Path(truth), Path(recon)))
+        record = _read_record(out_dir / f"{model_id}.json") if out_dir is not None else None
+        if record is not None:
+            records.append(record)
+        else:
+            todo.append((model_id, Path(truth), Path(recon)))
 
     def work(item: tuple[str, Path, Path]) -> dict:
         model_id, truth_path, recon_path = item
         record = _evaluate_pair(model_id, truth_path, recon_path, provider, options)
         if out_dir is not None:
-            (out_dir / f"{model_id}.json").write_text(
-                json.dumps(record, indent=2) + "\n", encoding="utf-8")
+            write_atomic(out_dir / f"{model_id}.json",
+                         (json.dumps(record, indent=2) + "\n").encode("utf-8"))
         return record
 
     if jobs == 1 or len(todo) <= 1:
@@ -229,8 +243,8 @@ def batch_evaluate(pairs: list[tuple[str | Path, str | Path]],
 
     report = build_report(records, total_pairs=len(pairs))
     if out_dir is not None:
-        (out_dir / "summary.json").write_bytes(render_report(report, "json"))
-        (out_dir / "summary.csv").write_bytes(render_report(report, "csv"))
+        write_atomic(out_dir / "summary.json", render_report(report, "json"))
+        write_atomic(out_dir / "summary.csv", render_report(report, "csv"))
     return report
 
 
@@ -241,8 +255,8 @@ def load_report(results_dir: str | Path) -> EvaluationReport:
     for path in sorted(out_dir.glob("*.json")):
         if path.name.startswith("summary"):
             continue
-        record = json.loads(path.read_text(encoding="utf-8"))
-        if "model_id" in record:
+        record = _read_record(path)
+        if record is not None:
             records.append(record)
     return build_report(records, total_pairs=len(records))
 

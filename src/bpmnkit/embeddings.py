@@ -9,6 +9,7 @@ Vectors are unit-norm; empty text maps to the zero vector.
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import re
 import time
@@ -18,6 +19,8 @@ from typing import Protocol, Sequence
 
 import numpy as np
 import requests
+
+from .atomic import write_atomic
 
 DEFAULT_DIMENSION = 384
 
@@ -163,22 +166,27 @@ class CachingEmbedder:
         key = hashlib.sha256(f"{self.cache_key}\x00{text}".encode("utf-8")).hexdigest()
         return self.cache_dir / key[:2] / f"{key}.npy"
 
+    def _load(self, path: Path) -> np.ndarray | None:
+        """The cached vector, or None for a miss: no entry, or one that does
+        not load as a vector of this width."""
+        try:
+            vec = np.load(path)
+        except (OSError, ValueError, EOFError):
+            return None
+        return vec if vec.shape == (self.dimension,) else None
+
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
-        out: list[np.ndarray | None] = [None] * len(texts)
-        missing: list[int] = []
-        for i, text in enumerate(texts):
-            path = self._path(text)
-            if path.exists():
-                out[i] = np.load(path)
-            else:
-                missing.append(i)
+        out: list[np.ndarray | None] = [self._load(self._path(text)) for text in texts]
+        missing = [i for i, vec in enumerate(out) if vec is None]
         if missing:
             fresh = self.inner.embed_batch([texts[i] for i in missing])
             for pos, i in enumerate(missing):
                 vec = fresh[pos]
                 path = self._path(texts[i])
                 path.parent.mkdir(parents=True, exist_ok=True)
-                np.save(path, vec)
+                buffer = io.BytesIO()
+                np.save(buffer, vec)
+                write_atomic(path, buffer.getvalue())
                 out[i] = vec
         if not out:
             return np.zeros((0, self.dimension), dtype=np.float64)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub
 
 import numpy as np
 
@@ -145,64 +146,140 @@ def type_distribution_similarity(g1: BpmnGraph, g2: BpmnGraph,
 # --- optimal assignment -------------------------------------------------------
 
 
+def _groups(rows) -> tuple[list[tuple[float, ...]], list[list[int]]]:
+    """Distinct rows in first-seen order, and the indices holding each."""
+    members: dict[tuple[float, ...], list[int]] = {}
+    for index, row in enumerate(rows):
+        members.setdefault(tuple(row), []).append(index)
+    return list(members), list(members.values())
+
+
+def _shortest_path(source: int, cost: list[list[float]], u: list[float], v: list[float],
+                   flows: list[dict[int, int]], capacity: list[int]):
+    """Dijkstra over reduced costs from row group `source` to the sink, then
+    the potential update that keeps reduced costs non-negative.
+
+    Row p reaches every column q (reduced cost cost[p][q] - u[p] - v[q]); a
+    column reaches the rows that send it flow (reduced cost 0); a column with
+    spare capacity reaches the sink. Every such column keeps v = 0, the
+    sink's potential: it is settled only as the last node of a path, at the
+    path's length, and settled columns move by their distance minus that
+    length. Returns the last column, the row that reached each column, and
+    the column that reached each row."""
+    inf = float("inf")
+    kc = len(v)
+    dist = [inf] * kc
+    via = [0] * kc
+    open_cols = list(range(kc))
+    reached = {source: 0.0}
+    back: dict[int, int] = {}
+    fresh = [source]
+    while True:
+        for p in fresh:
+            dp = reached[p] - u[p]
+            row = cost[p]
+            # The last row relaxed sees every open column's final distance,
+            # so its pass also finds the nearest column.
+            best = inf
+            for q in open_cols:
+                d = dp + row[q] - v[q]
+                if d < dist[q]:
+                    dist[q] = d
+                    via[q] = p
+                else:
+                    d = dist[q]
+                if d < best:
+                    best = d
+                    end = q
+        if not fresh:
+            end = min(open_cols, key=dist.__getitem__)
+        open_cols.remove(end)
+        if capacity[end]:
+            break
+        fresh = [p for p in flows[end] if p not in reached]
+        for p in fresh:
+            reached[p] = dist[end]
+            back[p] = end
+    total = dist[end]
+    for q in range(kc):
+        if dist[q] < total:
+            v[q] += dist[q] - total
+    for p, dp in reached.items():
+        u[p] += total - dp
+    return end, via, back
+
+
 def max_weight_assignment(scores: np.ndarray) -> list[tuple[int, int]]:
     """Maximum-weight one-to-one assignment over a rectangular score matrix.
 
-    Hungarian algorithm (shortest augmenting path with potentials, O(n^2 m)).
-    Every row of the smaller side is matched; returns (row, col) pairs.
+    Identical rows are interchangeable, and so are identical columns, so both
+    are merged into groups and the small transportation problem between the
+    groups is solved exactly: successive shortest paths with potentials, each
+    path carrying as many units as it can (Crouse, IEEE TAES 2016, on the
+    capacitated problem). With every row and column distinct this is the
+    Hungarian algorithm. Every row of the smaller side is matched; returns
+    sorted (row, col) pairs.
     """
     matrix = np.asarray(scores, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError("score matrix must be two-dimensional")
-    n, m = matrix.shape
-    if n == 0 or m == 0:
+    if matrix.size == 0:
         return []
-    if n > m:
-        return [(i, j) for j, i in max_weight_assignment(matrix.T)]
+    flipped = matrix.shape[0] > matrix.shape[1]
+    if flipped:
+        matrix = matrix.T
+    row_keys, row_members = _groups(matrix.tolist())
+    col_keys, col_members = _groups(zip(*row_keys))
+    # cost[p][q] between row group p and column group q, to be minimized.
+    cost = [[-x for x in row] for row in zip(*col_keys)]
+    supply = [len(m) for m in row_members]
+    capacity = [len(m) for m in col_members]
+    # flows[q] maps row group p to the units sent from p to q (positive only).
+    flows: list[dict[int, int]] = [{} for _ in col_keys]
+    u = [0.0] * len(row_keys)
+    v = [0.0] * len(col_keys)
 
-    cost = (-matrix).tolist()
-    inf = float("inf")
-    u = [0.0] * (n + 1)
-    v = [0.0] * (m + 1)
-    match = [0] * (m + 1)  # match[j] = row assigned to column j (1-based; 0 = free)
-    way = [0] * (m + 1)
+    # Row groups join one at a time, each with the potential that makes its
+    # cheapest arc tight.
+    for source, row in enumerate(cost):
+        u[source] = min(map(sub, row, v))
+        while supply[source]:
+            end, via, back = _shortest_path(source, cost, u, v, flows, capacity)
+            units = min(supply[source], capacity[end])
+            forward, reverse = [], []
+            q = end
+            while True:
+                p = via[q]
+                forward.append((p, q))
+                if p == source:
+                    break
+                q = back[p]
+                reverse.append((p, q))
+                units = min(units, flows[q][p])
+            for p, q in forward:
+                flows[q][p] = flows[q].get(p, 0) + units
+            for p, q in reverse:
+                flows[q][p] -= units
+                if not flows[q][p]:
+                    del flows[q][p]
+            supply[source] -= units
+            capacity[end] -= units
 
-    for i in range(1, n + 1):
-        match[0] = i
-        j0 = 0
-        minv = [inf] * (m + 1)
-        used = [False] * (m + 1)
-        while True:
-            used[j0] = True
-            i0 = match[j0]
-            delta = inf
-            j1 = 0
-            row = cost[i0 - 1]
-            for j in range(1, m + 1):
-                if used[j]:
-                    continue
-                cur = row[j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(m + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if match[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            match[j0] = match[j1]
-            j0 = j1
+    pairs = []
+    for q, sent in enumerate(flows):
+        for p, units in sent.items():
+            for _ in range(units):
+                pairs.append((row_members[p].pop(), col_members[q].pop()))
+    if flipped:
+        pairs = [(j, i) for i, j in pairs]
+    return sorted(pairs)
 
-    return sorted((match[j] - 1, j - 1) for j in range(1, m + 1) if match[j] != 0)
+
+def _embed_distinct(texts: list[str], provider: EmbeddingProvider) -> np.ndarray:
+    """One vector per text, embedding each distinct text once."""
+    index: dict[str, int] = {}
+    inverse = [index.setdefault(text, len(index)) for text in texts]
+    return provider.embed_batch(list(index))[inverse]
 
 
 def semantic_set_similarity(texts1: list[str], texts2: list[str],
@@ -214,8 +291,8 @@ def semantic_set_similarity(texts1: list[str], texts2: list[str],
         return 1.0
     if not texts1 or not texts2:
         return 0.0
-    vecs1 = provider.embed_batch(texts1)
-    vecs2 = provider.embed_batch(texts2)
+    vecs1 = _embed_distinct(texts1, provider)
+    vecs2 = _embed_distinct(texts2, provider)
     scores = np.clip(vecs1 @ vecs2.T, 0.0, 1.0)
     pairs = max_weight_assignment(scores)
     matched = float(sum(scores[i, j] for i, j in pairs))

@@ -75,6 +75,30 @@ class TestBatchEvaluate:
         # the stored result was reused, not recomputed
         assert report.averages["overall"] == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("damage", ["truncated", "no_model_id"])
+    def test_resume_recomputes_a_damaged_result(self, embedder, tmp_path, damage):
+        pairs = _pairs(("chain3.bpmn", "chain4.bpmn"), ("diamond.bpmn", "parallel.bpmn"))
+        first = batch_evaluate(pairs, embedder, results_dir=tmp_path)
+        damaged = tmp_path / "diamond.json"
+        intact = tmp_path / "chain3.json"
+        whole = damaged.read_text()
+        if damage == "truncated":
+            damaged.write_text(whole[:len(whole) // 2])
+        else:
+            damaged.write_text(json.dumps({"breakdown": {}}))
+        intact_mtime = intact.stat().st_mtime_ns
+        resumed = batch_evaluate(pairs, embedder, results_dir=tmp_path)
+        assert resumed.to_dict() == first.to_dict()
+        assert damaged.read_text() == whole
+        assert intact.stat().st_mtime_ns == intact_mtime
+        assert json.loads((tmp_path / "summary.json").read_text()) == first.to_dict()
+
+    def test_results_dir_holds_no_temporary_files(self, embedder, tmp_path):
+        pairs = _pairs(("chain3.bpmn", "chain4.bpmn"), ("diamond.bpmn", "parallel.bpmn"))
+        batch_evaluate(pairs, embedder, jobs=2, results_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "chain3.json", "diamond.json", "summary.csv", "summary.json"]
+
     def test_duplicate_stems_get_distinct_ids(self, embedder, tmp_path):
         pairs = _pairs(("chain3.bpmn", "chain3.bpmn"), ("chain3.bpmn", "chain4.bpmn"))
         report = batch_evaluate(pairs, embedder, results_dir=tmp_path)

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -166,6 +169,41 @@ class TestCache:
         assert inner.batches == 2
         assert np.array_equal(out[0], inner.embed_one("alpha"))
         assert np.array_equal(out[1], inner.embed_one("beta"))
+
+    def test_truncated_entry_is_a_miss_and_gets_rewritten(self, tmp_path):
+        inner = _CountingEmbedder()
+        cached = CachingEmbedder(inner, tmp_path)
+        cached.embed_batch(["approve order"])
+        path = cached._path("approve order")
+        whole = path.read_bytes()
+        path.write_bytes(whole[:len(whole) // 2])
+        out = cached.embed_batch(["approve order"])
+        assert inner.batches == 2
+        assert np.array_equal(out[0], inner.embed_one("approve order"))
+        assert path.read_bytes() == whole
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+    def test_concurrent_writers_leave_whole_entries(self, tmp_path):
+        # More threads than cores, each walking the texts from another start,
+        # so readers meet entries that other threads are writing.
+        texts = [f"step {i}" for i in range(12)]
+        batches = [texts[k:] + texts[:k] for k in range(0, 12, 3)]
+        cached = CachingEmbedder(HashingEmbedder(), tmp_path)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(batches)) as pool:
+                futures = [pool.submit(cached.embed_batch, batch) for batch in batches]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for batch, out in zip(batches, results):
+            assert np.array_equal(out, HashingEmbedder().embed_batch(batch))
+        assert sorted(p.suffix for p in tmp_path.rglob("*") if p.is_file()) == [".npy"] * 12
+        inner = _CountingEmbedder()
+        assert np.array_equal(CachingEmbedder(inner, tmp_path).embed_batch(texts),
+                              HashingEmbedder().embed_batch(texts))
+        assert inner.batches == 0
 
 
 class TestMakeProvider:

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bpmnkit.embeddings import HashingEmbedder
 from bpmnkit.model import BpmnEdge, BpmnGraph, BpmnNode, ElementCategory, build_graph
 from bpmnkit.similarity import (
     CompareOptions,
@@ -347,3 +349,101 @@ def test_every_clean_fixture_self_compares_to_one(name, embedder):
     graph = _graph(name)
     breakdown = compare(graph, graph, embedder)
     assert breakdown.overall == pytest.approx(1.0, abs=1e-9)
+
+
+def _tied_matrix(rng, n, m, rows, cols, decimals=1):
+    """An n x m matrix with at most `rows` distinct rows and `cols` distinct
+    columns, rounded so equal scores tie exactly."""
+    base = np.round(rng.random((rows, cols)), decimals)
+    return base[rng.integers(0, rows, n)][:, rng.integers(0, cols, m)]
+
+
+def _assignment_value(matrix, pairs):
+    return sum(matrix[i, j] for i, j in pairs)
+
+
+def _check_pairs(matrix, pairs):
+    n, m = matrix.shape
+    rows = [i for i, _ in pairs]
+    cols = [j for _, j in pairs]
+    assert len(pairs) == min(n, m)
+    assert len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
+    assert all(0 <= i < n for i in rows) and all(0 <= j < m for j in cols)
+
+
+class TestGroupedAssignment:
+    @staticmethod
+    def _matrices():
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            n, m = (int(x) for x in rng.integers(1, 30, size=2))
+            rows, cols = (int(x) for x in rng.integers(1, 5, size=2))
+            matrix = _tied_matrix(rng, n, m, rows, cols, int(rng.integers(1, 3)))
+            yield matrix
+            yield matrix.T
+        for n, m in [(1, 7), (7, 1), (1, 1), (5, 5), (4, 9), (9, 4)]:
+            yield np.full((n, m), 0.5)
+            yield np.zeros((n, m))
+            yield _tied_matrix(rng, n, m, 2, 2)
+
+    def test_agrees_with_scipy_on_duplicate_heavy_matrices(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        for matrix in self._matrices():
+            pairs = max_weight_assignment(matrix)
+            _check_pairs(matrix, pairs)
+            rows, cols = optimize.linear_sum_assignment(matrix, maximize=True)
+            assert _assignment_value(matrix, pairs) == pytest.approx(
+                matrix[rows, cols].sum(), abs=1e-9)
+
+    def test_agrees_with_exhaustive_search_up_to_six(self):
+        rng = np.random.default_rng(5)
+        for _ in range(150):
+            n, m = (int(x) for x in rng.integers(1, 7, size=2))
+            if rng.random() < 0.5:
+                matrix = _tied_matrix(rng, n, m, int(rng.integers(1, 4)),
+                                      int(rng.integers(1, 4)))
+            else:
+                matrix = rng.random((n, m))
+            pairs = max_weight_assignment(matrix)
+            _check_pairs(matrix, pairs)
+            assert _assignment_value(matrix, pairs) == pytest.approx(
+                _brute_force_best(matrix), abs=1e-9)
+
+    def test_large_tie_heavy_matrix_is_fast(self):
+        # 1003 x 1003 with 6 distinct rows and columns, the shape of the type
+        # texts of a 500-task model. An ungrouped O(n^2 m) Hungarian takes
+        # many seconds here; the grouped solver tens of milliseconds.
+        rng = np.random.default_rng(9)
+        matrix = _tied_matrix(rng, 1003, 1003, 6, 6, decimals=3)
+        start = time.perf_counter()
+        pairs = max_weight_assignment(matrix)
+        elapsed = time.perf_counter() - start
+        _check_pairs(matrix, pairs)
+        assert elapsed < 2.0
+
+
+class _RecordingProvider:
+    dimension = 4
+    cache_key = "recording"
+
+    def __init__(self):
+        self.inner = HashingEmbedder(dimension=self.dimension)
+        self.calls = []
+
+    def embed_batch(self, texts):
+        self.calls.append(list(texts))
+        return self.inner.embed_batch(texts)
+
+
+def test_semantic_set_similarity_embeds_each_distinct_text_once():
+    texts1 = ["task", "task", "startEvent", "sequenceFlow", "task", "sequenceFlow"]
+    texts2 = ["task", "endEvent", "task", "sequenceFlow"]
+    provider = _RecordingProvider()
+    score = semantic_set_similarity(texts1, texts2, provider)
+    assert provider.calls == [["task", "startEvent", "sequenceFlow"],
+                              ["task", "endEvent", "sequenceFlow"]]
+    vecs1 = provider.inner.embed_batch(texts1)
+    vecs2 = provider.inner.embed_batch(texts2)
+    scores = np.clip(vecs1 @ vecs2.T, 0.0, 1.0)
+    expected = _assignment_value(scores, max_weight_assignment(scores)) / len(texts1)
+    assert score == expected
