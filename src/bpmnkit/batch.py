@@ -49,6 +49,7 @@ class ManifestEntry:
     description_path: str | None = None
     reconstruction_path: str | None = None
     last_report: dict | None = None
+    error: str | None = None
     stale: bool = False
 
     def to_dict(self) -> dict:
@@ -59,6 +60,8 @@ class ManifestEntry:
             data["reconstruction_path"] = self.reconstruction_path
         if self.last_report is not None:
             data["last_report"] = self.last_report
+        if self.error:
+            data["error"] = self.error
         return data
 
 
@@ -77,6 +80,7 @@ class CorpusManifest:
                 description_path=e.get("description_path"),
                 reconstruction_path=e.get("reconstruction_path"),
                 last_report=e.get("last_report"),
+                error=e.get("error"),
             )
             for e in data.get("entries", [])
         ])

@@ -193,8 +193,7 @@ def _cmd_translate(args, settings) -> int:
     doc = parse(Path(args.file).read_bytes())
     client = _make_client(settings)
     translated, warnings = pipeline.translate_model(
-        doc, client, threshold=float(settings["threshold"]),
-        retry_count=int(settings["llm_retry_count"]))
+        doc, client, threshold=float(settings["threshold"]))
     Path(args.output).write_bytes(serialize(translated))
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -206,8 +205,7 @@ def _cmd_correct(args, settings) -> int:
     client = _make_client(settings)
     state = pipeline.CorrectionState(limit=int(settings["limit"]),
                                      simple_threshold=int(settings["simple_threshold"]))
-    result = pipeline.correct_model(doc, client, state,
-                                    retry_count=int(settings["llm_retry_count"]))
+    result = pipeline.correct_model(doc, client, state)
     Path(args.output).write_bytes(serialize(result.document))
     print(result.report.to_json(indent=2))
     return EXIT_OK if result.report.compliant else EXIT_NONCOMPLIANT
@@ -216,8 +214,7 @@ def _cmd_correct(args, settings) -> int:
 def _cmd_describe(args, settings) -> int:
     doc = parse(Path(args.file).read_bytes())
     client = _make_client(settings)
-    description = pipeline.generate_description(
-        doc, client, retry_count=int(settings["llm_retry_count"]))
+    description = pipeline.generate_description(doc, client)
     Path(args.output).write_text(description, encoding="utf-8")
     return EXIT_OK
 
@@ -229,8 +226,7 @@ def _cmd_reconstruct(args, settings) -> int:
         doc, _artifacts = pipeline.reconstruct(
             description, client, run_dir=args.run_dir,
             correction_limit=int(settings["limit"]),
-            simple_threshold=int(settings["simple_threshold"]),
-            retry_count=int(settings["llm_retry_count"]))
+            simple_threshold=int(settings["simple_threshold"]))
     except pipeline.ReconstructionNonCompliant as exc:
         Path(args.output).write_bytes(serialize(exc.document))
         print(exc.report.to_json(indent=2))
@@ -278,16 +274,14 @@ def _cmd_batch(args, settings) -> int:
               "describe": "compliant", "reconstruct": "described"}[stage]
     stage_dir = out_dir / stage
     stage_dir.mkdir(parents=True, exist_ok=True)
-    for entry in manifest.entries:
-        if entry.stale or entry.status != wanted:
-            continue
+
+    def advance(entry) -> None:
         model_path = locate(entry.model_path)
         stem = model_path.stem
         if stage == "translate":
             doc = parse(model_path.read_bytes())
             translated, _ = pipeline.translate_model(
-                doc, client, threshold=float(settings["threshold"]),
-                retry_count=int(settings["llm_retry_count"]))
+                doc, client, threshold=float(settings["threshold"]))
             target = stage_dir / model_path.name
             target.write_bytes(serialize(translated))
             entry.model_path = str(target)
@@ -296,8 +290,7 @@ def _cmd_batch(args, settings) -> int:
             doc = parse(model_path.read_bytes())
             state = pipeline.CorrectionState(limit=int(settings["limit"]),
                                              simple_threshold=int(settings["simple_threshold"]))
-            result = pipeline.correct_model(doc, client, state,
-                                            retry_count=int(settings["llm_retry_count"]))
+            result = pipeline.correct_model(doc, client, state)
             target = stage_dir / model_path.name
             target.write_bytes(serialize(result.document))
             entry.model_path = str(target)
@@ -306,8 +299,7 @@ def _cmd_batch(args, settings) -> int:
                 entry.status = "compliant"
         elif stage == "describe":
             doc = parse(model_path.read_bytes())
-            text = pipeline.generate_description(
-                doc, client, retry_count=int(settings["llm_retry_count"]))
+            text = pipeline.generate_description(doc, client)
             target = stage_dir / f"{stem}.txt"
             target.write_text(text, encoding="utf-8")
             entry.description_path = str(target)
@@ -319,16 +311,27 @@ def _cmd_batch(args, settings) -> int:
                 doc, _ = pipeline.reconstruct(
                     description, client,
                     correction_limit=int(settings["limit"]),
-                    simple_threshold=int(settings["simple_threshold"]),
-                    retry_count=int(settings["llm_retry_count"]))
+                    simple_threshold=int(settings["simple_threshold"]))
             except pipeline.ReconstructionNonCompliant as exc:
                 entry.last_report = exc.report.to_dict()
-                continue
+                return
             target.write_bytes(serialize(doc))
             entry.reconstruction_path = str(target)
             entry.status = "reconstructed"
-    manifest.save(manifest_path)
-    return EXIT_OK
+
+    failed = False
+    for entry in manifest.entries:
+        if entry.stale or entry.status != wanted:
+            continue
+        try:
+            advance(entry)
+            entry.error = None
+        except (OSError, ValueError, RuntimeError) as exc:
+            entry.error = f"{type(exc).__name__}: {exc}"
+            print(f"error: {entry.model_path}: {entry.error}", file=sys.stderr)
+            failed = True
+        manifest.save(manifest_path)
+    return EXIT_FAILURE if failed else EXIT_OK
 
 
 def _cmd_report(args, settings) -> int:

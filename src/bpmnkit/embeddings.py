@@ -62,8 +62,8 @@ def make_provider(cfg: ProviderConfig) -> "EmbeddingProvider":
     if cfg.kind == "hashing-fallback":
         provider = HashingEmbedder(cfg.dimension)
     elif cfg.kind == "remote-http":
-        endpoint = os.environ.get(ENV_ENDPOINT) or cfg.endpoint
-        model = os.environ.get(ENV_MODEL) or cfg.model_name
+        endpoint = cfg.endpoint or os.environ.get(ENV_ENDPOINT)
+        model = cfg.model_name or os.environ.get(ENV_MODEL)
         if not endpoint:
             raise ValueError("remote-http embedding provider requires an endpoint")
         provider = RemoteEmbedder(endpoint, model, cfg.dimension, cfg.batch_size,

@@ -2,8 +2,9 @@
 
 ``HttpChatClient`` speaks the common JSON chat protocol
 (``{model, messages, temperature, max_tokens}`` ->
-``{choices: [{message: {content}}]}``). ``MockChatClient`` replays a scripted
-response list for offline runs and records every prompt it receives.
+``{choices: [{message: {content}}]}``) and owns the transport retry policy.
+``MockChatClient`` replays a scripted response list for offline runs and
+records every prompt it receives.
 """
 
 from __future__ import annotations
@@ -83,6 +84,17 @@ class HttpChatClient:
             raise ValueError("remote chat client requires endpoint and model")
         self.cfg = cfg
 
+    def complete(self, messages: Sequence[ChatMessage]) -> str:
+        """``complete_once``, retried on LlmUnavailable (timeouts included) up
+        to ``cfg.retry_count`` times, sleeping ``cfg.backoff * 2**attempt``
+        seconds before each retry."""
+        for attempt in range(self.cfg.retry_count):
+            try:
+                return self.complete_once(messages)
+            except LlmUnavailable:
+                time.sleep(self.cfg.backoff * 2 ** attempt)
+        return self.complete_once(messages)
+
     def complete_once(self, messages: Sequence[ChatMessage]) -> str:
         payload = {
             "model": self.cfg.model,
@@ -131,7 +143,7 @@ class MockChatClient:
     def call_count(self) -> int:
         return len(self.calls)
 
-    def complete_once(self, messages: Sequence[ChatMessage]) -> str:
+    def complete(self, messages: Sequence[ChatMessage]) -> str:
         self.calls.append(list(messages))
         if self._cursor >= len(self.script):
             raise LlmUnavailable("mock script exhausted")
@@ -142,25 +154,13 @@ class MockChatClient:
         return entry
 
 
-def complete(client, messages: Sequence[ChatMessage], retry_count: int | None = None,
-             backoff: float = 0.0) -> str:
-    """Run one completion with exponential backoff on transient failures.
-    ``retry_count`` retries follow the initial attempt."""
+def complete(client, messages: Sequence[ChatMessage]) -> str:
+    """Run one completion; retrying a failed call is the client's business."""
     if not messages:
         raise ValueError("messages must be non-empty")
     if messages[0].role != "system":
         raise ValueError("first message must have the system role")
-    retries = retry_count if retry_count is not None else 0
-    last: Exception | None = None
-    for attempt in range(retries + 1):
-        try:
-            return client.complete_once(messages)
-        except LlmUnavailable as exc:
-            last = exc
-            if attempt < retries and backoff > 0:
-                time.sleep(backoff * 2 ** attempt)
-    assert last is not None
-    raise last
+    return client.complete(messages)
 
 
 _FENCE = re.compile(r"```(?:[a-zA-Z0-9_-]+)?\s*\n?(.*?)```", re.DOTALL)
@@ -191,8 +191,7 @@ JSON_COMPLAINT = ("The previous response was not valid against the required JSON
 
 
 def parse_with_retry(client, messages: Sequence[ChatMessage], response: str, parse,
-                     complaint: str, max_retries: int, retry_count: int = 0,
-                     backoff: float = 0.0, stage: str | None = None):
+                     complaint: str, max_retries: int = 3, stage: str | None = None):
     """Parse a response with ``parse``, re-prompting the model up to
     ``max_retries`` times with ``complaint`` (its ``{error}`` field filled
     from the parser's ValueError). The final failure is tagged with ``stage``.
@@ -213,16 +212,15 @@ def parse_with_retry(client, messages: Sequence[ChatMessage], response: str, par
             assistant(raw if raw.strip() else "(empty response)"),
             user(complaint.format(error=last_error)),
         ]
-        raw = complete(client, conversation, retry_count=retry_count, backoff=backoff)
+        raw = complete(client, conversation)
     raise SchemaFailureAfterRetries(last_error, raw, max_retries + 1, stage)
 
 
 def parse_json_with_retry(client, messages: Sequence[ChatMessage], response: str,
-                          schema: dict, max_retries: int = 3,
-                          retry_count: int = 0, backoff: float = 0.0,
-                          stage: str | None = None):
+                          schema: dict, **options):
     """Validate a response against a JSON schema, re-prompting the model with
-    the validation error up to ``max_retries`` times.
+    the validation error; ``options`` (``max_retries``, ``stage``) go to
+    ``parse_with_retry``.
 
     Returns (validated payload, raw response text).
     """
@@ -234,5 +232,4 @@ def parse_json_with_retry(client, messages: Sequence[ChatMessage], response: str
             raise ValueError(exc.message) from exc
         return payload
 
-    return parse_with_retry(client, messages, response, parse, JSON_COMPLAINT, max_retries,
-                            retry_count=retry_count, backoff=backoff, stage=stage)
+    return parse_with_retry(client, messages, response, parse, JSON_COMPLAINT, **options)

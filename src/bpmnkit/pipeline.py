@@ -366,8 +366,7 @@ class ReconstructionNonCompliant(RuntimeError):
 
 
 def translate_model(doc: BpmnDocument, client, threshold: float = 0.8,
-                    attrs: Sequence[str] | None = None, retry_count: int = 0,
-                    json_retries: int = 3) -> tuple[BpmnDocument, list[str]]:
+                    attrs: Sequence[str] | None = None) -> tuple[BpmnDocument, list[str]]:
     """Extract the unique translatable strings, request one JSON translation
     map, and reinsert the results with fuzzy matching. Identifiers are never
     touched. A document without translatable text is returned unchanged
@@ -380,9 +379,8 @@ def translate_model(doc: BpmnDocument, client, threshold: float = 0.8,
         system(TRANSLATE_SYSTEM_PROMPT),
         user(json.dumps(uniques, ensure_ascii=False, indent=2)),
     ]
-    response = complete(client, messages, retry_count=retry_count)
-    mapping, _ = parse_json_with_retry(client, messages, response, _TRANSLATION_SCHEMA,
-                                       max_retries=json_retries, retry_count=retry_count)
+    response = complete(client, messages)
+    mapping, _ = parse_json_with_retry(client, messages, response, _TRANSLATION_SCHEMA)
     return reinsert_strings(doc, mapping, threshold, attrs)
 
 
@@ -390,7 +388,7 @@ def translate_model(doc: BpmnDocument, client, threshold: float = 0.8,
 
 
 def correct_model(doc: BpmnDocument, client, state: CorrectionState | None = None,
-                  retry_count: int = 0, log_path: str | Path | None = None) -> CorrectionResult:
+                  log_path: str | Path | None = None) -> CorrectionResult:
     """Validate-and-repair until compliance or the iteration limit.
 
     DI is stripped while prompting and reattached afterward. Small models
@@ -412,7 +410,7 @@ def correct_model(doc: BpmnDocument, client, state: CorrectionState | None = Non
 
         prompt = _correction_prompt(working, report, state)
         messages = [system(CORRECTION_SYSTEM_PROMPT), user(prompt)]
-        response = complete(client, messages, retry_count=retry_count)
+        response = complete(client, messages)
         state.iteration += 1
         state.record(_truncate(report.to_json(), HISTORY_EXCERPT_LIMIT), response)
 
@@ -572,7 +570,7 @@ def extract_xml(text: str) -> str:
 # --- description ---------------------------------------------------------------
 
 
-def generate_description(doc: BpmnDocument, client, retry_count: int = 0) -> str:
+def generate_description(doc: BpmnDocument, client) -> str:
     """Ask the model for a prose description of the process. Visualization
     elements are stripped before prompting."""
     stripped, _di = strip_di(doc)
@@ -581,7 +579,7 @@ def generate_description(doc: BpmnDocument, client, retry_count: int = 0) -> str
         system(DESCRIPTION_SYSTEM_PROMPT),
         user("Describe this process model:\n\n" + _truncate(xml, MODEL_EXCERPT_LIMIT)),
     ]
-    return complete(client, messages, retry_count=retry_count)
+    return complete(client, messages)
 
 
 # --- six-stage reconstruction ----------------------------------------------------
@@ -589,7 +587,6 @@ def generate_description(doc: BpmnDocument, client, retry_count: int = 0) -> str
 
 def reconstruct(description: str, client, run_dir: str | Path | None = None,
                 correction_limit: int = 5, simple_threshold: int = 10,
-                json_retries: int = 3, retry_count: int = 0,
                 ) -> tuple[BpmnDocument, list[StageArtifact]]:
     """Run the six reconstruction stages in order and return the compliant
     document plus the per-stage artifact trail.
@@ -611,10 +608,9 @@ def reconstruct(description: str, client, run_dir: str | Path | None = None,
     for index, stage in enumerate(STAGES[:-1], start=1):
         prompt = _stage_prompt(stage, description, payloads)
         messages = [system(_STAGE_SYSTEM_PROMPTS[stage]), user(prompt)]
-        response = complete(client, messages, retry_count=retry_count)
+        response = complete(client, messages)
         payload, raw = parse_json_with_retry(client, messages, response, STAGE_SCHEMAS[stage],
-                                             max_retries=json_retries,
-                                             retry_count=retry_count, stage=stage)
+                                             stage=stage)
         artifact = StageArtifact(stage, payload, raw)
         artifacts.append(artifact)
         payloads[stage] = payload
@@ -625,10 +621,9 @@ def reconstruct(description: str, client, run_dir: str | Path | None = None,
 
     xml_prompt = _stage_prompt(STAGE_BPMN_XML, description, payloads)
     messages = [system(_STAGE_SYSTEM_PROMPTS[STAGE_BPMN_XML]), user(xml_prompt)]
-    response = complete(client, messages, retry_count=retry_count)
+    response = complete(client, messages)
     doc, raw = parse_with_retry(client, messages, response,
                                 lambda text: parse(extract_xml(text)), _XML_COMPLAINT,
-                                max_retries=json_retries, retry_count=retry_count,
                                 stage=STAGE_BPMN_XML)
     xml_artifact = StageArtifact(STAGE_BPMN_XML, serialize(doc).decode("utf-8"), raw)
     artifacts.append(xml_artifact)
@@ -639,8 +634,7 @@ def reconstruct(description: str, client, run_dir: str | Path | None = None,
     if not report.compliant:
         state = CorrectionState(limit=correction_limit, simple_threshold=simple_threshold)
         log_path = run_path / "correction.log.jsonl" if run_path is not None else None
-        result = correct_model(doc, client, state, retry_count=retry_count,
-                               log_path=log_path)
+        result = correct_model(doc, client, state, log_path=log_path)
         doc, report = result.document, result.report
     if not report.compliant:
         raise ReconstructionNonCompliant(report, artifacts, doc)

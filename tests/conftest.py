@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import time
 from pathlib import Path
 
 import pytest
+import requests
 
 from bpmnkit.embeddings import HashingEmbedder
 from bpmnkit.xmlio import BpmnDocument, parse
@@ -45,3 +47,33 @@ def fixtures_dir() -> Path:
 @pytest.fixture(scope="session")
 def embedder() -> HashingEmbedder:
     return HashingEmbedder()
+
+
+class FakeResponse:
+    """What a faked ``requests.post`` returns."""
+
+    def __init__(self, payload):
+        self._payload = payload
+
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return self._payload
+
+
+def flaky_chat_post(monkeypatch, failures: int):
+    """Fake ``requests.post``: ``failures`` connection errors, then a reply.
+    Returns the list of posted URLs and the list of ``time.sleep`` delays."""
+    posts: list[str] = []
+    sleeps: list[float] = []
+
+    def fake_post(url, json=None, timeout=None):
+        posts.append(url)
+        if len(posts) <= failures:
+            raise requests.ConnectionError("flaky")
+        return FakeResponse({"choices": [{"message": {"content": "recovered"}}]})
+
+    monkeypatch.setattr(requests, "post", fake_post)
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    return posts, sleeps

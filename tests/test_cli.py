@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
+import requests
 
 from bpmnkit.cli import EXIT_FAILURE, EXIT_NONCOMPLIANT, EXIT_OK, main
 
-from conftest import fixture_path
+from conftest import FakeResponse, fixture_path, flaky_chat_post
 
 
 def _run(capsys, *argv):
@@ -223,3 +225,71 @@ class TestConfigPrecedence:
             ["describe", "x.bpmn", "-o", "y.txt", "--llm-endpoint", "http://flag.invalid"])
         settings = resolve_config(args)
         assert settings["llm_endpoint"] == "http://flag.invalid"
+
+    def test_embed_flags_override_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("BPMNKIT_EMBED_ENDPOINT", "http://env.invalid")
+        monkeypatch.setenv("BPMNKIT_EMBED_MODEL", "env-model")
+        posted = []
+
+        def fake_post(url, json=None, timeout=None):
+            posted.append((url, json["model"]))
+            return FakeResponse({"embeddings": np.eye(384)[:len(json["input"])].tolist()})
+
+        monkeypatch.setattr(requests, "post", fake_post)
+        model = str(fixture_path("chain3.bpmn"))
+        code, _, _ = _run(capsys, "compare", model, model,
+                          "--embed-endpoint", "http://flag.invalid",
+                          "--embed-model", "flag-model")
+        assert code == EXIT_OK
+        assert posted
+        assert set(posted) == {("http://flag.invalid", "flag-model")}
+
+
+class TestLlmRetries:
+    def test_http_retries_back_off(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("BPMNKIT_LLM_ENDPOINT", raising=False)
+        monkeypatch.delenv("BPMNKIT_LLM_MODEL", raising=False)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"llm_endpoint": "http://llm.invalid/v1/chat",
+                                      "llm_model": "test-model", "llm_retry_count": 2}))
+        posts, sleeps = flaky_chat_post(monkeypatch, failures=2)
+        out_file = tmp_path / "description.txt"
+        code, _, _ = _run(capsys, "describe", str(fixture_path("diamond.bpmn")),
+                          "-o", str(out_file), "--config", str(config))
+        assert code == EXIT_OK
+        assert out_file.read_text() == "recovered"
+        assert len(posts) == 3
+        assert sleeps == [0.5, 1.0]
+
+
+class TestBatchErrorIsolation:
+    MODELS = ("chain3.bpmn", "diamond.bpmn", "parallel.bpmn")
+
+    def _describe(self, capsys, tmp_path, manifest_path, replies):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(replies))
+        return _run(capsys, "batch", str(manifest_path), "--stage", "describe",
+                    "--llm-mock-script", str(script), "--out-dir", str(tmp_path))
+
+    def test_failed_entry_is_recorded_and_the_rest_advance(self, capsys, tmp_path):
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(json.dumps({"entries": [
+            {"model_path": str(fixture_path(name)), "status": "compliant"}
+            for name in self.MODELS
+        ]}))
+        code, _, err = self._describe(capsys, tmp_path, manifest_path,
+                                      ["desc A", {"error": "unavailable"}, "desc C"])
+        assert code == EXIT_FAILURE
+        assert "LlmUnavailable" in err
+        entries = json.loads(manifest_path.read_text())["entries"]
+        assert [e["status"] for e in entries] == ["described", "compliant", "described"]
+        assert "LlmUnavailable" in entries[1]["error"]
+        assert "error" not in entries[0] and "error" not in entries[2]
+        assert (tmp_path / "describe" / "parallel.txt").read_text() == "desc C"
+
+        code, _, _ = self._describe(capsys, tmp_path, manifest_path, ["desc B"])
+        assert code == EXIT_OK
+        entries = json.loads(manifest_path.read_text())["entries"]
+        assert [e["status"] for e in entries] == ["described"] * 3
+        assert all("error" not in e for e in entries)
+        assert (tmp_path / "describe" / "diamond.txt").read_text() == "desc B"

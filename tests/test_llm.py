@@ -20,6 +20,8 @@ from bpmnkit.llm import (
     user,
 )
 
+from conftest import FakeResponse, flaky_chat_post
+
 MESSAGES = [system("You are a test."), user("Say hi.")]
 
 
@@ -59,17 +61,6 @@ class TestMockClient:
             complete(client, MESSAGES)
 
 
-class _FakeResponse:
-    def __init__(self, payload):
-        self._payload = payload
-
-    def raise_for_status(self):
-        pass
-
-    def json(self):
-        return self._payload
-
-
 class TestHttpChatClient:
     CFG = LlmClientConfig(endpoint="http://llm.invalid/v1/chat", model="test-model",
                           temperature=0.0, max_tokens=512)
@@ -80,7 +71,7 @@ class TestHttpChatClient:
         def fake_post(url, json=None, timeout=None):
             seen["url"] = url
             seen["payload"] = json
-            return _FakeResponse({"choices": [{"message": {"content": "pong"}}]})
+            return FakeResponse({"choices": [{"message": {"content": "pong"}}]})
 
         monkeypatch.setattr(requests, "post", fake_post)
         client = HttpChatClient(self.CFG)
@@ -104,7 +95,7 @@ class TestHttpChatClient:
 
     def test_malformed_reply_maps_to_unavailable(self, monkeypatch):
         monkeypatch.setattr(requests, "post",
-                            lambda url, json=None, timeout=None: _FakeResponse({"oops": 1}))
+                            lambda url, json=None, timeout=None: FakeResponse({"oops": 1}))
         with pytest.raises(LlmUnavailable):
             HttpChatClient(self.CFG).complete_once(MESSAGES)
 
@@ -114,18 +105,21 @@ class TestHttpChatClient:
 
 
 class TestRetries:
-    def test_two_failures_then_success(self):
-        client = MockChatClient([
-            LlmUnavailable("flaky"), LlmUnavailable("flaky"), "recovered",
-        ])
-        assert complete(client, MESSAGES, retry_count=3) == "recovered"
-        assert client.call_count == 3
+    CFG = LlmClientConfig(endpoint="http://llm.invalid/v1/chat", model="test-model",
+                          retry_count=2, backoff=0.5)
 
-    def test_persistent_failure_exhausts(self):
-        client = MockChatClient([LlmUnavailable("down"), LlmUnavailable("down")])
+    def test_two_failures_then_success(self, monkeypatch):
+        posts, sleeps = flaky_chat_post(monkeypatch, failures=2)
+        assert HttpChatClient(self.CFG).complete(MESSAGES) == "recovered"
+        assert len(posts) == 3
+        assert sleeps == [0.5, 1.0]
+
+    def test_persistent_failure_exhausts(self, monkeypatch):
+        posts, sleeps = flaky_chat_post(monkeypatch, failures=10)
         with pytest.raises(LlmUnavailable):
-            complete(client, MESSAGES, retry_count=1)
-        assert client.call_count == 2
+            HttpChatClient(self.CFG).complete(MESSAGES)
+        assert len(posts) == self.CFG.retry_count + 1
+        assert sleeps == [0.5, 1.0]
 
     def test_messages_must_start_with_system(self):
         client = MockChatClient(["x"])

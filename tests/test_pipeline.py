@@ -277,7 +277,7 @@ class TestReconstruct:
         script = json.loads(fixture_path("mock_reconstruct_ok.json").read_text())
         client = MockChatClient([script[0]] + ["garbage"] * 4)
         with pytest.raises(SchemaFailureAfterRetries) as exc:
-            reconstruct(DESCRIPTION, client, json_retries=3)
+            reconstruct(DESCRIPTION, client)
         assert exc.value.stage == "decision_analysis"
 
     def test_noop_repairs_raise_non_compliant_with_artifacts(self):
@@ -323,12 +323,11 @@ class TestReconstruct:
 
     def test_persistent_stage6_garbage_raises_stage_tagged(self):
         script = json.loads(fixture_path("mock_reconstruct_ok.json").read_text())
-        json_retries = 2
-        replies = [f"garbage {i}" for i in range(json_retries + 1)]
+        replies = [f"garbage {i}" for i in range(4)]  # first try + 3 reprompts
         client = MockChatClient(script[:5] + replies)
         with pytest.raises(SchemaFailureAfterRetries) as exc:
-            reconstruct(DESCRIPTION, client, json_retries=json_retries)
+            reconstruct(DESCRIPTION, client)
         assert exc.value.stage == "bpmn_xml"
-        assert exc.value.attempts == json_retries + 1
+        assert exc.value.attempts == 4
         assert exc.value.raw == replies[-1]
-        assert client.call_count == 5 + json_retries + 1
+        assert client.call_count == 5 + 4
