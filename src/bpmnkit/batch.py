@@ -39,9 +39,6 @@ DIMENSION_LABELS = {
     "overall": "Overall Similarity",
 }
 
-MANIFEST_STATUSES = ("raw", "translated", "compliant", "described", "reconstructed")
-
-
 @dataclass
 class ManifestEntry:
     model_path: str
@@ -87,17 +84,26 @@ class CorpusManifest:
         manifest.flag_stale(path.parent)
         return manifest
 
+    @staticmethod
+    def locate(path: str, base_dir: Path) -> Path:
+        """A manifest path as written when it exists from the working
+        directory, else relative to the manifest's directory ``base_dir``."""
+        candidate = Path(path)
+        return candidate if candidate.exists() else base_dir / path
+
     def flag_stale(self, base_dir: Path) -> None:
         """Entries whose referenced files are missing on disk are flagged."""
         for entry in self.entries:
             paths = [entry.model_path, entry.description_path, entry.reconstruction_path]
-            entry.stale = any(
-                p is not None and not (base_dir / p).exists() and not Path(p).exists()
-                for p in paths
-            )
+            entry.stale = any(p is not None and not self.locate(p, base_dir).exists()
+                              for p in paths)
             if entry.stale:
                 logger.warning("manifest entry %s has missing files; flagged stale",
                                entry.model_path)
+
+    def stems(self) -> list[str]:
+        """One artifact name per entry, see ``_unique_stems``."""
+        return _unique_stems([entry.model_path for entry in self.entries])
 
     def save(self, path: str | Path) -> None:
         payload = {"entries": [entry.to_dict() for entry in self.entries]}
@@ -197,15 +203,20 @@ def _read_record(path: Path) -> dict | None:
     return record if isinstance(record, dict) and "model_id" in record else None
 
 
-def _pair_ids(pairs: list[tuple[str | Path, str | Path]]) -> list[str]:
-    ids = []
-    seen: dict[str, int] = {}
-    for truth, _ in pairs:
-        stem = Path(truth).stem
-        count = seen.get(stem, 0)
-        seen[stem] = count + 1
-        ids.append(stem if count == 0 else f"{stem}_{count}")
-    return ids
+def _unique_stems(paths: list[str | Path]) -> list[str]:
+    """Each path's file stem; the repeats of a stem become ``<stem>_1``,
+    ``<stem>_2``, ..., skipping names that are some path's own stem."""
+    stems = [Path(p).stem for p in paths]
+    taken, used = set(stems), set()
+    names = []
+    for stem in stems:
+        name, n = stem, 0
+        while name in used or (n and name in taken):
+            n += 1
+            name = f"{stem}_{n}"
+        used.add(name)
+        names.append(name)
+    return names
 
 
 def batch_evaluate(pairs: list[tuple[str | Path, str | Path]],
@@ -217,7 +228,7 @@ def batch_evaluate(pairs: list[tuple[str | Path, str | Path]],
     ``<pair-id>.json`` and already-present results are reused (resume)."""
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    ids = _pair_ids(pairs)
+    ids = _unique_stems([truth for truth, _ in pairs])
     out_dir = Path(results_dir) if results_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)

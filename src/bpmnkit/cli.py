@@ -14,10 +14,11 @@ import os
 import random
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import batch as batch_mod
 from . import pipeline
-from .compliance import validate_bytes
+from .compliance import ComplianceReport, validate_bytes
 from .embeddings import ProviderConfig, make_provider
 from .llm import ENV_LLM_ENDPOINT, ENV_LLM_MODEL, HttpChatClient, LlmClientConfig, MockChatClient
 from .model import build_graph
@@ -82,27 +83,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run compliance checks; exit 3 when non-compliant")
     p.add_argument("file")
 
-    p = sub.add_parser("translate", parents=[parent], help="translate labels to English")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--threshold", type=float)
-
-    p = sub.add_parser("correct", parents=[parent], help="run the correction loop")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--limit", type=int)
-    p.add_argument("--simple-threshold", type=int, dest="simple_threshold")
-
-    p = sub.add_parser("describe", parents=[parent], help="generate a process description")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", required=True)
-
-    p = sub.add_parser("reconstruct", parents=[parent],
-                       help="rebuild a BPMN model from a description")
-    p.add_argument("description")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--run-dir", dest="run_dir", help="directory for stage artifacts")
-    p.add_argument("--limit", type=int)
+    stages = {}
+    for name, text in (("translate", "translate labels to English"),
+                       ("correct", "run the correction loop"),
+                       ("describe", "generate a process description"),
+                       ("reconstruct", "rebuild a BPMN model from a description")):
+        p = stages[name] = sub.add_parser(name, parents=[parent], help=text)
+        p.add_argument("file", metavar="description" if name == "reconstruct" else None)
+        p.add_argument("-o", "--output", required=True)
+    stages["translate"].add_argument("--threshold", type=float)
+    stages["correct"].add_argument("--limit", type=int)
+    stages["correct"].add_argument("--simple-threshold", type=int, dest="simple_threshold")
+    stages["reconstruct"].add_argument("--run-dir", dest="run_dir",
+                                       help="directory for stage artifacts")
+    stages["reconstruct"].add_argument("--limit", type=int)
 
     p = sub.add_parser("compare", parents=[parent], help="five-dimension similarity")
     p.add_argument("model_a")
@@ -112,8 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch", parents=[parent], help="run a pipeline stage over a corpus")
     p.add_argument("manifest")
-    p.add_argument("--stage", required=True,
-                   choices=("translate", "correct", "describe", "reconstruct", "evaluate"))
+    p.add_argument("--stage", required=True, choices=(*_STAGES, "evaluate"))
     p.add_argument("--out-dir", dest="out_dir")
 
     p = sub.add_parser("report", parents=[parent], help="aggregate evaluation results")
@@ -189,52 +182,6 @@ def _cmd_validate(args, settings) -> int:
     return EXIT_OK if report.compliant else EXIT_NONCOMPLIANT
 
 
-def _cmd_translate(args, settings) -> int:
-    doc = parse(Path(args.file).read_bytes())
-    client = _make_client(settings)
-    translated, warnings = pipeline.translate_model(
-        doc, client, threshold=float(settings["threshold"]))
-    Path(args.output).write_bytes(serialize(translated))
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    return EXIT_OK
-
-
-def _cmd_correct(args, settings) -> int:
-    doc = parse(Path(args.file).read_bytes())
-    client = _make_client(settings)
-    state = pipeline.CorrectionState(limit=int(settings["limit"]),
-                                     simple_threshold=int(settings["simple_threshold"]))
-    result = pipeline.correct_model(doc, client, state)
-    Path(args.output).write_bytes(serialize(result.document))
-    print(result.report.to_json(indent=2))
-    return EXIT_OK if result.report.compliant else EXIT_NONCOMPLIANT
-
-
-def _cmd_describe(args, settings) -> int:
-    doc = parse(Path(args.file).read_bytes())
-    client = _make_client(settings)
-    description = pipeline.generate_description(doc, client)
-    Path(args.output).write_text(description, encoding="utf-8")
-    return EXIT_OK
-
-
-def _cmd_reconstruct(args, settings) -> int:
-    description = Path(args.description).read_text(encoding="utf-8")
-    client = _make_client(settings)
-    try:
-        doc, _artifacts = pipeline.reconstruct(
-            description, client, run_dir=args.run_dir,
-            correction_limit=int(settings["limit"]),
-            simple_threshold=int(settings["simple_threshold"]))
-    except pipeline.ReconstructionNonCompliant as exc:
-        Path(args.output).write_bytes(serialize(exc.document))
-        print(exc.report.to_json(indent=2))
-        return EXIT_NONCOMPLIANT
-    Path(args.output).write_bytes(serialize(doc))
-    return EXIT_OK
-
-
 def _cmd_compare(args, settings) -> int:
     provider = _make_provider(settings)
     g1, _ = build_graph(parse(Path(args.model_a).read_bytes()))
@@ -245,20 +192,83 @@ def _cmd_compare(args, settings) -> int:
     return EXIT_OK
 
 
+def _translate(path: Path, client, settings: dict):
+    translated, warnings = pipeline.translate_model(
+        parse(path.read_bytes()), client, threshold=float(settings["threshold"]))
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    return serialize(translated), None
+
+
+def _correct(path: Path, client, settings: dict):
+    state = pipeline.CorrectionState(limit=int(settings["limit"]),
+                                     simple_threshold=int(settings["simple_threshold"]))
+    result = pipeline.correct_model(parse(path.read_bytes()), client, state)
+    return serialize(result.document), result.report
+
+
+def _describe(path: Path, client, settings: dict):
+    return pipeline.generate_description(parse(path.read_bytes()), client).encode("utf-8"), None
+
+
+def _reconstruct(path: Path, client, settings: dict):
+    try:
+        doc, _artifacts = pipeline.reconstruct(
+            path.read_text(encoding="utf-8"), client, run_dir=settings.get("run_dir"),
+            correction_limit=int(settings["limit"]),
+            simple_threshold=int(settings["simple_threshold"]))
+    except pipeline.ReconstructionNonCompliant as exc:
+        return serialize(exc.document), exc.report
+    return serialize(doc), None
+
+
+class _Stage(NamedTuple):
+    """An LLM stage as run by its single-file command and by `batch --stage`.
+    ``run(input path, client, settings)`` gives the output bytes and a
+    compliance report, or None when the stage does not validate. A batch entry
+    at status ``takes`` is run on its ``reads`` path; its ``writes`` field gets
+    the output path, and its status becomes ``gives`` unless the report is
+    non-compliant."""
+
+    run: Callable[[Path, object, dict], tuple[bytes, ComplianceReport | None]]
+    takes: str
+    gives: str
+    reads: str
+    writes: str
+    suffix: str
+
+
+_STAGES = {
+    "translate": _Stage(_translate, "raw", "translated", "model_path", "model_path", ".bpmn"),
+    "correct": _Stage(_correct, "translated", "compliant", "model_path", "model_path", ".bpmn"),
+    "describe": _Stage(_describe, "compliant", "described",
+                       "model_path", "description_path", ".txt"),
+    "reconstruct": _Stage(_reconstruct, "described", "reconstructed",
+                          "description_path", "reconstruction_path", ".bpmn"),
+}
+
+
+def _cmd_stage(args, settings) -> int:
+    client = _make_client(settings)
+    output, report = _STAGES[args.command].run(
+        Path(args.file), client, dict(settings, run_dir=getattr(args, "run_dir", None)))
+    Path(args.output).write_bytes(output)
+    if report is None:
+        return EXIT_OK
+    print(report.to_json(indent=2))
+    return EXIT_OK if report.compliant else EXIT_NONCOMPLIANT
+
+
 def _cmd_batch(args, settings) -> int:
     manifest_path = Path(args.manifest)
     manifest = batch_mod.CorpusManifest.load(manifest_path)
     base = manifest_path.parent
     out_dir = Path(args.out_dir) if args.out_dir else base
 
-    def locate(rel: str) -> Path:
-        p = Path(rel)
-        return p if p.exists() else base / rel
-
-    stage = args.stage
-    if stage == "evaluate":
+    if args.stage == "evaluate":
         provider = _make_provider(settings)
-        pairs = [(locate(e.model_path), locate(e.reconstruction_path))
+        pairs = [(manifest.locate(e.model_path, base),
+                  manifest.locate(e.reconstruction_path, base))
                  for e in manifest.entries
                  if e.status == "reconstructed" and e.reconstruction_path and not e.stale]
         if not pairs:
@@ -269,62 +279,24 @@ def _cmd_batch(args, settings) -> int:
         sys.stdout.buffer.write(batch_mod.render_report(report, "csv"))
         return EXIT_OK
 
+    stage = _STAGES[args.stage]
     client = _make_client(settings)
-    wanted = {"translate": "raw", "correct": "translated",
-              "describe": "compliant", "reconstruct": "described"}[stage]
-    stage_dir = out_dir / stage
+    stage_dir = out_dir / args.stage
     stage_dir.mkdir(parents=True, exist_ok=True)
-
-    def advance(entry) -> None:
-        model_path = locate(entry.model_path)
-        stem = model_path.stem
-        if stage == "translate":
-            doc = parse(model_path.read_bytes())
-            translated, _ = pipeline.translate_model(
-                doc, client, threshold=float(settings["threshold"]))
-            target = stage_dir / model_path.name
-            target.write_bytes(serialize(translated))
-            entry.model_path = str(target)
-            entry.status = "translated"
-        elif stage == "correct":
-            doc = parse(model_path.read_bytes())
-            state = pipeline.CorrectionState(limit=int(settings["limit"]),
-                                             simple_threshold=int(settings["simple_threshold"]))
-            result = pipeline.correct_model(doc, client, state)
-            target = stage_dir / model_path.name
-            target.write_bytes(serialize(result.document))
-            entry.model_path = str(target)
-            entry.last_report = result.report.to_dict()
-            if result.report.compliant:
-                entry.status = "compliant"
-        elif stage == "describe":
-            doc = parse(model_path.read_bytes())
-            text = pipeline.generate_description(doc, client)
-            target = stage_dir / f"{stem}.txt"
-            target.write_text(text, encoding="utf-8")
-            entry.description_path = str(target)
-            entry.status = "described"
-        elif stage == "reconstruct":
-            description = locate(entry.description_path).read_text(encoding="utf-8")
-            target = stage_dir / f"{stem}.bpmn"
-            try:
-                doc, _ = pipeline.reconstruct(
-                    description, client,
-                    correction_limit=int(settings["limit"]),
-                    simple_threshold=int(settings["simple_threshold"]))
-            except pipeline.ReconstructionNonCompliant as exc:
-                entry.last_report = exc.report.to_dict()
-                return
-            target.write_bytes(serialize(doc))
-            entry.reconstruction_path = str(target)
-            entry.status = "reconstructed"
-
     failed = False
-    for entry in manifest.entries:
-        if entry.stale or entry.status != wanted:
+    for entry, stem in zip(manifest.entries, manifest.stems()):
+        if entry.stale or entry.status != stage.takes:
             continue
         try:
-            advance(entry)
+            output, report = stage.run(manifest.locate(getattr(entry, stage.reads), base),
+                                       client, settings)
+            target = stage_dir / f"{stem}{stage.suffix}"
+            target.write_bytes(output)
+            setattr(entry, stage.writes, str(target))
+            if report is not None:
+                entry.last_report = report.to_dict()
+            if report is None or report.compliant:
+                entry.status = stage.gives
             entry.error = None
         except (OSError, ValueError, RuntimeError) as exc:
             entry.error = f"{type(exc).__name__}: {exc}"
@@ -352,10 +324,7 @@ def _cmd_report(args, settings) -> int:
 
 _HANDLERS = {
     "validate": _cmd_validate,
-    "translate": _cmd_translate,
-    "correct": _cmd_correct,
-    "describe": _cmd_describe,
-    "reconstruct": _cmd_reconstruct,
+    **dict.fromkeys(_STAGES, _cmd_stage),
     "compare": _cmd_compare,
     "batch": _cmd_batch,
     "report": _cmd_report,

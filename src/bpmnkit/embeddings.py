@@ -176,21 +176,22 @@ class CachingEmbedder:
         return vec if vec.shape == (self.dimension,) else None
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
-        out: list[np.ndarray | None] = [self._load(self._path(text)) for text in texts]
-        missing = [i for i, vec in enumerate(out) if vec is None]
-        if missing:
-            fresh = self.inner.embed_batch([texts[i] for i in missing])
-            for pos, i in enumerate(missing):
-                vec = fresh[pos]
-                path = self._path(texts[i])
-                path.parent.mkdir(parents=True, exist_ok=True)
-                buffer = io.BytesIO()
-                np.save(buffer, vec)
-                write_atomic(path, buffer.getvalue())
-                out[i] = vec
-        if not out:
+        if len(texts) == 0:
             return np.zeros((0, self.dimension), dtype=np.float64)
-        return np.stack(out)  # type: ignore[arg-type]
+        found = {text: self._load(self._path(text)) for text in dict.fromkeys(texts)}
+        missing = [text for text, vec in found.items() if vec is None]
+        if missing:
+            for text, vec in zip(missing, self.inner.embed_batch(missing)):
+                path = self._path(text)
+                # another writer may have stored this entry since the lookup
+                found[text] = self._load(path)
+                if found[text] is None:
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                    buffer = io.BytesIO()
+                    np.save(buffer, vec)
+                    write_atomic(path, buffer.getvalue())
+                    found[text] = vec
+        return np.stack([found[text] for text in texts])
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -104,19 +104,9 @@ def js_divergence(p, q) -> float:
     return min(1.0, max(0.0, total))
 
 
-def type_counts(graph: BpmnGraph, fine_grained: bool = False) -> dict[str, int]:
-    """Element-type counts: the five categories by default (flows counted
-    from edges), or raw tag names in fine-grained mode."""
-    counts: dict[str, int] = {}
-    if fine_grained:
-        for node in graph.nodes:
-            if node.category is not ElementCategory.OTHER:
-                counts[node.tag] = counts.get(node.tag, 0) + 1
-        for edge in graph.edges:
-            counts[edge.tag] = counts.get(edge.tag, 0) + 1
-        return counts
-    for category in METRIC_CATEGORIES:
-        counts[category.value] = 0
+def type_counts(graph: BpmnGraph) -> dict[str, int]:
+    """Element counts per category of the five (flows counted from edges)."""
+    counts = {category.value: 0 for category in METRIC_CATEGORIES}
     for node in graph.nodes:
         if node.category is not ElementCategory.OTHER:
             counts[node.category.value] += 1
@@ -124,22 +114,20 @@ def type_counts(graph: BpmnGraph, fine_grained: bool = False) -> dict[str, int]:
     return counts
 
 
-def type_distribution_similarity(g1: BpmnGraph, g2: BpmnGraph,
-                                 fine_grained: bool = False) -> float:
+def type_distribution_similarity(g1: BpmnGraph, g2: BpmnGraph) -> float:
     """max(0, 1 - JS) over the normalized type distributions. Two empty
     models are fully similar; one empty model scores 0."""
-    c1 = type_counts(g1, fine_grained)
-    c2 = type_counts(g2, fine_grained)
+    c1 = type_counts(g1)
+    c2 = type_counts(g2)
     t1 = sum(c1.values())
     t2 = sum(c2.values())
     if t1 == 0 and t2 == 0:
         return 1.0
     if t1 == 0 or t2 == 0:
         return 0.0
-    support = [key for key in dict.fromkeys(list(c1) + list(c2))
-               if c1.get(key, 0) + c2.get(key, 0) > 0]
-    p = [c1.get(key, 0) / t1 for key in support]
-    q = [c2.get(key, 0) / t2 for key in support]
+    support = [key for key in c1 if c1[key] + c2[key] > 0]
+    p = [c1[key] / t1 for key in support]
+    q = [c2[key] / t2 for key in support]
     return max(0.0, 1.0 - js_divergence(p, q))
 
 
@@ -305,7 +293,6 @@ def semantic_set_similarity(texts1: list[str], texts2: list[str],
 @dataclass(frozen=True)
 class CompareOptions:
     context_augmentation: bool = True
-    fine_grained_types: bool = False
 
 
 @dataclass(frozen=True)
@@ -367,7 +354,7 @@ def compare(g1: BpmnGraph, g2: BpmnGraph, provider: EmbeddingProvider,
     """Score two models on all five dimensions plus their mean."""
     opts = options or CompareOptions()
     structural = structural_similarity(g1, g2)
-    type_dist = type_distribution_similarity(g1, g2, opts.fine_grained_types)
+    type_dist = type_distribution_similarity(g1, g2)
     sem_name = semantic_set_similarity(
         name_texts(g1, opts.context_augmentation),
         name_texts(g2, opts.context_augmentation), provider)

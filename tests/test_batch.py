@@ -105,6 +105,19 @@ class TestBatchEvaluate:
         ids = [r["model_id"] for r in report.per_model]
         assert len(set(ids)) == 2
 
+    def test_pair_ids_never_collide(self, embedder, tmp_path):
+        truths = [tmp_path / "a" / "x.bpmn", tmp_path / "b" / "x.bpmn", tmp_path / "x_1.bpmn"]
+        for truth in truths:
+            truth.parent.mkdir(exist_ok=True)
+            truth.write_bytes(fixture_path("chain3.bpmn").read_bytes())
+        results = tmp_path / "results"
+        report = batch_evaluate([(t, fixture_path("chain3.bpmn")) for t in truths],
+                                embedder, results_dir=results)
+        assert [r["model_id"] for r in report.per_model] == ["x", "x_1", "x_2"]
+        assert sorted(p.name for p in results.glob("x*.json")) == [
+            "x.json", "x_1.json", "x_2.json"]
+        assert len(load_report(results).per_model) == 3
+
     def test_invalid_jobs_rejected(self, embedder):
         with pytest.raises(ValueError):
             batch_evaluate([], embedder, jobs=0)

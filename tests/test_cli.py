@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,3 +294,85 @@ class TestBatchErrorIsolation:
         assert [e["status"] for e in entries] == ["described"] * 3
         assert all("error" not in e for e in entries)
         assert (tmp_path / "describe" / "diamond.txt").read_text() == "desc B"
+
+
+class TestBatchStages:
+    def _batch(self, capsys, tmp_path, entries, stage, replies, limit=5):
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(json.dumps({"entries": entries}))
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(replies))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"limit": limit}))
+        code, _, _ = _run(capsys, "batch", str(manifest_path), "--stage", stage,
+                          "--llm-mock-script", str(script), "--out-dir", str(tmp_path),
+                          "--config", str(config))
+        return code, json.loads(manifest_path.read_text())["entries"]
+
+    def _correct(self, capsys, tmp_path, reply):
+        entry = {"model_path": str(fixture_path("r1_missing_default.bpmn")),
+                 "status": "translated"}
+        return self._batch(capsys, tmp_path, [entry], "correct", [reply] * 2, limit=2)
+
+    def _reconstruct(self, capsys, tmp_path, replies):
+        desc = tmp_path / "chain3.txt"
+        desc.write_text("Orders are registered, checked, and confirmed.")
+        entry = {"model_path": str(fixture_path("chain3.bpmn")), "status": "described",
+                 "description_path": str(desc)}
+        return self._batch(capsys, tmp_path, [entry], "reconstruct", replies, limit=3)
+
+    def test_correct_that_fixes_advances_to_compliant(self, capsys, tmp_path):
+        fixed_xml = fixture_path("r1_missing_default.bpmn").read_text(encoding="utf-8")
+        fixed_xml = fixed_xml.replace('id="gw_route" name="Route case"',
+                                      'id="gw_route" name="Route case" default="flow_fast"')
+        code, entries = self._correct(capsys, tmp_path, fixed_xml)
+        assert code == EXIT_OK
+        target = tmp_path / "correct" / "r1_missing_default.bpmn"
+        assert entries[0]["status"] == "compliant"
+        assert entries[0]["model_path"] == str(target)
+        assert entries[0]["last_report"]["compliant"] is True
+        assert 'default="flow_fast"' in target.read_text(encoding="utf-8")
+
+    def test_correct_that_does_not_fix_keeps_status(self, capsys, tmp_path):
+        broken_xml = fixture_path("r1_missing_default.bpmn").read_text(encoding="utf-8")
+        code, entries = self._correct(capsys, tmp_path, broken_xml)
+        assert code == EXIT_OK
+        assert entries[0]["status"] == "translated"
+        assert entries[0]["model_path"] == str(tmp_path / "correct" / "r1_missing_default.bpmn")
+        assert entries[0]["last_report"]["compliant"] is False
+
+    def test_reconstruct_advances_to_reconstructed(self, capsys, tmp_path):
+        replies = json.loads(fixture_path("mock_reconstruct_ok.json").read_text())
+        code, entries = self._reconstruct(capsys, tmp_path, replies)
+        assert code == EXIT_OK
+        target = tmp_path / "reconstruct" / "chain3.bpmn"
+        assert entries[0]["status"] == "reconstructed"
+        assert entries[0]["reconstruction_path"] == str(target)
+        assert "last_report" not in entries[0]
+        assert b"BPMNDiagram" in target.read_bytes()
+
+    def test_noncompliant_reconstruct_is_written_but_not_advanced(self, capsys, tmp_path):
+        script = json.loads(fixture_path("mock_reconstruct_fixup.json").read_text())
+        code, entries = self._reconstruct(capsys, tmp_path, script[:6] + [script[5]] * 3)
+        assert code == EXIT_OK
+        target = tmp_path / "reconstruct" / "chain3.bpmn"
+        assert entries[0]["status"] == "described"
+        assert entries[0]["last_report"]["compliant"] is False
+        assert entries[0]["reconstruction_path"] == str(target)
+        assert target.exists()
+
+    def test_models_with_the_same_file_name_get_their_own_outputs(self, capsys, tmp_path):
+        entries = []
+        for folder, name in (("a", "chain3.bpmn"), ("b", "diamond.bpmn")):
+            model = tmp_path / folder / "x.bpmn"
+            model.parent.mkdir()
+            model.write_bytes(fixture_path(name).read_bytes())
+            entries.append({"model_path": str(model), "status": "compliant"})
+        code, entries = self._batch(capsys, tmp_path, entries, "describe",
+                                    ["desc of a", "desc of b"])
+        assert code == EXIT_OK
+        assert [e["status"] for e in entries] == ["described"] * 2
+        paths = [e["description_path"] for e in entries]
+        assert paths == [str(tmp_path / "describe" / "x.txt"),
+                         str(tmp_path / "describe" / "x_1.txt")]
+        assert [Path(p).read_text() for p in paths] == ["desc of a", "desc of b"]

@@ -6,6 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from bpmnkit import embeddings
+from bpmnkit.atomic import write_atomic
 from bpmnkit.embeddings import (
     CachingEmbedder,
     DimensionMismatch,
@@ -182,6 +184,31 @@ class TestCache:
         assert np.array_equal(out[0], inner.embed_one("approve order"))
         assert path.read_bytes() == whole
         assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+    def test_repeated_miss_is_embedded_and_written_once(self, tmp_path, monkeypatch):
+        writes = []
+        monkeypatch.setattr(embeddings, "write_atomic",
+                            lambda path, data: writes.append(path) or write_atomic(path, data))
+        inner = _CountingEmbedder()
+        out = CachingEmbedder(inner, tmp_path).embed_batch(["t", "t"])
+        assert len(writes) == 1
+        assert inner.batches == 1
+        assert np.array_equal(out, inner.embed_batch(["t", "t"]))
+
+    def test_entry_written_meanwhile_is_not_rewritten(self, tmp_path, monkeypatch):
+        writes = []
+        monkeypatch.setattr(embeddings, "write_atomic",
+                            lambda path, data: writes.append(path) or write_atomic(path, data))
+
+        class _RacingEmbedder(HashingEmbedder):
+            # another writer fills the cache while this call embeds
+            def embed_batch(self, texts):
+                CachingEmbedder(HashingEmbedder(), tmp_path).embed_batch(texts)
+                return super().embed_batch(texts)
+
+        out = CachingEmbedder(_RacingEmbedder(), tmp_path).embed_batch(["t"])
+        assert len(writes) == 1
+        assert np.array_equal(out, HashingEmbedder().embed_batch(["t"]))
 
     def test_concurrent_writers_leave_whole_entries(self, tmp_path):
         # More threads than cores, each walking the texts from another start,

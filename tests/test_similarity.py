@@ -162,13 +162,6 @@ class TestTypeDistribution:
         assert counts["task"] == 1
         assert counts["event"] == 2
 
-    def test_fine_grained_mode_uses_tags(self):
-        graph = _graph("chain4.bpmn")
-        counts = type_counts(graph, fine_grained=True)
-        assert counts["userTask"] == 1
-        assert counts["serviceTask"] == 1
-        assert counts["sequenceFlow"] == 3
-
 
 @st.composite
 def count_vectors(draw):
