@@ -15,7 +15,6 @@ from .model import (
     graph_stats,
 )
 from .pipeline import (
-    CorrectionState,
     ReconstructionNonCompliant,
     StageArtifact,
     correct_model,
@@ -24,7 +23,6 @@ from .pipeline import (
     translate_model,
 )
 from .similarity import (
-    CompareOptions,
     SimilarityBreakdown,
     compare,
     degree_similarity,

@@ -20,7 +20,7 @@ from pathlib import Path
 from .atomic import write_atomic
 from .embeddings import EmbeddingProvider
 from .model import build_graph
-from .similarity import CompareOptions, compare
+from .similarity import compare
 from .xmlio import parse
 
 logger = logging.getLogger(__name__)
@@ -179,12 +179,15 @@ def build_report(records: list[dict], total_pairs: int) -> EvaluationReport:
 
 
 def _evaluate_pair(model_id: str, truth_path: Path, recon_path: Path,
-                   provider: EmbeddingProvider, options: CompareOptions | None) -> dict:
+                   provider: EmbeddingProvider) -> dict:
+    """The pair's breakdown, with its graph-build warnings when there are some."""
     try:
-        g1, _ = build_graph(parse(truth_path.read_bytes()))
-        g2, _ = build_graph(parse(recon_path.read_bytes()))
-        breakdown = compare(g1, g2, provider, options)
-        return {"model_id": model_id, "breakdown": breakdown.to_dict()}
+        g1, w1 = build_graph(parse(truth_path.read_bytes()))
+        g2, w2 = build_graph(parse(recon_path.read_bytes()))
+        record = {"model_id": model_id, "breakdown": compare(g1, g2, provider).to_dict()}
+        if w1 or w2:
+            record["warnings"] = [f"truth: {w}" for w in w1] + [f"reconstruction: {w}" for w in w2]
+        return record
     except Exception as exc:  # per-pair failures are recorded, not fatal
         return {"model_id": model_id, "error": f"{type(exc).__name__}: {exc}"}
 
@@ -221,7 +224,6 @@ def _unique_stems(paths: list[str | Path]) -> list[str]:
 
 def batch_evaluate(pairs: list[tuple[str | Path, str | Path]],
                    provider: EmbeddingProvider, jobs: int = 1,
-                   options: CompareOptions | None = None,
                    results_dir: str | Path | None = None) -> EvaluationReport:
     """Compare all (ground truth, reconstruction) pairs, up to ``jobs`` at a
     time. With ``results_dir``, each pair result is written to
@@ -244,7 +246,7 @@ def batch_evaluate(pairs: list[tuple[str | Path, str | Path]],
 
     def work(item: tuple[str, Path, Path]) -> dict:
         model_id, truth_path, recon_path = item
-        record = _evaluate_pair(model_id, truth_path, recon_path, provider, options)
+        record = _evaluate_pair(model_id, truth_path, recon_path, provider)
         if out_dir is not None:
             write_atomic(out_dir / f"{model_id}.json",
                          (json.dumps(record, indent=2) + "\n").encode("utf-8"))

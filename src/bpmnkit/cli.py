@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -19,10 +18,10 @@ from typing import Callable, NamedTuple
 from . import batch as batch_mod
 from . import pipeline
 from .compliance import ComplianceReport, validate_bytes
-from .embeddings import ProviderConfig, make_provider
+from .embeddings import ENV_ENDPOINT, ENV_MODEL, ProviderConfig, make_provider
 from .llm import ENV_LLM_ENDPOINT, ENV_LLM_MODEL, HttpChatClient, LlmClientConfig, MockChatClient
 from .model import build_graph
-from .similarity import CompareOptions, compare
+from .similarity import compare
 from .xmlio import parse, serialize
 
 EXIT_OK = 0
@@ -33,8 +32,8 @@ EXIT_NONCOMPLIANT = 3
 _ENV_KEYS = {
     "llm_endpoint": ENV_LLM_ENDPOINT,
     "llm_model": ENV_LLM_MODEL,
-    "embed_endpoint": "BPMNKIT_EMBED_ENDPOINT",
-    "embed_model": "BPMNKIT_EMBED_MODEL",
+    "embed_endpoint": ENV_ENDPOINT,
+    "embed_model": ENV_MODEL,
 }
 
 _DEFAULTS = {
@@ -47,7 +46,6 @@ _DEFAULTS = {
     "embed_fallback": False,
     "embed_cache_dir": None,
     "jobs": 1,
-    "seed": None,
     "limit": 5,
     "simple_threshold": 10,
     "threshold": 0.8,
@@ -67,7 +65,6 @@ def _global_flags() -> argparse.ArgumentParser:
     group.add_argument("--embed-fallback", action="store_true", default=None,
                        dest="embed_fallback",
                        help="use the deterministic offline embedder")
-    group.add_argument("--seed", type=int, dest="seed")
     group.add_argument("--jobs", type=int, dest="jobs")
     return parent
 
@@ -166,8 +163,6 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    if settings["seed"] is not None:
-        random.seed(int(settings["seed"]))
     handler = _HANDLERS[args.command]
     try:
         return handler(args, settings)
@@ -184,10 +179,13 @@ def _cmd_validate(args, settings) -> int:
 
 def _cmd_compare(args, settings) -> int:
     provider = _make_provider(settings)
-    g1, _ = build_graph(parse(Path(args.model_a).read_bytes()))
-    g2, _ = build_graph(parse(Path(args.model_b).read_bytes()))
-    options = CompareOptions(context_augmentation=not args.no_context)
-    breakdown = compare(g1, g2, provider, options)
+    graphs = []
+    for path in (args.model_a, args.model_b):
+        graph, warnings = build_graph(parse(Path(path).read_bytes()))
+        for warning in warnings:
+            print(f"warning: {path}: {warning}", file=sys.stderr)
+        graphs.append(graph)
+    breakdown = compare(*graphs, provider, context_augmentation=not args.no_context)
     print(json.dumps(breakdown.to_dict(), indent=2))
     return EXIT_OK
 
@@ -201,9 +199,8 @@ def _translate(path: Path, client, settings: dict):
 
 
 def _correct(path: Path, client, settings: dict):
-    state = pipeline.CorrectionState(limit=int(settings["limit"]),
-                                     simple_threshold=int(settings["simple_threshold"]))
-    result = pipeline.correct_model(parse(path.read_bytes()), client, state)
+    result = pipeline.correct_model(parse(path.read_bytes()), client, int(settings["limit"]),
+                                    int(settings["simple_threshold"]))
     return serialize(result.document), result.report
 
 
@@ -214,9 +211,8 @@ def _describe(path: Path, client, settings: dict):
 def _reconstruct(path: Path, client, settings: dict):
     try:
         doc, _artifacts = pipeline.reconstruct(
-            path.read_text(encoding="utf-8"), client, run_dir=settings.get("run_dir"),
-            correction_limit=int(settings["limit"]),
-            simple_threshold=int(settings["simple_threshold"]))
+            path.read_text(encoding="utf-8"), client, settings.get("run_dir"),
+            int(settings["limit"]), int(settings["simple_threshold"]))
     except pipeline.ReconstructionNonCompliant as exc:
         return serialize(exc.document), exc.report
     return serialize(doc), None
@@ -288,8 +284,10 @@ def _cmd_batch(args, settings) -> int:
         if entry.stale or entry.status != stage.takes:
             continue
         try:
-            output, report = stage.run(manifest.locate(getattr(entry, stage.reads), base),
-                                       client, settings)
+            source = getattr(entry, stage.reads)
+            if source is None:
+                raise ValueError(f"entry has no {stage.reads}")
+            output, report = stage.run(manifest.locate(source, base), client, settings)
             target = stage_dir / f"{stem}{stage.suffix}"
             target.write_bytes(output)
             setattr(entry, stage.writes, str(target))

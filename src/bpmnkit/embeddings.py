@@ -12,7 +12,6 @@ import hashlib
 import io
 import os
 import re
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, Sequence
@@ -21,6 +20,7 @@ import numpy as np
 import requests
 
 from .atomic import write_atomic
+from .llm import retry
 
 DEFAULT_DIMENSION = 384
 
@@ -46,7 +46,6 @@ class ProviderConfig:
     dimension: int = DEFAULT_DIMENSION
     batch_size: int = 32
     timeout: float = 30.0
-    retry_count: int = 2
     cache_dir: str | Path | None = None
 
 
@@ -67,7 +66,7 @@ def make_provider(cfg: ProviderConfig) -> "EmbeddingProvider":
         if not endpoint:
             raise ValueError("remote-http embedding provider requires an endpoint")
         provider = RemoteEmbedder(endpoint, model, cfg.dimension, cfg.batch_size,
-                                  cfg.timeout, cfg.retry_count)
+                                  cfg.timeout)
     else:
         raise ValueError(f"unknown embedding provider kind {cfg.kind!r}")
     if cfg.cache_dir:
@@ -107,13 +106,12 @@ class HashingEmbedder:
 
 class RemoteEmbedder:
     def __init__(self, endpoint: str, model: str | None, dimension: int,
-                 batch_size: int = 32, timeout: float = 30.0, retry_count: int = 2):
+                 batch_size: int = 32, timeout: float = 30.0):
         self.endpoint = endpoint
         self.model = model
         self.dimension = dimension
         self.batch_size = max(1, batch_size)
         self.timeout = timeout
-        self.retry_count = retry_count
         self.cache_key = f"remote:{model or 'default'}@{endpoint}"
 
     def _post(self, payload: dict) -> dict:
@@ -122,18 +120,13 @@ class RemoteEmbedder:
         return response.json()
 
     def _request_chunk(self, chunk: list[str]) -> np.ndarray:
-        payload = {"model": self.model, "input": chunk}
-        last_error: Exception | None = None
-        for attempt in range(self.retry_count + 1):
+        def post() -> dict:
             try:
-                data = self._post(payload)
-                break
+                return self._post({"model": self.model, "input": chunk})
             except (requests.RequestException, ValueError) as exc:
-                last_error = exc
-                if attempt < self.retry_count:
-                    time.sleep(min(2.0, 0.2 * 2 ** attempt))
-        else:
-            raise RemoteUnavailable(f"embedding service failed: {last_error}") from last_error
+                raise RemoteUnavailable(f"embedding service failed: {exc}") from exc
+
+        data = retry(post, RemoteUnavailable)
         vectors = np.asarray(data["embeddings"], dtype=np.float64)
         if vectors.shape != (len(chunk), self.dimension):
             raise DimensionMismatch(
@@ -161,19 +154,25 @@ class CachingEmbedder:
         self.dimension = inner.dimension
         self.cache_key = inner.cache_key
         self.cache_dir = Path(cache_dir)
+        buffer = io.BytesIO()  # an entry: what np.save writes for one (dimension,) <f8 vector
+        np.save(buffer, np.zeros(self.dimension, dtype="<f8"))
+        self._header = buffer.getvalue()[:-8 * self.dimension]
 
     def _path(self, text: str) -> Path:
         key = hashlib.sha256(f"{self.cache_key}\x00{text}".encode("utf-8")).hexdigest()
         return self.cache_dir / key[:2] / f"{key}.npy"
 
     def _load(self, path: Path) -> np.ndarray | None:
-        """The cached vector, or None for a miss: no entry, or one that does
-        not load as a vector of this width."""
+        """The cached vector, or None for a miss: anything but the header and one
+        vector of this width (np.load's header parser is not thread-safe)."""
         try:
-            vec = np.load(path)
-        except (OSError, ValueError, EOFError):
+            data = path.read_bytes()
+        except OSError:
             return None
-        return vec if vec.shape == (self.dimension,) else None
+        size = len(self._header)
+        if len(data) != size + 8 * self.dimension or not data.startswith(self._header):
+            return None
+        return np.frombuffer(data, dtype="<f8", offset=size)
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         if len(texts) == 0:
@@ -187,9 +186,7 @@ class CachingEmbedder:
                 found[text] = self._load(path)
                 if found[text] is None:
                     path.parent.mkdir(parents=True, exist_ok=True)
-                    buffer = io.BytesIO()
-                    np.save(buffer, vec)
-                    write_atomic(path, buffer.getvalue())
+                    write_atomic(path, self._header + vec.astype("<f8").tobytes())
                     found[text] = vec
         return np.stack([found[text] for text in texts])
 

@@ -2,7 +2,8 @@
 
 ``HttpChatClient`` speaks the common JSON chat protocol
 (``{model, messages, temperature, max_tokens}`` ->
-``{choices: [{message: {content}}]}``) and owns the transport retry policy.
+``{choices: [{message: {content}}]}``) and retries through ``retry``, the
+transport retry policy it shares with the remote embedder.
 ``MockChatClient`` replays a scripted response list for offline runs and
 records every prompt it receives.
 """
@@ -67,6 +68,17 @@ def assistant(content: str) -> ChatMessage:
     return ChatMessage("assistant", content)
 
 
+def retry(call, errors, retry_count: int = 2, backoff: float = 0.5):
+    """``call()``, retried on ``errors`` up to ``retry_count`` times, sleeping
+    ``backoff * 2**attempt`` seconds before each retry."""
+    for attempt in range(retry_count):
+        try:
+            return call()
+        except errors:
+            time.sleep(backoff * 2 ** attempt)
+    return call()
+
+
 @dataclass
 class LlmClientConfig:
     endpoint: str = ""
@@ -85,15 +97,9 @@ class HttpChatClient:
         self.cfg = cfg
 
     def complete(self, messages: Sequence[ChatMessage]) -> str:
-        """``complete_once``, retried on LlmUnavailable (timeouts included) up
-        to ``cfg.retry_count`` times, sleeping ``cfg.backoff * 2**attempt``
-        seconds before each retry."""
-        for attempt in range(self.cfg.retry_count):
-            try:
-                return self.complete_once(messages)
-            except LlmUnavailable:
-                time.sleep(self.cfg.backoff * 2 ** attempt)
-        return self.complete_once(messages)
+        """``complete_once``, retried on LlmUnavailable (timeouts included)."""
+        return retry(lambda: self.complete_once(messages), LlmUnavailable,
+                     self.cfg.retry_count, self.cfg.backoff)
 
     def complete_once(self, messages: Sequence[ChatMessage]) -> str:
         payload = {

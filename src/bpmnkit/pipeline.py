@@ -16,7 +16,7 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any
 
 from .compliance import ComplianceReport, validate
 from .layout import auto_layout
@@ -47,6 +47,7 @@ logger = logging.getLogger(__name__)
 
 MODEL_EXCERPT_LIMIT = 24000
 HISTORY_EXCERPT_LIMIT = 4000
+HISTORY_WINDOW = 2  # previous correction attempts quoted in each prompt
 
 STAGE_PROCESS_ELEMENTS = "process_elements"
 STAGE_DECISION_ANALYSIS = "decision_analysis"
@@ -325,24 +326,6 @@ class StageArtifact:
 
 
 @dataclass
-class CorrectionState:
-    """Progress of one correction loop run."""
-
-    limit: int = 5
-    simple_threshold: int = 10
-    history_window: int = 2
-    iteration: int = 0
-    mode: str | None = None  # "regenerate" | "local_repair"
-    history: list[tuple[str, str]] = field(default_factory=list)
-    last_report: ComplianceReport | None = None
-
-    def record(self, prompt: str, response: str) -> None:
-        self.history.append((prompt, response))
-        if len(self.history) > self.history_window:
-            self.history = self.history[-self.history_window:]
-
-
-@dataclass
 class CorrectionResult:
     document: BpmnDocument
     report: ComplianceReport
@@ -365,13 +348,13 @@ class ReconstructionNonCompliant(RuntimeError):
 # --- translation ---------------------------------------------------------------
 
 
-def translate_model(doc: BpmnDocument, client, threshold: float = 0.8,
-                    attrs: Sequence[str] | None = None) -> tuple[BpmnDocument, list[str]]:
+def translate_model(doc: BpmnDocument, client,
+                    threshold: float = 0.8) -> tuple[BpmnDocument, list[str]]:
     """Extract the unique translatable strings, request one JSON translation
     map, and reinsert the results with fuzzy matching. Identifiers are never
     touched. A document without translatable text is returned unchanged
     without calling the model."""
-    entries = extract_strings(doc, attrs)
+    entries = extract_strings(doc)
     uniques = unique_values(entries)
     if not uniques:
         return doc, []
@@ -381,48 +364,47 @@ def translate_model(doc: BpmnDocument, client, threshold: float = 0.8,
     ]
     response = complete(client, messages)
     mapping, _ = parse_json_with_retry(client, messages, response, _TRANSLATION_SCHEMA)
-    return reinsert_strings(doc, mapping, threshold, attrs)
+    return reinsert_strings(doc, mapping, threshold)
 
 
 # --- correction loop -----------------------------------------------------------
 
 
-def correct_model(doc: BpmnDocument, client, state: CorrectionState | None = None,
+def correct_model(doc: BpmnDocument, client, limit: int = 5, simple_threshold: int = 10,
                   log_path: str | Path | None = None) -> CorrectionResult:
-    """Validate-and-repair until compliance or the iteration limit.
+    """Validate-and-repair until compliance or ``limit`` iterations.
 
     DI is stripped while prompting and reattached afterward. Small models
     (node count <= ``simple_threshold``) are fully regenerated; larger ones
-    receive localized JSON repair actions. A repair that increases the error
-    count is rolled back and the iteration counts as failed, so the returned
-    document never validates worse than the input.
+    receive localized JSON repair actions. Each prompt quotes the last
+    ``HISTORY_WINDOW`` attempts. A repair that increases the error count is
+    rolled back and the iteration counts as failed, so the returned document
+    never validates worse than the input.
     """
-    state = state or CorrectionState()
     working, di = strip_di(doc)
     report = validate(working)
-    state.last_report = report
+    history: list[tuple[str, str]] = []
     log: list[dict] = []
 
-    while not report.compliant and state.iteration < state.limit:
+    while not report.compliant and len(log) < limit:
         graph, _ = build_graph(working) if working.processes() else (None, [])
         node_count = graph.node_count if graph is not None else 0
-        state.mode = "regenerate" if node_count <= state.simple_threshold else "local_repair"
+        mode = "regenerate" if node_count <= simple_threshold else "local_repair"
 
-        prompt = _correction_prompt(working, report, state)
+        prompt = _correction_prompt(working, report, mode, history)
         messages = [system(CORRECTION_SYSTEM_PROMPT), user(prompt)]
         response = complete(client, messages)
-        state.iteration += 1
-        state.record(_truncate(report.to_json(), HISTORY_EXCERPT_LIMIT), response)
+        history = [*history, (_truncate(report.to_json(), HISTORY_EXCERPT_LIMIT),
+                              response)][-HISTORY_WINDOW:]
 
-        entry = {"iteration": state.iteration, "mode": state.mode,
+        entry = {"iteration": len(log) + 1, "mode": mode,
                  "errors_before": report.error_count, "accepted": False, "warnings": []}
-        candidate = _apply_correction(working, response, state.mode, entry["warnings"])
+        candidate = _apply_correction(working, response, mode, entry["warnings"])
         if candidate is not None:
             candidate_report = validate(candidate)
             entry["errors_after"] = candidate_report.error_count
             if candidate_report.error_count <= report.error_count:
                 working, report = candidate, candidate_report
-                state.last_report = report
                 entry["accepted"] = True
             else:
                 entry["warnings"].append("repair increased error count; rolled back")
@@ -435,11 +417,11 @@ def correct_model(doc: BpmnDocument, client, state: CorrectionState | None = Non
         with path.open("a", encoding="utf-8") as handle:
             for entry in log:
                 handle.write(json.dumps(entry) + "\n")
-    return CorrectionResult(result_doc, report, state.iteration, log)
+    return CorrectionResult(result_doc, report, len(log), log)
 
 
-def _correction_prompt(doc: BpmnDocument, report: ComplianceReport,
-                       state: CorrectionState) -> str:
+def _correction_prompt(doc: BpmnDocument, report: ComplianceReport, mode: str,
+                       history: list[tuple[str, str]]) -> str:
     parts = [
         "The following BPMN model fails execution compliance checks.",
         "Diagnostics (JSON):",
@@ -447,14 +429,13 @@ def _correction_prompt(doc: BpmnDocument, report: ComplianceReport,
         "Model:",
         _truncate(serialize(doc).decode("utf-8"), MODEL_EXCERPT_LIMIT),
     ]
-    for prompt, response in state.history[-state.history_window:]:
+    for prompt, response in history:
         parts.append("### Previous attempt")
         parts.append("Diagnostics then:")
         parts.append(_truncate(prompt, HISTORY_EXCERPT_LIMIT))
         parts.append("Your response:")
         parts.append(_truncate(response, HISTORY_EXCERPT_LIMIT))
-    parts.append(_REGENERATE_INSTRUCTION if state.mode == "regenerate"
-                 else _REPAIR_INSTRUCTION)
+    parts.append(_REGENERATE_INSTRUCTION if mode == "regenerate" else _REPAIR_INSTRUCTION)
     return "\n\n".join(parts)
 
 
@@ -632,9 +613,8 @@ def reconstruct(description: str, client, run_dir: str | Path | None = None,
 
     report = validate(doc)
     if not report.compliant:
-        state = CorrectionState(limit=correction_limit, simple_threshold=simple_threshold)
         log_path = run_path / "correction.log.jsonl" if run_path is not None else None
-        result = correct_model(doc, client, state, log_path=log_path)
+        result = correct_model(doc, client, correction_limit, simple_threshold, log_path)
         doc, report = result.document, result.report
     if not report.compliant:
         raise ReconstructionNonCompliant(report, artifacts, doc)

@@ -291,11 +291,6 @@ def semantic_set_similarity(texts1: list[str], texts2: list[str],
 
 
 @dataclass(frozen=True)
-class CompareOptions:
-    context_augmentation: bool = True
-
-
-@dataclass(frozen=True)
 class SimilarityBreakdown:
     structural: float
     type_distribution: float
@@ -350,17 +345,15 @@ def name_type_texts(graph: BpmnGraph, context_augmentation: bool = True) -> list
 
 
 def compare(g1: BpmnGraph, g2: BpmnGraph, provider: EmbeddingProvider,
-            options: CompareOptions | None = None) -> SimilarityBreakdown:
+            context_augmentation: bool = True) -> SimilarityBreakdown:
     """Score two models on all five dimensions plus their mean."""
-    opts = options or CompareOptions()
     structural = structural_similarity(g1, g2)
     type_dist = type_distribution_similarity(g1, g2)
     sem_name = semantic_set_similarity(
-        name_texts(g1, opts.context_augmentation),
-        name_texts(g2, opts.context_augmentation), provider)
+        name_texts(g1, context_augmentation), name_texts(g2, context_augmentation), provider)
     sem_type = semantic_set_similarity(type_texts(g1), type_texts(g2), provider)
     sem_name_type = semantic_set_similarity(
-        name_type_texts(g1, opts.context_augmentation),
-        name_type_texts(g2, opts.context_augmentation), provider)
+        name_type_texts(g1, context_augmentation),
+        name_type_texts(g2, context_augmentation), provider)
     dims = (structural, type_dist, sem_name, sem_type, sem_name_type)
     return SimilarityBreakdown(*dims, overall=sum(dims) / len(dims))

@@ -23,7 +23,6 @@ from bpmnkit.compliance import Severity, validate
 from bpmnkit.llm import MockChatClient
 from bpmnkit.model import build_graph
 from bpmnkit.pipeline import (
-    CorrectionState,
     ReconstructionNonCompliant,
     correct_model,
     reconstruct,
@@ -243,8 +242,7 @@ def test_criterion_8_correction_loop_monotonicity():
             before_errors = validate(doc).error_count
             limit = rng.randint(1, 4)
             client = MockChatClient(_random_repair_script(rng, doc, limit))
-            state = CorrectionState(limit=limit, simple_threshold=0, history_window=2)
-            result = correct_model(doc, client, state)
+            result = correct_model(doc, client, limit=limit, simple_threshold=0)
             assert result.report.error_count <= before_errors, (seed, name)
             for call in client.calls:
                 prompt = call[1].content

@@ -118,6 +118,24 @@ class TestBatchEvaluate:
             "x.json", "x_1.json", "x_2.json"]
         assert len(load_report(results).per_model) == 3
 
+    def test_graph_warnings_are_recorded_with_the_pair(self, embedder, tmp_path):
+        dangling = tmp_path / "dangling.bpmn"
+        dangling.write_text(fixture_path("chain3.bpmn").read_text().replace(
+            "</bpmn:process>", '<bpmn:sequenceFlow id="flow_x" sourceRef="task_1" '
+                               'targetRef="nowhere"/></bpmn:process>'))
+        results = tmp_path / "results"
+        report = batch_evaluate([(fixture_path("chain3.bpmn"), dangling)], embedder,
+                                results_dir=results)
+        record = json.loads((results / "chain3.json").read_text())
+        assert record["warnings"] == [
+            "reconstruction: sequenceFlow 'flow_x' dropped: endpoint 'nowhere' not found"]
+        assert report.per_model == [record]
+
+    def test_clean_pair_result_has_no_warnings_key(self, embedder, tmp_path):
+        batch_evaluate(_pairs(("chain3.bpmn", "diamond.bpmn")), embedder, results_dir=tmp_path)
+        assert set(json.loads((tmp_path / "chain3.json").read_text())) == {"model_id",
+                                                                           "breakdown"}
+
     def test_invalid_jobs_rejected(self, embedder):
         with pytest.raises(ValueError):
             batch_evaluate([], embedder, jobs=0)

@@ -56,8 +56,17 @@ class TestCompare:
     def test_flags_accepted_after_subcommand(self, capsys):
         path = str(fixture_path("chain3.bpmn"))
         code, _, _ = _run(capsys, "compare", path, path, "--embed-fallback",
-                          "--jobs", "2", "--seed", "42")
+                          "--jobs", "2")
         assert code == EXIT_OK
+
+
+    def test_graph_warnings_go_to_stderr(self, capsys):
+        path = str(fixture_path("r5_duplicate_id.bpmn"))
+        code, out, err = _run(capsys, "compare", path, path, "--embed-fallback")
+        assert code == EXIT_OK
+        assert json.loads(out)["overall"] == pytest.approx(1.0, abs=1e-9)
+        assert err.splitlines() == [
+            f"warning: {path}: duplicate element id 'data_shared' skipped"] * 2
 
 
 class TestUsage:
@@ -360,6 +369,21 @@ class TestBatchStages:
         assert entries[0]["last_report"]["compliant"] is False
         assert entries[0]["reconstruction_path"] == str(target)
         assert target.exists()
+
+    def test_entry_without_its_input_field_fails_alone(self, capsys, tmp_path):
+        desc = tmp_path / "process.txt"
+        desc.write_text("Orders are registered, checked, and confirmed.")
+        entries = [{"model_path": str(fixture_path(name)), "status": "described",
+                    "description_path": str(desc)}
+                   for name in ("chain3.bpmn", "diamond.bpmn", "parallel.bpmn")]
+        del entries[1]["description_path"]
+        replies = json.loads(fixture_path("mock_reconstruct_ok.json").read_text())
+        code, entries = self._batch(capsys, tmp_path, entries, "reconstruct", replies * 2)
+        assert code == EXIT_FAILURE
+        assert [e["status"] for e in entries] == ["reconstructed", "described", "reconstructed"]
+        assert entries[1]["error"] == "ValueError: entry has no description_path"
+        assert "error" not in entries[0] and "error" not in entries[2]
+        assert entries[2]["reconstruction_path"] == str(tmp_path / "reconstruct" / "parallel.bpmn")
 
     def test_models_with_the_same_file_name_get_their_own_outputs(self, capsys, tmp_path):
         entries = []

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import io
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -121,21 +123,28 @@ class TestRemoteEmbedder:
         assert vecs.shape == (3, 4)
         assert remote.requests_made == 2
 
-    def test_retries_then_succeeds(self):
+    def test_retries_then_succeeds(self, monkeypatch):
         import requests
 
-        remote = _FakeRemote([requests.ConnectionError("down"), _fake_vectors(1, 4)],
-                             dimension=4, retry_count=2)
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        remote = _FakeRemote([requests.ConnectionError("down")] * 2 + [_fake_vectors(1, 4)],
+                             dimension=4)
         assert remote.embed_batch(["a"]).shape == (1, 4)
-        assert remote.requests_made == 2
+        assert remote.requests_made == 3
+        assert sleeps == [0.5, 1.0]
 
-    def test_gives_up_after_retries(self):
+    def test_gives_up_after_retries(self, monkeypatch):
         import requests
 
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
         failures = [requests.ConnectionError("down")] * 3
-        remote = _FakeRemote(failures, dimension=4, retry_count=2)
+        remote = _FakeRemote(failures, dimension=4)
         with pytest.raises(RemoteUnavailable):
             remote.embed_batch(["a"])
+        assert remote.requests_made == 3
+        assert sleeps == [0.5, 1.0]
 
     def test_wrong_width_is_dimension_mismatch(self):
         remote = _FakeRemote([{"embeddings": [[1.0, 0.0]]}], dimension=4)
@@ -184,6 +193,25 @@ class TestCache:
         assert np.array_equal(out[0], inner.embed_one("approve order"))
         assert path.read_bytes() == whole
         assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+    def test_entry_is_the_file_np_save_writes(self, tmp_path):
+        vec = CachingEmbedder(HashingEmbedder(), tmp_path).embed_batch(["approve order"])[0]
+        (entry,) = tmp_path.rglob("*.npy")
+        buffer = io.BytesIO()
+        np.save(buffer, vec)
+        assert entry.read_bytes() == buffer.getvalue()
+
+    @pytest.mark.parametrize("stored", [np.zeros(384, dtype="<f4"), np.zeros(383),
+                                        np.zeros((1, 384)), np.zeros(384, dtype=">f8")])
+    def test_entry_of_another_shape_or_dtype_is_a_miss(self, tmp_path, stored):
+        inner = _CountingEmbedder()
+        cached = CachingEmbedder(inner, tmp_path)
+        path = cached._path("approve order")
+        path.parent.mkdir(parents=True)
+        np.save(path, stored)
+        out = cached.embed_batch(["approve order"])
+        assert inner.batches == 1
+        assert np.array_equal(out[0], inner.embed_one("approve order"))
 
     def test_repeated_miss_is_embedded_and_written_once(self, tmp_path, monkeypatch):
         writes = []

@@ -8,7 +8,6 @@ from bpmnkit.compliance import validate
 from bpmnkit.llm import MockChatClient, SchemaFailureAfterRetries
 from bpmnkit.pipeline import (
     STAGES,
-    CorrectionState,
     ReconstructionNonCompliant,
     canonical_json,
     correct_model,
@@ -98,8 +97,8 @@ class TestCorrectModel:
                        'default="flow_fast"/>',
         }
         client = MockChatClient(_repair_script([fix]))
-        state = CorrectionState(limit=3, simple_threshold=0)  # force local repair
-        result = correct_model(doc, client, state)
+        result = correct_model(doc, client, limit=3,
+                               simple_threshold=0)  # force local repair
         assert result.iterations == 1
         assert result.report.compliant
         assert result.document.find_by_id("gw_route").get("default") == "flow_fast"
@@ -109,7 +108,7 @@ class TestCorrectModel:
         fixed = load_doc("r1_missing_default.bpmn")
         fixed.find_by_id("gw_route").set("default", "flow_fast")
         client = MockChatClient([serialize(fixed).decode("utf-8")])
-        result = correct_model(doc, client, CorrectionState(limit=3))
+        result = correct_model(doc, client, limit=3)
         assert result.iterations == 1
         assert result.report.compliant
         assert result.log[0]["mode"] == "regenerate"
@@ -117,8 +116,7 @@ class TestCorrectModel:
     def test_noop_repairs_exhaust_limit(self):
         doc = load_doc("r1_missing_default.bpmn")
         client = MockChatClient(_repair_script([]) * 3)
-        state = CorrectionState(limit=3, simple_threshold=0)
-        result = correct_model(doc, client, state)
+        result = correct_model(doc, client, limit=3, simple_threshold=0)
         assert result.iterations == 3
         assert not result.report.compliant
         assert client.call_count == 3
@@ -128,8 +126,7 @@ class TestCorrectModel:
         before_errors = validate(doc).error_count
         sabotage = {"action": "delete", "target_id": "end_1"}
         client = MockChatClient(_repair_script([sabotage]) * 2)
-        state = CorrectionState(limit=2, simple_threshold=0)
-        result = correct_model(doc, client, state)
+        result = correct_model(doc, client, limit=2, simple_threshold=0)
         assert result.report.error_count <= before_errors
         assert result.document.find_by_id("end_1") is not None
         assert any("rolled back" in w for e in result.log for w in e["warnings"])
@@ -138,8 +135,7 @@ class TestCorrectModel:
         doc = load_doc("r1_missing_default.bpmn")
         ghost = {"action": "delete", "target_id": "no_such_element"}
         client = MockChatClient(_repair_script([ghost]) * 2)
-        state = CorrectionState(limit=2, simple_threshold=0)
-        result = correct_model(doc, client, state)
+        result = correct_model(doc, client, limit=2, simple_threshold=0)
         assert any("not found" in w for e in result.log for w in e["warnings"])
 
     def test_augment_appends_child(self):
@@ -154,8 +150,8 @@ class TestCorrectModel:
                         'targetRef="end_new"/>'},
         ]
         client = MockChatClient(_repair_script(actions))
-        state = CorrectionState(limit=2, simple_threshold=-1)  # empty model counts 0 nodes
-        result = correct_model(doc, client, state)
+        result = correct_model(doc, client, limit=2,
+                               simple_threshold=-1)  # empty model counts 0 nodes
         assert result.report.compliant
         assert result.iterations == 1
 
@@ -169,8 +165,7 @@ class TestCorrectModel:
                        'default="flow_reject"/>',
         }
         client = MockChatClient(_repair_script([fix]))
-        state = CorrectionState(limit=2, simple_threshold=0)
-        result = correct_model(doc, client, state)
+        result = correct_model(doc, client, limit=2, simple_threshold=0)
         prompt = client.calls[0][1].content
         assert "BPMNDiagram" not in prompt
         assert result.report.compliant
@@ -180,19 +175,16 @@ class TestCorrectModel:
     def test_history_window_bounds_prompt_content(self):
         doc = load_doc("r1_missing_default.bpmn")
         client = MockChatClient(_repair_script([]) * 4)
-        state = CorrectionState(limit=4, simple_threshold=0, history_window=2)
-        correct_model(doc, client, state)
+        correct_model(doc, client, limit=4, simple_threshold=0)
         assert client.call_count == 4
         last_prompt = client.calls[-1][1].content
         assert last_prompt.count("### Previous attempt") == 2
-        assert len(state.history) <= 2
 
     def test_correction_log_written(self, tmp_path):
         doc = load_doc("r1_missing_default.bpmn")
         client = MockChatClient(_repair_script([]) * 2)
-        state = CorrectionState(limit=2, simple_threshold=0)
         log_path = tmp_path / "correction.log.jsonl"
-        correct_model(doc, client, state, log_path=log_path)
+        correct_model(doc, client, limit=2, simple_threshold=0, log_path=log_path)
         lines = log_path.read_text().strip().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[0])["iteration"] == 1

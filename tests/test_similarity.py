@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from bpmnkit.embeddings import HashingEmbedder
 from bpmnkit.model import BpmnEdge, BpmnGraph, BpmnNode, ElementCategory, build_graph
 from bpmnkit.similarity import (
-    CompareOptions,
     NegativeInput,
     SimilarityBreakdown,
     compare,
@@ -325,7 +324,7 @@ class TestCompare:
         g1 = _graph("order-v1.bpmn")
         g2 = _graph("order-v2.bpmn")
         augmented = compare(g1, g2, embedder)
-        plain = compare(g1, g2, embedder, CompareOptions(context_augmentation=False))
+        plain = compare(g1, g2, embedder, context_augmentation=False)
         assert augmented.semantic_name != plain.semantic_name
         assert augmented.structural == plain.structural
 
