@@ -1,6 +1,6 @@
 """bpmnkit: validate, repair, reconstruct, and compare BPMN 2.0 models."""
 
-from .compliance import ComplianceReport, Diagnostic, RuleCode, diff_reports, validate, validate_bytes
+from .compliance import ComplianceReport, Diagnostic, RuleCode, validate, validate_bytes
 from .embeddings import HashingEmbedder, ProviderConfig, cosine, make_provider
 from .layout import auto_layout
 from .model import (

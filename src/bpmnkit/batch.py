@@ -70,6 +70,9 @@ class CorpusManifest:
     def load(cls, path: str | Path) -> "CorpusManifest":
         path = Path(path)
         data = json.loads(path.read_text(encoding="utf-8"))
+        for index, e in enumerate(data.get("entries", [])):
+            if not isinstance(e, dict) or not isinstance(e.get("model_path"), str):
+                raise ValueError(f"manifest entry {index} has no model_path")
         manifest = cls([
             ManifestEntry(
                 model_path=e["model_path"],
@@ -128,17 +131,6 @@ class EvaluationReport:
             "histogram": self.histogram,
             "counts": self.counts,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EvaluationReport":
-        return cls(
-            per_model=data.get("per_model", []),
-            errors=data.get("errors", []),
-            averages=data.get("averages", {}),
-            averages_per_description=data.get("averages_per_description", {}),
-            histogram=data.get("histogram", []),
-            counts=data.get("counts", {}),
-        )
 
 
 def _empty_histogram() -> list[dict]:

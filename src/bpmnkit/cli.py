@@ -19,7 +19,7 @@ from . import batch as batch_mod
 from . import pipeline
 from .compliance import ComplianceReport, validate_bytes
 from .embeddings import ENV_ENDPOINT, ENV_MODEL, ProviderConfig, make_provider
-from .llm import ENV_LLM_ENDPOINT, ENV_LLM_MODEL, HttpChatClient, LlmClientConfig, MockChatClient
+from .llm import ENV_LLM_ENDPOINT, ENV_LLM_MODEL, HttpChatClient, MockChatClient
 from .model import build_graph
 from .similarity import compare
 from .xmlio import parse, serialize
@@ -120,6 +120,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
     config_path = getattr(args, "config", None)
     if config_path:
         file_settings = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        if not isinstance(file_settings, dict):
+            raise ValueError(f"{config_path}: expected a JSON object")
         for key, value in file_settings.items():
             if key in settings:
                 settings[key] = value
@@ -137,9 +139,8 @@ def _make_client(settings: dict):
     if settings["llm_mock_script"]:
         return MockChatClient.from_json(settings["llm_mock_script"])
     if settings["llm_endpoint"] and settings["llm_model"]:
-        cfg = LlmClientConfig(endpoint=settings["llm_endpoint"], model=settings["llm_model"],
-                              retry_count=int(settings["llm_retry_count"]))
-        return HttpChatClient(cfg)
+        return HttpChatClient(settings["llm_endpoint"], settings["llm_model"],
+                              int(settings["llm_retry_count"]))
     raise RuntimeError("no LLM configured: set --llm-endpoint/--llm-model or "
                        "--llm-mock-script")
 
@@ -160,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         settings = resolve_config(args)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     handler = _HANDLERS[args.command]

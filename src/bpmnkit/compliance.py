@@ -26,23 +26,17 @@ class RuleCode(str, Enum):
     R6_START_END = "R6_START_END"
 
 
-class Severity(str, Enum):
-    ERROR = "Error"
-    WARNING = "Warning"
-
-
 @dataclass(frozen=True)
 class Diagnostic:
     code: RuleCode
     element_id: str | None
     message: str
-    severity: Severity = Severity.ERROR
 
     def to_dict(self) -> dict:
         return {
             "code": self.code.value,
             "element_id": self.element_id,
-            "severity": self.severity.value,
+            "severity": "Error",
             "message": self.message,
         }
 
@@ -53,11 +47,11 @@ class ComplianceReport:
 
     @property
     def compliant(self) -> bool:
-        return not any(d.severity is Severity.ERROR for d in self.diagnostics)
+        return not self.diagnostics
 
     @property
     def error_count(self) -> int:
-        return sum(1 for d in self.diagnostics if d.severity is Severity.ERROR)
+        return len(self.diagnostics)
 
     def to_dict(self) -> dict:
         return {
@@ -67,14 +61,6 @@ class ComplianceReport:
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ComplianceReport":
-        return cls([
-            Diagnostic(RuleCode(d["code"]), d.get("element_id"), d.get("message", ""),
-                       Severity(d.get("severity", "Error")))
-            for d in data.get("diagnostics", [])
-        ])
 
 
 def validate_bytes(data: bytes) -> ComplianceReport:
@@ -251,21 +237,3 @@ def _closure(seeds: list[str], adjacency: dict[str, list[str]]) -> set[str]:
                 seen.add(nxt)
                 stack.append(nxt)
     return seen
-
-
-@dataclass
-class ReportDiff:
-    resolved: list[Diagnostic]
-    persisting: list[Diagnostic]
-    new: list[Diagnostic]
-
-
-def diff_reports(before: ComplianceReport, after: ComplianceReport) -> ReportDiff:
-    """Partition diagnostics by (code, element_id) identity."""
-    before_keys = {(d.code, d.element_id) for d in before.diagnostics}
-    after_keys = {(d.code, d.element_id) for d in after.diagnostics}
-    return ReportDiff(
-        resolved=[d for d in before.diagnostics if (d.code, d.element_id) not in after_keys],
-        persisting=[d for d in after.diagnostics if (d.code, d.element_id) in before_keys],
-        new=[d for d in after.diagnostics if (d.code, d.element_id) not in before_keys],
-    )

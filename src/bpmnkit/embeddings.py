@@ -23,6 +23,8 @@ from .atomic import write_atomic
 from .llm import retry
 
 DEFAULT_DIMENSION = 384
+BATCH_SIZE = 32
+TIMEOUT = 30.0
 
 ENV_ENDPOINT = "BPMNKIT_EMBED_ENDPOINT"
 ENV_MODEL = "BPMNKIT_EMBED_MODEL"
@@ -43,9 +45,6 @@ class ProviderConfig:
     kind: str = "hashing-fallback"  # or "remote-http"
     endpoint: str | None = None
     model_name: str | None = None
-    dimension: int = DEFAULT_DIMENSION
-    batch_size: int = 32
-    timeout: float = 30.0
     cache_dir: str | Path | None = None
 
 
@@ -59,14 +58,13 @@ class EmbeddingProvider(Protocol):
 def make_provider(cfg: ProviderConfig) -> "EmbeddingProvider":
     provider: EmbeddingProvider
     if cfg.kind == "hashing-fallback":
-        provider = HashingEmbedder(cfg.dimension)
+        provider = HashingEmbedder()
     elif cfg.kind == "remote-http":
         endpoint = cfg.endpoint or os.environ.get(ENV_ENDPOINT)
         model = cfg.model_name or os.environ.get(ENV_MODEL)
         if not endpoint:
             raise ValueError("remote-http embedding provider requires an endpoint")
-        provider = RemoteEmbedder(endpoint, model, cfg.dimension, cfg.batch_size,
-                                  cfg.timeout)
+        provider = RemoteEmbedder(endpoint, model)
     else:
         raise ValueError(f"unknown embedding provider kind {cfg.kind!r}")
     if cfg.cache_dir:
@@ -105,17 +103,14 @@ class HashingEmbedder:
 
 
 class RemoteEmbedder:
-    def __init__(self, endpoint: str, model: str | None, dimension: int,
-                 batch_size: int = 32, timeout: float = 30.0):
+    def __init__(self, endpoint: str, model: str | None):
         self.endpoint = endpoint
         self.model = model
-        self.dimension = dimension
-        self.batch_size = max(1, batch_size)
-        self.timeout = timeout
+        self.dimension = DEFAULT_DIMENSION
         self.cache_key = f"remote:{model or 'default'}@{endpoint}"
 
     def _post(self, payload: dict) -> dict:
-        response = requests.post(self.endpoint, json=payload, timeout=self.timeout)
+        response = requests.post(self.endpoint, json=payload, timeout=TIMEOUT)
         response.raise_for_status()
         return response.json()
 
@@ -140,8 +135,8 @@ class RemoteEmbedder:
         if len(texts) == 0:
             return np.zeros((0, self.dimension), dtype=np.float64)
         chunks = [
-            list(texts[i:i + self.batch_size])
-            for i in range(0, len(texts), self.batch_size)
+            list(texts[i:i + BATCH_SIZE])
+            for i in range(0, len(texts), BATCH_SIZE)
         ]
         return np.concatenate([self._request_chunk(chunk) for chunk in chunks])
 

@@ -68,48 +68,43 @@ def assistant(content: str) -> ChatMessage:
     return ChatMessage("assistant", content)
 
 
-def retry(call, errors, retry_count: int = 2, backoff: float = 0.5):
+TEMPERATURE = 0.0
+MAX_TOKENS = 4096
+TIMEOUT = 120.0
+
+
+def retry(call, errors, retry_count: int = 2):
     """``call()``, retried on ``errors`` up to ``retry_count`` times, sleeping
-    ``backoff * 2**attempt`` seconds before each retry."""
+    ``0.5 * 2**attempt`` seconds before each retry."""
     for attempt in range(retry_count):
         try:
             return call()
         except errors:
-            time.sleep(backoff * 2 ** attempt)
+            time.sleep(0.5 * 2 ** attempt)
     return call()
 
 
-@dataclass
-class LlmClientConfig:
-    endpoint: str = ""
-    model: str = ""
-    temperature: float = 0.0
-    max_tokens: int = 4096
-    timeout: float = 120.0
-    retry_count: int = 2
-    backoff: float = 0.5
-
-
 class HttpChatClient:
-    def __init__(self, cfg: LlmClientConfig):
-        if not cfg.endpoint or not cfg.model:
+    def __init__(self, endpoint: str, model: str, retry_count: int = 2):
+        if not endpoint or not model:
             raise ValueError("remote chat client requires endpoint and model")
-        self.cfg = cfg
+        self.endpoint = endpoint
+        self.model = model
+        self.retry_count = retry_count
 
     def complete(self, messages: Sequence[ChatMessage]) -> str:
         """``complete_once``, retried on LlmUnavailable (timeouts included)."""
-        return retry(lambda: self.complete_once(messages), LlmUnavailable,
-                     self.cfg.retry_count, self.cfg.backoff)
+        return retry(lambda: self.complete_once(messages), LlmUnavailable, self.retry_count)
 
     def complete_once(self, messages: Sequence[ChatMessage]) -> str:
         payload = {
-            "model": self.cfg.model,
+            "model": self.model,
             "messages": [m.to_dict() for m in messages],
-            "temperature": self.cfg.temperature,
-            "max_tokens": self.cfg.max_tokens,
+            "temperature": TEMPERATURE,
+            "max_tokens": MAX_TOKENS,
         }
         try:
-            response = requests.post(self.cfg.endpoint, json=payload, timeout=self.cfg.timeout)
+            response = requests.post(self.endpoint, json=payload, timeout=TIMEOUT)
             response.raise_for_status()
             data = response.json()
             return data["choices"][0]["message"]["content"]
@@ -133,16 +128,20 @@ class MockChatClient:
         """Script file: a JSON array of strings, ``{"content": ...}`` or
         ``{"error": "unavailable"|"timeout"}`` entries."""
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(raw, list):
+            raise ValueError(f"mock script {path}: expected a JSON array")
         script: list[str | Exception] = []
-        for entry in raw:
+        for index, entry in enumerate(raw):
             if isinstance(entry, str):
                 script.append(entry)
-            elif "error" in entry:
+            elif isinstance(entry, dict) and "error" in entry:
                 kind = entry["error"]
                 script.append(LlmTimeout("scripted timeout") if kind == "timeout"
                               else LlmUnavailable(f"scripted failure: {kind}"))
-            else:
+            elif isinstance(entry, dict) and "content" in entry:
                 script.append(entry["content"])
+            else:
+                raise ValueError(f"mock script {path}: entry {index} has no content or error")
         return cls(script)
 
     @property

@@ -116,9 +116,6 @@ class BpmnGraph:
         except KeyError:
             raise UnknownNode(node_id) from None
 
-    def has_node(self, node_id: str) -> bool:
-        return node_id in self._nodes
-
     def successors(self, node_id: str) -> tuple[str, ...]:
         self.node(node_id)
         return tuple(self._succ[node_id])

@@ -509,8 +509,8 @@ def _find_with_parent(doc: BpmnDocument, element_id: str):
     return None, None
 
 
-def _parse_fragment(fragment_xml: str, doc: BpmnDocument, warnings: list[str]):
-    if not fragment_xml.strip():
+def _parse_fragment(fragment_xml, doc: BpmnDocument, warnings: list[str]):
+    if not isinstance(fragment_xml, str) or not fragment_xml.strip():
         warnings.append("action carries no new_xml; skipped")
         return None
     declarations = " ".join(

@@ -309,17 +309,6 @@ class SimilarityBreakdown:
             "overall": self.overall,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SimilarityBreakdown":
-        return cls(
-            structural=data["structural"],
-            type_distribution=data["type_distribution"],
-            semantic_name=data["semantic_name"],
-            semantic_type=data["semantic_type"],
-            semantic_name_type=data["semantic_name_type"],
-            overall=data["overall"],
-        )
-
 
 def _semantic_nodes(graph: BpmnGraph):
     return [node for node in graph.nodes

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 import logging
-import re
 import unicodedata
 import xml.etree.ElementTree as ET
 from copy import deepcopy
@@ -70,10 +69,9 @@ class BpmnDocument:
 
     root: ET.Element
     nsmap: dict[str, str] = field(default_factory=dict)
-    encoding: str = "utf-8"
 
     def copy(self) -> "BpmnDocument":
-        return BpmnDocument(deepcopy(self.root), dict(self.nsmap), self.encoding)
+        return BpmnDocument(deepcopy(self.root), dict(self.nsmap))
 
     def find_by_id(self, element_id: str) -> ET.Element | None:
         for elem in self.root.iter():
@@ -86,11 +84,6 @@ class BpmnDocument:
 
     def processes(self) -> list[ET.Element]:
         return [e for e in self.root.iter(qname("process"))]
-
-
-def _sniff_encoding(data: bytes) -> str:
-    m = re.search(rb'encoding=["\']([A-Za-z0-9._-]+)["\']', data[:200])
-    return m.group(1).decode("ascii") if m else "utf-8"
 
 
 def parse(data: bytes | str) -> BpmnDocument:
@@ -117,7 +110,7 @@ def parse(data: bytes | str) -> BpmnDocument:
         raise MissingBpmnNamespace(
             f"root element is {root.tag!r}, expected {qname('definitions')!r}"
         )
-    return BpmnDocument(root, nsmap, _sniff_encoding(raw))
+    return BpmnDocument(root, nsmap)
 
 
 # --- serialization -----------------------------------------------------------
@@ -271,19 +264,6 @@ class DiagramInterchange:
     """Detached BPMNDI subtrees, with enough context to reinsert them."""
 
     entries: list[DiEntry] = field(default_factory=list)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.entries
-
-    def references(self) -> list[tuple[str, str]]:
-        """(DI element id, referenced semantic element id) for shapes/edges."""
-        refs = []
-        for entry in self.entries:
-            for elem in entry.element.iter():
-                if local_name(elem.tag) in ("BPMNShape", "BPMNEdge"):
-                    refs.append((elem.get("id", ""), elem.get("bpmnElement", "")))
-        return refs
 
 
 def _resolve_path(root: ET.Element, path: tuple[int, ...]) -> ET.Element | None:

@@ -6,7 +6,6 @@ import pytest
 
 from bpmnkit.batch import (
     CorpusManifest,
-    EvaluationReport,
     ManifestEntry,
     batch_evaluate,
     build_report,
@@ -171,7 +170,6 @@ class TestRenderReport:
         report = batch_evaluate(_pairs(("chain3.bpmn", "chain4.bpmn")), embedder)
         data = json.loads(render_report(report, "json"))
         assert data == report.to_dict()
-        assert EvaluationReport.from_dict(data).to_dict() == report.to_dict()
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):

@@ -255,6 +255,35 @@ class TestConfigPrecedence:
         assert set(posted) == {("http://flag.invalid", "flag-model")}
 
 
+class TestMalformedInputs:
+    def test_config_that_is_not_an_object_fails_cleanly(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text("[1, 2]")
+        code, _, err = _run(capsys, "validate", str(fixture_path("chain3.bpmn")),
+                            "--config", str(config))
+        assert code == EXIT_FAILURE
+        assert err == f"error: cannot read config: {config}: expected a JSON object\n"
+
+    @pytest.mark.parametrize("entry", [{"content_x": "hi"}, 5])
+    def test_mock_script_entry_without_content_fails_cleanly(self, capsys, tmp_path, entry):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(["ok", entry]))
+        code, _, err = _run(capsys, "describe", str(fixture_path("chain3.bpmn")),
+                            "-o", str(tmp_path / "d.txt"), "--llm-mock-script", str(script))
+        assert code == EXIT_FAILURE
+        assert err == f"error: mock script {script}: entry 1 has no content or error\n"
+
+    @pytest.mark.parametrize("entry", [{"status": "raw"}, "chain3.bpmn"])
+    def test_manifest_entry_without_model_path_fails_cleanly(self, capsys, tmp_path, entry):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(
+            {"entries": [{"model_path": str(fixture_path("chain3.bpmn"))}, entry]}))
+        code, _, err = _run(capsys, "batch", str(manifest), "--stage", "evaluate",
+                            "--embed-fallback")
+        assert code == EXIT_FAILURE
+        assert err == "error: manifest entry 1 has no model_path\n"
+
+
 class TestLlmRetries:
     def test_http_retries_back_off(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("BPMNKIT_LLM_ENDPOINT", raising=False)

@@ -11,6 +11,7 @@ import pytest
 from bpmnkit import embeddings
 from bpmnkit.atomic import write_atomic
 from bpmnkit.embeddings import (
+    DEFAULT_DIMENSION,
     CachingEmbedder,
     DimensionMismatch,
     HashingEmbedder,
@@ -90,8 +91,8 @@ class TestCosine:
 
 
 class _FakeRemote(RemoteEmbedder):
-    def __init__(self, responses, **kwargs):
-        super().__init__("http://embed.invalid/v1", "test-model", **kwargs)
+    def __init__(self, responses):
+        super().__init__("http://embed.invalid/v1", "test-model")
         self._responses = list(responses)
         self.requests_made = 0
         self.payloads = []
@@ -105,32 +106,30 @@ class _FakeRemote(RemoteEmbedder):
         return entry
 
 
-def _fake_vectors(n, dim):
-    return {"embeddings": [[1.0] + [0.0] * (dim - 1)] * n}
+def _fake_vectors(n):
+    return {"embeddings": [[1.0] + [0.0] * (DEFAULT_DIMENSION - 1)] * n}
 
 
 class TestRemoteEmbedder:
     def test_happy_path_normalizes(self):
-        remote = _FakeRemote([{"embeddings": [[3.0, 4.0]]}], dimension=2)
+        remote = _FakeRemote([{"embeddings": [[3.0, 4.0] + [0.0] * (DEFAULT_DIMENSION - 2)]}])
         vecs = remote.embed_batch(["x"])
-        assert vecs[0] == pytest.approx([0.6, 0.8])
+        assert vecs[0][:2] == pytest.approx([0.6, 0.8])
         assert remote.payloads == [{"model": "test-model", "input": ["x"]}]
 
     def test_chunks_by_batch_size(self):
-        remote = _FakeRemote([_fake_vectors(2, 4), _fake_vectors(1, 4)],
-                             dimension=4, batch_size=2)
-        vecs = remote.embed_batch(["a", "b", "c"])
-        assert vecs.shape == (3, 4)
-        assert remote.requests_made == 2
+        remote = _FakeRemote([_fake_vectors(32), _fake_vectors(1)])
+        vecs = remote.embed_batch([f"text {i}" for i in range(33)])
+        assert vecs.shape == (33, DEFAULT_DIMENSION)
+        assert [len(payload["input"]) for payload in remote.payloads] == [32, 1]
 
     def test_retries_then_succeeds(self, monkeypatch):
         import requests
 
         sleeps = []
         monkeypatch.setattr(time, "sleep", sleeps.append)
-        remote = _FakeRemote([requests.ConnectionError("down")] * 2 + [_fake_vectors(1, 4)],
-                             dimension=4)
-        assert remote.embed_batch(["a"]).shape == (1, 4)
+        remote = _FakeRemote([requests.ConnectionError("down")] * 2 + [_fake_vectors(1)])
+        assert remote.embed_batch(["a"]).shape == (1, DEFAULT_DIMENSION)
         assert remote.requests_made == 3
         assert sleeps == [0.5, 1.0]
 
@@ -140,14 +139,14 @@ class TestRemoteEmbedder:
         sleeps = []
         monkeypatch.setattr(time, "sleep", sleeps.append)
         failures = [requests.ConnectionError("down")] * 3
-        remote = _FakeRemote(failures, dimension=4)
+        remote = _FakeRemote(failures)
         with pytest.raises(RemoteUnavailable):
             remote.embed_batch(["a"])
         assert remote.requests_made == 3
         assert sleeps == [0.5, 1.0]
 
     def test_wrong_width_is_dimension_mismatch(self):
-        remote = _FakeRemote([{"embeddings": [[1.0, 0.0]]}], dimension=4)
+        remote = _FakeRemote([{"embeddings": [[1.0, 0.0]]}])
         with pytest.raises(DimensionMismatch):
             remote.embed_batch(["a"])
 

@@ -8,7 +8,6 @@ import requests
 from bpmnkit.llm import (
     ChatMessage,
     HttpChatClient,
-    LlmClientConfig,
     LlmTimeout,
     LlmUnavailable,
     MockChatClient,
@@ -62,8 +61,7 @@ class TestMockClient:
 
 
 class TestHttpChatClient:
-    CFG = LlmClientConfig(endpoint="http://llm.invalid/v1/chat", model="test-model",
-                          temperature=0.0, max_tokens=512)
+    ENDPOINT = "http://llm.invalid/v1/chat"
 
     def test_posts_the_standard_chat_shape(self, monkeypatch):
         seen = {}
@@ -74,7 +72,7 @@ class TestHttpChatClient:
             return FakeResponse({"choices": [{"message": {"content": "pong"}}]})
 
         monkeypatch.setattr(requests, "post", fake_post)
-        client = HttpChatClient(self.CFG)
+        client = HttpChatClient(self.ENDPOINT, "test-model")
         assert complete(client, MESSAGES) == "pong"
         assert seen["url"] == "http://llm.invalid/v1/chat"
         assert seen["payload"] == {
@@ -82,7 +80,7 @@ class TestHttpChatClient:
             "messages": [{"role": "system", "content": "You are a test."},
                          {"role": "user", "content": "Say hi."}],
             "temperature": 0.0,
-            "max_tokens": 512,
+            "max_tokens": 4096,
         }
 
     def test_timeout_maps_to_llm_timeout(self, monkeypatch):
@@ -91,34 +89,33 @@ class TestHttpChatClient:
 
         monkeypatch.setattr(requests, "post", fake_post)
         with pytest.raises(LlmTimeout):
-            HttpChatClient(self.CFG).complete_once(MESSAGES)
+            HttpChatClient(self.ENDPOINT, "test-model").complete_once(MESSAGES)
 
     def test_malformed_reply_maps_to_unavailable(self, monkeypatch):
         monkeypatch.setattr(requests, "post",
                             lambda url, json=None, timeout=None: FakeResponse({"oops": 1}))
         with pytest.raises(LlmUnavailable):
-            HttpChatClient(self.CFG).complete_once(MESSAGES)
+            HttpChatClient(self.ENDPOINT, "test-model").complete_once(MESSAGES)
 
     def test_requires_endpoint_and_model(self):
         with pytest.raises(ValueError):
-            HttpChatClient(LlmClientConfig(endpoint="", model="m"))
+            HttpChatClient("", "m")
 
 
 class TestRetries:
-    CFG = LlmClientConfig(endpoint="http://llm.invalid/v1/chat", model="test-model",
-                          retry_count=2, backoff=0.5)
+    ENDPOINT = "http://llm.invalid/v1/chat"
 
     def test_two_failures_then_success(self, monkeypatch):
         posts, sleeps = flaky_chat_post(monkeypatch, failures=2)
-        assert HttpChatClient(self.CFG).complete(MESSAGES) == "recovered"
+        assert HttpChatClient(self.ENDPOINT, "test-model", 2).complete(MESSAGES) == "recovered"
         assert len(posts) == 3
         assert sleeps == [0.5, 1.0]
 
     def test_persistent_failure_exhausts(self, monkeypatch):
         posts, sleeps = flaky_chat_post(monkeypatch, failures=10)
         with pytest.raises(LlmUnavailable):
-            HttpChatClient(self.CFG).complete(MESSAGES)
-        assert len(posts) == self.CFG.retry_count + 1
+            HttpChatClient(self.ENDPOINT, "test-model", 2).complete(MESSAGES)
+        assert len(posts) == 2 + 1
         assert sleeps == [0.5, 1.0]
 
     def test_messages_must_start_with_system(self):

@@ -138,6 +138,15 @@ class TestCorrectModel:
         result = correct_model(doc, client, limit=2, simple_threshold=0)
         assert any("not found" in w for e in result.log for w in e["warnings"])
 
+    def test_non_string_new_xml_skipped_like_a_missing_one(self):
+        doc = load_doc("r1_missing_default.bpmn")
+        action = {"action": "replace", "target_id": "gw_route", "new_xml": None}
+        client = MockChatClient(_repair_script([action]))
+        result = correct_model(doc, client, limit=1, simple_threshold=0)
+        assert not result.report.compliant
+        assert result.document.find_by_id("gw_route") is not None
+        assert result.log[0]["warnings"] == ["action carries no new_xml; skipped"]
+
     def test_augment_appends_child(self):
         doc = load_doc("r6_empty_process.bpmn")
         actions = [
