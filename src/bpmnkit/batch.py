@@ -70,7 +70,10 @@ class CorpusManifest:
     def load(cls, path: str | Path) -> "CorpusManifest":
         path = Path(path)
         data = json.loads(path.read_text(encoding="utf-8"))
-        for index, e in enumerate(data.get("entries", [])):
+        entries = data.get("entries", []) if isinstance(data, dict) else None
+        if not isinstance(entries, list):
+            raise ValueError(f"manifest {path}: expected an object with an entries list")
+        for index, e in enumerate(entries):
             if not isinstance(e, dict) or not isinstance(e.get("model_path"), str):
                 raise ValueError(f"manifest entry {index} has no model_path")
         manifest = cls([
@@ -82,7 +85,7 @@ class CorpusManifest:
                 last_report=e.get("last_report"),
                 error=e.get("error"),
             )
-            for e in data.get("entries", [])
+            for e in entries
         ])
         manifest.flag_stale(path.parent)
         return manifest

@@ -51,6 +51,9 @@ _DEFAULTS = {
     "threshold": 0.8,
 }
 
+_CONVERTERS = {"jobs": int, "limit": int, "simple_threshold": int, "llm_retry_count": int,
+               "threshold": float}
+
 
 def _global_flags() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
@@ -124,7 +127,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise ValueError(f"{config_path}: expected a JSON object")
         for key, value in file_settings.items():
             if key in settings:
-                settings[key] = value
+                try:
+                    settings[key] = _from_config(key, value)
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise ValueError(f"{config_path}: {key}: {exc}") from None
     for key, env_name in _ENV_KEYS.items():
         if os.environ.get(env_name):
             settings[key] = os.environ[env_name]
@@ -135,12 +141,21 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return settings
 
 
+def _from_config(key: str, value):
+    """A config-file value, converted as its flag converts it."""
+    if key in _CONVERTERS:
+        return _CONVERTERS[key](value)
+    if isinstance(value, bool if key == "embed_fallback" else (str, type(None))):
+        return value
+    raise ValueError(f"unexpected value {json.dumps(value)}")
+
+
 def _make_client(settings: dict):
     if settings["llm_mock_script"]:
         return MockChatClient.from_json(settings["llm_mock_script"])
     if settings["llm_endpoint"] and settings["llm_model"]:
         return HttpChatClient(settings["llm_endpoint"], settings["llm_model"],
-                              int(settings["llm_retry_count"]))
+                              settings["llm_retry_count"])
     raise RuntimeError("no LLM configured: set --llm-endpoint/--llm-model or "
                        "--llm-mock-script")
 
@@ -193,15 +208,15 @@ def _cmd_compare(args, settings) -> int:
 
 def _translate(path: Path, client, settings: dict):
     translated, warnings = pipeline.translate_model(
-        parse(path.read_bytes()), client, threshold=float(settings["threshold"]))
+        parse(path.read_bytes()), client, threshold=settings["threshold"])
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return serialize(translated), None
 
 
 def _correct(path: Path, client, settings: dict):
-    result = pipeline.correct_model(parse(path.read_bytes()), client, int(settings["limit"]),
-                                    int(settings["simple_threshold"]))
+    result = pipeline.correct_model(parse(path.read_bytes()), client, settings["limit"],
+                                    settings["simple_threshold"])
     return serialize(result.document), result.report
 
 
@@ -213,7 +228,7 @@ def _reconstruct(path: Path, client, settings: dict):
     try:
         doc, _artifacts = pipeline.reconstruct(
             path.read_text(encoding="utf-8"), client, settings.get("run_dir"),
-            int(settings["limit"]), int(settings["simple_threshold"]))
+            settings["limit"], settings["simple_threshold"])
     except pipeline.ReconstructionNonCompliant as exc:
         return serialize(exc.document), exc.report
     return serialize(doc), None
@@ -271,7 +286,7 @@ def _cmd_batch(args, settings) -> int:
         if not pairs:
             print("nothing to evaluate", file=sys.stderr)
             return EXIT_OK
-        report = batch_mod.batch_evaluate(pairs, provider, jobs=int(settings["jobs"]),
+        report = batch_mod.batch_evaluate(pairs, provider, jobs=settings["jobs"],
                                           results_dir=out_dir / "results")
         sys.stdout.buffer.write(batch_mod.render_report(report, "csv"))
         return EXIT_OK

@@ -37,10 +37,9 @@ def auto_layout(doc: BpmnDocument) -> DiagramInterchange:
 
     index = DocumentIndex(doc)
     entries = []
-    base_index = len(doc.root)
     for offset, process in enumerate(processes):
         diagram = _layout_process(index, process, offset)
-        entries.append(DiEntry((), base_index + offset, diagram))
+        entries.append(DiEntry(len(doc.root) + offset, diagram))
     return DiagramInterchange(entries)
 
 
@@ -94,7 +93,8 @@ def _longest_path_layers(node_ids: list[str],
     for source, target in edges:
         successors[source].append(target)
 
-    acyclic: list[tuple[str, str]] = []
+    kept: dict[str, list[str]] = {nid: [] for nid in node_ids}
+    finished: list[str] = []
     state: dict[str, int] = {}  # 0 unseen / 1 on stack / 2 done
     for root in node_ids:
         if state.get(root, 0) != 0:
@@ -105,36 +105,22 @@ def _longest_path_layers(node_ids: list[str],
             nid, cursor = stack[-1]
             if cursor >= len(successors[nid]):
                 state[nid] = 2
+                finished.append(nid)
                 stack.pop()
                 continue
             stack[-1] = (nid, cursor + 1)
             nxt = successors[nid][cursor]
             if state.get(nxt, 0) == 0:
-                acyclic.append((nid, nxt))
+                kept[nid].append(nxt)
                 state[nxt] = 1
                 stack.append((nxt, 0))
             elif state[nxt] == 2:
-                acyclic.append((nid, nxt))
+                kept[nid].append(nxt)
 
-    incoming: dict[str, int] = {nid: 0 for nid in node_ids}
-    forward: dict[str, list[str]] = {nid: [] for nid in node_ids}
-    for source, target in acyclic:
-        forward[source].append(target)
-        incoming[target] += 1
-
+    # A kept edge's target finished first: reversed finish order is topological.
     layers = {nid: 0 for nid in node_ids}
-    remaining = dict(incoming)
-    ready = [nid for nid in node_ids if remaining[nid] == 0]
-    topo: list[str] = []
-    while ready:
-        current = ready.pop(0)
-        topo.append(current)
-        for nxt in forward[current]:
-            remaining[nxt] -= 1
-            if remaining[nxt] == 0:
-                ready.append(nxt)
-    for nid in topo:
-        for nxt in forward[nid]:
+    for nid in reversed(finished):
+        for nxt in kept[nid]:
             layers[nxt] = max(layers[nxt], layers[nid] + 1)
     return layers
 

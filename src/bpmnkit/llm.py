@@ -138,7 +138,7 @@ class MockChatClient:
                 kind = entry["error"]
                 script.append(LlmTimeout("scripted timeout") if kind == "timeout"
                               else LlmUnavailable(f"scripted failure: {kind}"))
-            elif isinstance(entry, dict) and "content" in entry:
+            elif isinstance(entry, dict) and isinstance(entry.get("content"), str):
                 script.append(entry["content"])
             else:
                 raise ValueError(f"mock script {path}: entry {index} has no content or error")

@@ -14,7 +14,7 @@ import unicodedata
 import xml.etree.ElementTree as ET
 from copy import deepcopy
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -93,18 +93,17 @@ def parse(data: bytes | str) -> BpmnDocument:
     root is not a ``definitions`` element in the BPMN model namespace.
     """
     raw = data.encode("utf-8") if isinstance(data, str) else bytes(data)
+    root = None
+    nsmap: dict[str, str] = {}
     try:
-        root = ET.fromstring(raw)
+        for event, item in ET.iterparse(io.BytesIO(raw), events=("start-ns", "start")):
+            if event == "start-ns":
+                nsmap.setdefault(*item)
+            elif root is None:
+                root = item
     except ET.ParseError as exc:
         line, column = exc.position if exc.position else (None, None)
         raise XmlSyntaxError(f"XML syntax error: {exc}", line, column) from exc
-
-    nsmap: dict[str, str] = {}
-    try:
-        for _event, (prefix, uri) in ET.iterparse(io.BytesIO(raw), events=("start-ns",)):
-            nsmap.setdefault(prefix, uri)
-    except ET.ParseError:  # pragma: no cover - already validated above
-        pass
 
     if root.tag != qname("definitions"):
         raise MissingBpmnNamespace(
@@ -252,9 +251,9 @@ def documents_equal(a: BpmnDocument, b: BpmnDocument) -> bool:
 # --- diagram interchange ------------------------------------------------------
 
 
-@dataclass
-class DiEntry:
-    parent_path: tuple[int, ...]
+class DiEntry(NamedTuple):
+    """A detached diagram and its position among the children of the root."""
+
     index: int
     element: ET.Element
 
@@ -266,36 +265,14 @@ class DiagramInterchange:
     entries: list[DiEntry] = field(default_factory=list)
 
 
-def _resolve_path(root: ET.Element, path: tuple[int, ...]) -> ET.Element | None:
-    elem = root
-    for idx in path:
-        if idx >= len(elem):
-            return None
-        elem = elem[idx]
-    return elem
-
-
-def _is_di_diagram(elem: ET.Element) -> bool:
-    return elem.tag == f"{{{BPMNDI_NS}}}BPMNDiagram"
-
-
 def strip_di(doc: BpmnDocument) -> tuple[BpmnDocument, DiagramInterchange]:
-    """Detach all BPMNDI diagrams. The input document is not modified."""
+    """Detach the BPMNDiagram children of ``definitions``, the only place
+    BPMN 2.0 allows them. The input document is not modified."""
     new_doc = doc.copy()
-    entries: list[DiEntry] = []
-
-    def collect(parent: ET.Element, path: tuple[int, ...]) -> None:
-        for idx, child in enumerate(list(parent)):
-            if _is_di_diagram(child):
-                entries.append(DiEntry(path, idx, child))
-            else:
-                collect(child, path + (idx,))
-
-    collect(new_doc.root, ())
+    entries = [DiEntry(index, child) for index, child in enumerate(new_doc.root)
+               if child.tag == f"{{{BPMNDI_NS}}}BPMNDiagram"]
     for entry in entries:
-        parent = _resolve_path(new_doc.root, entry.parent_path)
-        assert parent is not None
-        parent.remove(entry.element)
+        new_doc.root.remove(entry.element)
     return new_doc, DiagramInterchange(entries)
 
 
@@ -315,10 +292,7 @@ def reattach_di(doc: BpmnDocument, di: DiagramInterchange) -> tuple[BpmnDocument
                     if ref and ref not in ids:
                         parent.remove(child)
                         dropped += 1
-        target = _resolve_path(new_doc.root, entry.parent_path)
-        if target is None:
-            target = new_doc.root
-        target.insert(min(entry.index, len(target)), diagram)
+        new_doc.root.insert(entry.index, diagram)
     if dropped:
         logger.info("reattach_di dropped %d stale DI shape(s)/edge(s)", dropped)
     return new_doc, dropped

@@ -227,6 +227,18 @@ class TestConfigPrecedence:
         assert settings["llm_endpoint"] == "http://env.invalid"
         assert settings["llm_model"] == "file-model"
 
+    def test_config_values_convert_like_their_flags(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"jobs": "2", "limit": 3.0, "threshold": "0.5",
+                                      "embed_fallback": True, "llm_model": None}))
+        from bpmnkit.cli import build_parser, resolve_config
+
+        settings = resolve_config(build_parser().parse_args(
+            ["validate", "x.bpmn", "--config", str(config)]))
+        assert (settings["jobs"], settings["limit"], settings["threshold"]) == (2, 3, 0.5)
+        assert type(settings["jobs"]) is type(settings["limit"]) is int
+        assert settings["embed_fallback"] is True and settings["llm_model"] is None
+
     def test_flag_overrides_env(self, monkeypatch):
         monkeypatch.setenv("BPMNKIT_LLM_ENDPOINT", "http://env.invalid")
         from bpmnkit.cli import build_parser, resolve_config
@@ -264,7 +276,7 @@ class TestMalformedInputs:
         assert code == EXIT_FAILURE
         assert err == f"error: cannot read config: {config}: expected a JSON object\n"
 
-    @pytest.mark.parametrize("entry", [{"content_x": "hi"}, 5])
+    @pytest.mark.parametrize("entry", [{"content_x": "hi"}, 5, {"content": 5}, {"content": None}])
     def test_mock_script_entry_without_content_fails_cleanly(self, capsys, tmp_path, entry):
         script = tmp_path / "script.json"
         script.write_text(json.dumps(["ok", entry]))
@@ -282,6 +294,28 @@ class TestMalformedInputs:
                             "--embed-fallback")
         assert code == EXIT_FAILURE
         assert err == "error: manifest entry 1 has no model_path\n"
+
+    @pytest.mark.parametrize("data", [[{"model_path": "chain3.bpmn"}], {"entries": 5}])
+    def test_manifest_that_is_not_an_object_with_entries_fails_cleanly(self, capsys, tmp_path,
+                                                                        data):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(data))
+        code, _, err = _run(capsys, "batch", str(manifest), "--stage", "evaluate",
+                            "--embed-fallback")
+        assert code == EXIT_FAILURE
+        assert err == f"error: manifest {manifest}: expected an object with an entries list\n"
+
+    @pytest.mark.parametrize("key,value", [
+        ("limit", None), ("jobs", "x"), ("jobs", 1e400), ("threshold", [1]),
+        ("embed_fallback", "no"), ("embed_cache_dir", 5), ("llm_model", ["m"]),
+    ])
+    def test_config_value_of_the_wrong_type_fails_cleanly(self, capsys, tmp_path, key, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        code, _, err = _run(capsys, "validate", str(fixture_path("chain3.bpmn")),
+                            "--config", str(config))
+        assert code == EXIT_FAILURE
+        assert err.startswith(f"error: cannot read config: {config}: {key}: ")
 
 
 class TestLlmRetries:

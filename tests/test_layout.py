@@ -1,8 +1,9 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bpmnkit.layout import NODE_WIDTH, STEP_X, auto_layout
+from bpmnkit.layout import NODE_WIDTH, STEP_X, _longest_path_layers, auto_layout
 from bpmnkit.model import ElementCategory, categorize_element
 from bpmnkit.xmlio import (
     BPMNDI_NS,
@@ -114,3 +115,40 @@ def test_missing_process_raises():
     doc = parse(b'<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL"/>')
     with pytest.raises(DocumentWithoutProcess):
         auto_layout(doc)
+
+
+@st.composite
+def digraphs(draw, acyclic):
+    """Node ids and edges, with repeats, and with cycles and self-loops unless
+    ``acyclic``. An acyclic graph's edges go from a lower to a higher rank, in
+    a random ranking of the nodes."""
+    n = draw(st.integers(1, 12))
+    rank = draw(st.permutations(range(n)))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pairs, max_size=3 * n))
+    if acyclic:
+        edges = [(a, b) if rank[a] < rank[b] else (b, a) for a, b in edges if a != b]
+    return [f"n{i}" for i in range(n)], [(f"n{a}", f"n{b}") for a, b in edges]
+
+
+@given(digraphs(acyclic=True))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_layers_on_a_dag_are_longest_path_distances(graph):
+    node_ids, edges = graph
+    layers: dict[str, int] = {}
+
+    def longest(nid):
+        if nid not in layers:
+            layers[nid] = max((longest(s) + 1 for s, t in edges if t == nid), default=0)
+        return layers[nid]
+
+    assert _longest_path_layers(node_ids, edges) == {nid: longest(nid) for nid in node_ids}
+
+
+@given(digraphs(acyclic=False))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_layers_with_cycles_stay_in_range(graph):
+    node_ids, edges = graph
+    layers = _longest_path_layers(node_ids, edges)
+    assert set(layers) == set(node_ids)
+    assert all(0 <= layer < len(node_ids) for layer in layers.values())

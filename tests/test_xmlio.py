@@ -5,6 +5,7 @@ import logging
 import pytest
 
 from bpmnkit.xmlio import (
+    BPMN_NS,
     BPMNDI_NS,
     MissingBpmnNamespace,
     XmlSyntaxError,
@@ -36,10 +37,19 @@ class TestParse:
         assert doc.nsmap["bpmn"].endswith("BPMN/20100524/MODEL")
 
     def test_truncated_input_reports_position(self):
-        with pytest.raises(XmlSyntaxError) as exc:
-            parse(MINIMAL[:40])
-        assert exc.value.line is not None
-        assert exc.value.column is not None
+        for data in (MINIMAL[:40], MINIMAL.replace(b'id="p1"', b"id=p1")):
+            with pytest.raises(XmlSyntaxError) as exc:
+                parse(data)
+            assert exc.value.line is not None
+            assert exc.value.column is not None
+        assert (exc.value.line, exc.value.column) == (3, 19)
+
+    def test_nsmap_keeps_first_uri_and_collects_nested_prefixes(self):
+        doc = parse(b"""<bpmn:definitions xmlns:bpmn="http://www.omg.org/spec/BPMN/20100524/MODEL"
+            xmlns:x="urn:first">
+          <bpmn:process id="p" xmlns:x="urn:second" xmlns:y="urn:y"><x:a/><y:b/></bpmn:process>
+        </bpmn:definitions>""")
+        assert doc.nsmap == {"bpmn": BPMN_NS, "x": "urn:first", "y": "urn:y"}
 
     def test_wrong_namespace_rejected(self):
         with pytest.raises(MissingBpmnNamespace):
@@ -107,6 +117,28 @@ class TestDiagramInterchange:
         restored, dropped = reattach_di(stripped, di)
         assert dropped == 0
         assert documents_equal(doc, restored)
+
+    def test_interleaved_diagrams_return_to_their_positions(self):
+        doc = parse(f"""<definitions xmlns="{BPMN_NS}" xmlns:di="{BPMNDI_NS}">
+          <di:BPMNDiagram id="d0"/><process id="p1"/><message id="m"/>
+          <di:BPMNDiagram id="d1"/><process id="p2"/></definitions>""")
+        order = ["d0", "p1", "m", "d1", "p2"]
+        assert [child.get("id") for child in doc.root] == order
+        stripped, di = strip_di(doc)
+        assert [child.get("id") for child in stripped.root] == ["p1", "m", "p2"]
+        assert [(entry.index, entry.element.get("id")) for entry in di.entries] == [
+            (0, "d0"), (3, "d1")]
+        restored, dropped = reattach_di(stripped, di)
+        assert dropped == 0
+        assert [child.get("id") for child in restored.root] == order
+
+    def test_diagram_below_a_process_is_left_in_place(self):
+        doc = parse(f"""<definitions xmlns="{BPMN_NS}" xmlns:di="{BPMNDI_NS}">
+          <process id="p"><di:BPMNDiagram id="nested"/></process>
+          <di:BPMNDiagram id="top"/></definitions>""")
+        stripped, di = strip_di(doc)
+        assert [entry.element.get("id") for entry in di.entries] == ["top"]
+        assert stripped.find_by_id("nested") is not None
 
     def test_stale_shape_is_dropped_and_counted(self):
         doc = load_doc("diamond.bpmn")
