@@ -76,6 +76,9 @@ class CorpusManifest:
         for index, e in enumerate(entries):
             if not isinstance(e, dict) or not isinstance(e.get("model_path"), str):
                 raise ValueError(f"manifest entry {index} has no model_path")
+            for key in ("description_path", "reconstruction_path"):
+                if not isinstance(e.get(key), (str, type(None))):
+                    raise ValueError(f"manifest entry {index}: {key} must be a string or null")
         manifest = cls([
             ManifestEntry(
                 model_path=e["model_path"],

@@ -122,15 +122,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
     settings = dict(_DEFAULTS)
     config_path = getattr(args, "config", None)
     if config_path:
-        file_settings = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        if not isinstance(file_settings, dict):
-            raise ValueError(f"{config_path}: expected a JSON object")
-        for key, value in file_settings.items():
-            if key in settings:
-                try:
-                    settings[key] = _from_config(key, value)
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise ValueError(f"{config_path}: {key}: {exc}") from None
+        try:
+            settings.update(_read_config(config_path))
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"cannot read config: {exc}") from None
     for key, env_name in _ENV_KEYS.items():
         if os.environ.get(env_name):
             settings[key] = os.environ[env_name]
@@ -138,6 +133,22 @@ def resolve_config(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
+    if not 0.0 <= settings["threshold"] <= 1.0:  # also rejects nan
+        raise ValueError(f"threshold must be a number in [0, 1], got {settings['threshold']}")
+    return settings
+
+
+def _read_config(path: str) -> dict:
+    file_settings = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(file_settings, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    settings = {}
+    for key, value in file_settings.items():
+        if key in _DEFAULTS:
+            try:
+                settings[key] = _from_config(key, value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{path}: {key}: {exc}") from None
     return settings
 
 
@@ -176,8 +187,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         settings = resolve_config(args)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     handler = _HANDLERS[args.command]
     try:

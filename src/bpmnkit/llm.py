@@ -221,6 +221,24 @@ def parse_with_retry(client, messages: Sequence[ChatMessage], response: str, par
     raise SchemaFailureAfterRetries(last_error, raw, max_retries + 1, stage)
 
 
+# id(schema) -> (schema, its validator). Holding the schema keeps its id from
+# being reused by another object. Two threads that miss at once both build
+# the same validator, and either one is kept.
+_VALIDATORS: dict[int, tuple[dict, jsonschema.protocols.Validator]] = {}
+
+
+def _validator(schema: dict) -> jsonschema.protocols.Validator:
+    """The validator for ``schema``, built and its schema checked on first use
+    (a bad schema raises ``jsonschema.SchemaError``). Schemas are treated as
+    immutable: one is never checked again."""
+    cached = _VALIDATORS.get(id(schema))
+    if cached is None:
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        cached = _VALIDATORS[id(schema)] = (schema, cls(schema))
+    return cached[1]
+
+
 def parse_json_with_retry(client, messages: Sequence[ChatMessage], response: str,
                           schema: dict, **options):
     """Validate a response against a JSON schema, re-prompting the model with
@@ -231,10 +249,10 @@ def parse_json_with_retry(client, messages: Sequence[ChatMessage], response: str
     """
     def parse(raw: str):
         payload = extract_json(raw)
-        try:
-            jsonschema.validate(payload, schema)
-        except jsonschema.ValidationError as exc:
-            raise ValueError(exc.message) from exc
+        # the error jsonschema.validate(payload, schema) would raise
+        error = jsonschema.exceptions.best_match(_validator(schema).iter_errors(payload))
+        if error is not None:
+            raise ValueError(error.message) from error
         return payload
 
     return parse_with_retry(client, messages, response, parse, JSON_COMPLAINT, **options)

@@ -362,33 +362,98 @@ def unique_values(entries: Iterable[TranslatableString]) -> list[str]:
     return list(seen)
 
 
-def levenshtein(a: str, b: str) -> int:
+def levenshtein(a: str, b: str, cutoff: int | None = None) -> int:
+    """Edit distance between ``a`` and ``b``.
+
+    With ``cutoff`` only the diagonal band ``|i - j| <= cutoff`` is computed
+    and the scan stops once a whole row exceeds it (Ukkonen, Information and
+    Control 64, 1985): a distance of at most ``cutoff`` is exact, a larger one
+    is reported as ``cutoff + 1``."""
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ch_a in enumerate(a, start=1):
-        curr = [i]
-        for j, ch_b in enumerate(b, start=1):
-            cost = 0 if ch_a == ch_b else 1
-            curr.append(min(curr[j - 1] + 1, prev[j] + 1, prev[j - 1] + cost))
+    la, lb = len(a), len(b)
+    if cutoff is None:
+        cutoff = max(la, lb)
+    over = cutoff + 1
+    if abs(la - lb) > cutoff:
+        return over
+    # Cells outside the band hold ``over``, a lower bound for their true
+    # distance, so every computed cell is exact up to ``cutoff``.
+    prev = [min(j, over) for j in range(lb + 1)]
+    for i in range(1, la + 1):
+        ch = a[i - 1]
+        lo, hi = max(1, i - cutoff), min(lb, i + cutoff)
+        curr = [over] * (lb + 1)
+        curr[0] = min(i, over)
+        for j in range(lo, hi + 1):
+            # min(substitute, delete, insert), unrolled
+            best = prev[j - 1] if ch == b[j - 1] else prev[j - 1] + 1
+            if prev[j] < best:
+                best = prev[j] + 1
+            if curr[j - 1] < best:
+                best = curr[j - 1] + 1
+            curr[j] = best
+        if min(curr[lo - 1:hi + 1]) > cutoff:
+            return over
         prev = curr
-    return prev[-1]
+    return min(prev[lb], over)
+
+
+def _nfc_strip(text: str) -> str:
+    return unicodedata.normalize("NFC", text).strip()
 
 
 def normalized_similarity(a: str, b: str) -> float:
     """1 - normalized edit distance, after NFC normalization and trimming.
     Two empty strings are fully similar."""
-    na = unicodedata.normalize("NFC", a).strip()
-    nb = unicodedata.normalize("NFC", b).strip()
+    na, nb = _nfc_strip(a), _nfc_strip(b)
     if na == nb:
         return 1.0
     if not na or not nb:
         return 0.0
     return 1.0 - levenshtein(na, nb) / max(len(na), len(nb))
+
+
+def _closest(target: str, candidates: Sequence[tuple[str, str]],
+             threshold: float) -> str | None:
+    """The translation of the first (normalized key, translation) candidate
+    with the highest ``normalized_similarity`` to the normalized ``target``,
+    or None unless that similarity is above 0 and at least ``threshold``.
+
+    A similarity never exceeds ``1 - |la - lb| / max(la, lb)``, so a key
+    whose bound cannot win is skipped, and the other distances are cut off
+    at the largest one that could still win."""
+    best, best_sim = None, 0.0
+    for key, translation in candidates:
+        if key == target:  # similarity 1.0, which no later key can beat
+            return translation if threshold <= 1.0 else None
+        if not key or not target:
+            continue
+        longest = max(len(key), len(target))
+        bound = 1.0 - abs(len(key) - len(target)) / longest
+        if not threshold <= bound > best_sim:  # also skips all for a NaN threshold
+            continue
+        cutoff = _winning_distance(longest, best_sim, threshold)
+        distance = levenshtein(target, key, cutoff)
+        if distance <= cutoff:
+            best, best_sim = translation, 1.0 - distance / longest
+    return best
+
+
+def _winning_distance(longest: int, best_sim: float, threshold: float) -> int:
+    """The largest distance d whose similarity ``1 - d / longest`` is above
+    ``best_sim`` and at least ``threshold`` in float arithmetic, given that
+    some d wins. The first guess can be one off: ``(1 - 0.8) * 5 < 1``."""
+    def wins(distance: int) -> bool:
+        sim = 1.0 - distance / longest
+        return sim > best_sim and sim >= threshold
+
+    distance = int((1.0 - max(best_sim, threshold)) * longest)
+    while wins(distance + 1):
+        distance += 1
+    while not wins(distance):
+        distance -= 1
+    return distance
 
 
 def reinsert_strings(doc: BpmnDocument, mapping: dict[str, str], threshold: float = 0.8,
@@ -408,19 +473,13 @@ def reinsert_strings(doc: BpmnDocument, mapping: dict[str, str], threshold: floa
     for k in mapping:
         if not mapping[k]:
             warnings.append(f"empty translation for {k!r} ignored")
+    candidates = [(_nfc_strip(key), translation) for key, translation in usable.items()]
 
     for elem, path, attr in _walk_translatable(new_doc, effective, include_documentation):
         value = elem.get(attr) if attr is not None else elem.text
         replacement = usable.get(value)
-        if replacement is None and usable:
-            best_key = None
-            best_sim = 0.0
-            for key in usable:
-                sim = normalized_similarity(value, key)
-                if sim > best_sim:
-                    best_key, best_sim = key, sim
-            if best_key is not None and best_sim >= threshold:
-                replacement = usable[best_key]
+        if replacement is None:
+            replacement = _closest(_nfc_strip(value), candidates, threshold)
         if replacement is None:
             warnings.append(f"no translation matched {value!r} at {path}")
             continue

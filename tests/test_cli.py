@@ -295,6 +295,39 @@ class TestMalformedInputs:
         assert code == EXIT_FAILURE
         assert err == "error: manifest entry 1 has no model_path\n"
 
+    @pytest.mark.parametrize("key,value", [("description_path", 5),
+                                           ("reconstruction_path", ["r.bpmn"])])
+    def test_manifest_path_that_is_not_a_string_fails_cleanly(self, capsys, tmp_path,
+                                                              key, value):
+        manifest = tmp_path / "manifest.json"
+        model = str(fixture_path("chain3.bpmn"))
+        manifest.write_text(json.dumps(
+            {"entries": [{"model_path": model}, {"model_path": model, key: value}]}))
+        code, _, err = _run(capsys, "batch", str(manifest), "--stage", "evaluate",
+                            "--embed-fallback")
+        assert code == EXIT_FAILURE
+        assert err == f"error: manifest entry 1: {key} must be a string or null\n"
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("value", ["-1", "1.5", "nan", "inf"])
+    def test_threshold_outside_zero_to_one_fails_cleanly(self, capsys, tmp_path, source,
+                                                         value):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps([json.dumps({"Prüfen": "Check"})]))
+        out = tmp_path / "out.bpmn"
+        argv = ["translate", str(fixture_path("unicode.bpmn")), "-o", str(out),
+                "--llm-mock-script", str(script)]
+        if source == "flag":
+            argv += ["--threshold", value]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"threshold": float(value)}))
+            argv += ["--config", str(config)]
+        code, _, err = _run(capsys, *argv)
+        assert code == EXIT_FAILURE
+        assert err == f"error: threshold must be a number in [0, 1], got {float(value)}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("data", [[{"model_path": "chain3.bpmn"}], {"entries": 5}])
     def test_manifest_that_is_not_an_object_with_entries_fails_cleanly(self, capsys, tmp_path,
                                                                         data):

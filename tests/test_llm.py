@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import json
 
+import jsonschema
 import pytest
 import requests
 
+from bpmnkit import pipeline
 from bpmnkit.llm import (
     ChatMessage,
     HttpChatClient,
@@ -170,6 +172,48 @@ class TestParseJsonWithRetry:
         roles = [m.role for m in client.calls[0]]
         assert roles == ["system", "user", "assistant", "user"]
         assert client.calls[0][2].content == "garbage"
+
+    @pytest.mark.parametrize("schema", [*pipeline.STAGE_SCHEMAS.values(),
+                                        pipeline._TRANSLATION_SCHEMA])
+    def test_complaint_is_the_message_of_jsonschema_validate(self, schema):
+        payloads = [[], [5], [{}], {}, {"a": 5}, [{"name": 5, "class": "x", "decision": 1,
+                                                  "outcomes": [{}]}],
+                    {"boundaries": {"start": 1}, "activities": [{}], "entities": [{}]}]
+        checked = 0
+        for payload in payloads:
+            try:
+                jsonschema.validate(payload, schema)
+                continue
+            except jsonschema.ValidationError as exc:
+                expected = exc.message
+            with pytest.raises(SchemaFailureAfterRetries) as failure:
+                parse_json_with_retry(MockChatClient([]), MESSAGES, json.dumps(payload),
+                                      schema, max_retries=0)
+            assert failure.value.last_error == expected
+            checked += 1
+        assert checked >= 3
+
+    def test_invalid_schema_raises_schema_error(self):
+        with pytest.raises(jsonschema.SchemaError):
+            parse_json_with_retry(MockChatClient([]), MESSAGES, '{"name": "x"}',
+                                  {"type": "no-such-type"})
+
+    def test_schema_is_checked_once(self, monkeypatch):
+        schema = {"type": "object", "required": ["id"]}
+        cls = jsonschema.validators.validator_for(schema)
+        original = cls.check_schema
+        checked = []
+
+        def check_schema(candidate, *args, **kwargs):
+            checked.append(candidate)
+            return original(candidate, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "check_schema", check_schema)
+        parse_json_with_retry(MockChatClient([]), MESSAGES, '{"id": 1}', schema)
+        client = MockChatClient(['{"id": 2}'])
+        payload, _ = parse_json_with_retry(client, MESSAGES, '{"no_id": 1}', schema)
+        assert payload == {"id": 2}
+        assert checked == [schema]
 
     def test_persistent_garbage_fails_after_attempts(self):
         client = MockChatClient(["still bad", "also bad"])

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import logging
+import unicodedata
+import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bpmnkit.xmlio import (
     BPMN_NS,
@@ -259,6 +262,120 @@ class TestFuzzySimilarity:
 
     def test_distance_scales(self):
         assert normalized_similarity("abcd", "abxd") == pytest.approx(0.75)
+
+
+def _full_distance(a: str, b: str) -> int:
+    """Textbook Levenshtein over the whole matrix."""
+    prev = list(range(len(b) + 1))
+    for i, ch_a in enumerate(a, start=1):
+        curr = [i]
+        for j, ch_b in enumerate(b, start=1):
+            curr.append(min(curr[j - 1] + 1, prev[j] + 1, prev[j - 1] + (ch_a != ch_b)))
+        prev = curr
+    return prev[-1]
+
+
+def _reference_reinsert(doc, mapping, threshold):
+    """Brute-force ``reinsert_strings``: every usable key is scored in full and
+    the first one with the strictly greatest similarity wins."""
+    def similarity(a, b):
+        na, nb = (unicodedata.normalize("NFC", text).strip() for text in (a, b))
+        if na == nb:
+            return 1.0
+        if not na or not nb:
+            return 0.0
+        return 1.0 - _full_distance(na, nb) / max(len(na), len(nb))
+
+    paths = [entry.path for entry in extract_strings(doc)]
+    new_doc = doc.copy()
+    usable = {k: v for k, v in mapping.items() if v}
+    warnings = [f"empty translation for {k!r} ignored" for k, v in mapping.items() if not v]
+    locations = []
+    for elem in new_doc.root.iter():
+        if elem.get("name"):
+            locations.append((elem, "name"))
+        if elem.tag == f"{{{BPMN_NS}}}documentation" and elem.text and elem.text.strip():
+            locations.append((elem, None))
+    assert len(locations) == len(paths)
+    for (elem, attr), path in zip(locations, paths):
+        value = elem.get(attr) if attr else elem.text
+        replacement = usable.get(value)
+        if replacement is None:
+            best_key, best_sim = None, 0.0
+            for key in usable:
+                sim = similarity(value, key)
+                if sim > best_sim:
+                    best_key, best_sim = key, sim
+            if best_key is not None and best_sim >= threshold:
+                replacement = usable[best_key]
+        if replacement is None:
+            warnings.append(f"no translation matched {value!r} at {path}")
+        elif attr:
+            elem.set(attr, replacement)
+        else:
+            elem.text = replacement
+    return new_doc, warnings
+
+
+# A small alphabet with a decomposable letter, so keys collide, tie and
+# drift by NFC/NFD spelling.
+_LABELS = st.text(alphabet="abcü ", min_size=1, max_size=9)
+
+
+@st.composite
+def _drifted_key(draw, labels):
+    label = draw(st.sampled_from(labels))
+    kind = draw(st.sampled_from(["same", "nfd", "padded", "dropped", "changed", "other"]))
+    if kind == "nfd":
+        return unicodedata.normalize("NFD", label)
+    if kind == "padded":
+        return draw(st.sampled_from([" ", "  "])) + label + draw(st.sampled_from(["", " "]))
+    if kind in ("dropped", "changed") and label:
+        at = draw(st.integers(0, len(label) - 1))
+        letter = "" if kind == "dropped" else draw(st.sampled_from("abcd"))
+        return label[:at] + letter + label[at + 1:]
+    if kind == "other":
+        return draw(_LABELS)
+    return label
+
+
+@st.composite
+def _translation_case(draw):
+    labels = draw(st.lists(_LABELS, min_size=1, max_size=6))
+    documented = draw(st.lists(st.booleans(), min_size=len(labels), max_size=len(labels)))
+    keys = draw(st.lists(_drifted_key(labels), max_size=8))
+    values = draw(st.lists(st.sampled_from(["T1", "T2", "T3", ""]),
+                           min_size=len(keys), max_size=len(keys)))
+    threshold = draw(st.sampled_from([0.0, 1.0, 0.8, 0.5]) | st.floats(0.0, 1.0))
+    return labels, documented, dict(zip(keys, values)), threshold
+
+
+@given(_translation_case())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_pruned_reinsertion_matches_brute_force(case):
+    labels, documented, mapping, threshold = case
+    doc = parse(MINIMAL)
+    process = doc.processes()[0]
+    for index, (label, has_doc) in enumerate(zip(labels, documented)):
+        task = ET.SubElement(process, f"{{{BPMN_NS}}}task", id=f"t{index}", name=label)
+        if has_doc:
+            ET.SubElement(task, f"{{{BPMN_NS}}}documentation").text = label[::-1]
+    got, got_warnings = reinsert_strings(doc, mapping, threshold)
+    want, want_warnings = _reference_reinsert(doc, mapping, threshold)
+    assert serialize(got) == serialize(want)
+    assert got_warnings == want_warnings
+
+
+@given(st.text(alphabet="abcü", max_size=12), st.text(alphabet="abcü", max_size=12),
+       st.integers(0, 13))
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_cutoff_levenshtein_is_exact_up_to_the_cutoff(a, b, cutoff):
+    distance = _full_distance(a, b)
+    assert levenshtein(a, b) == distance
+    if distance <= cutoff:
+        assert levenshtein(a, b, cutoff) == distance
+    else:
+        assert levenshtein(a, b, cutoff) > cutoff
 
 
 def test_tree_equal_detects_attribute_change():
