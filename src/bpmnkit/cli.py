@@ -153,8 +153,9 @@ def _read_config(path: str) -> dict:
 
 
 def _from_config(key: str, value):
-    """A config-file value, converted as its flag converts it."""
-    if key in _CONVERTERS:
+    """A config-file value, converted as its flag converts it. A JSON boolean
+    is not a number, although `int` and `float` would take it for one."""
+    if key in _CONVERTERS and not isinstance(value, bool):
         return _CONVERTERS[key](value)
     if isinstance(value, bool if key == "embed_fallback" else (str, type(None))):
         return value

@@ -8,6 +8,7 @@ Vectors are unit-norm; empty text maps to the zero vector.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import os
@@ -76,6 +77,13 @@ def _tokenize(text: str) -> list[str]:
     return [tok for tok in _TOKEN_SPLIT.split(text.lower()) if tok]
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def _bucket_and_sign(token: str, dimension: int) -> tuple[int, float]:
+    """Where a token lands in a hashing vector, and with which sign."""
+    digest = hashlib.md5(token.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") % dimension, 1.0 if digest[8] & 1 else -1.0
+
+
 class HashingEmbedder:
     """Signed-hash bag of words. Deterministic across runs and processes;
     word order does not matter."""
@@ -89,9 +97,7 @@ class HashingEmbedder:
     def embed_one(self, text: str) -> np.ndarray:
         vec = np.zeros(self.dimension, dtype=np.float64)
         for token in _tokenize(text):
-            digest = hashlib.md5(token.encode("utf-8")).digest()
-            bucket = int.from_bytes(digest[:8], "big") % self.dimension
-            sign = 1.0 if digest[8] & 1 else -1.0
+            bucket, sign = _bucket_and_sign(token, self.dimension)
             vec[bucket] += sign
         norm = float(np.linalg.norm(vec))
         return vec / norm if norm > 0 else vec

@@ -351,6 +351,21 @@ class TestMalformedInputs:
         assert err.startswith(f"error: cannot read config: {config}: {key}: ")
 
 
+    @pytest.mark.parametrize("key", ["jobs", "limit", "simple_threshold", "llm_retry_count",
+                                     "threshold"])
+    def test_boolean_for_a_number_fails_cleanly(self, capsys, tmp_path, key):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps([json.dumps({"Prüfen": "Check"})]))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: True}))
+        out = tmp_path / "out.bpmn"
+        code, _, err = _run(capsys, "translate", str(fixture_path("unicode.bpmn")), "-o",
+                            str(out), "--llm-mock-script", str(script), "--config", str(config))
+        assert code == EXIT_FAILURE
+        assert err == f"error: cannot read config: {config}: {key}: unexpected value true\n"
+        assert not out.exists()
+
+
 class TestLlmRetries:
     def test_http_retries_back_off(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("BPMNKIT_LLM_ENDPOINT", raising=False)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import io
+import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -62,6 +64,25 @@ class TestHashingEmbedder:
                      embedder.embed_one("reject shipment"))
         assert close == pytest.approx(2 / np.sqrt(6))
         assert close > far
+
+    @pytest.mark.parametrize("dimension", [DEFAULT_DIMENSION, 7])
+    def test_vectors_equal_an_inline_md5_reference(self, dimension):
+        def reference(text):
+            vec = np.zeros(dimension)
+            for token in re.split(r"[^0-9a-z]+", text.lower()):
+                if token:
+                    digest = hashlib.md5(token.encode("utf-8")).digest()
+                    vec[int.from_bytes(digest[:8], "big") % dimension] += (
+                        1.0 if digest[8] & 1 else -1.0)
+            norm = float(np.linalg.norm(vec))
+            return vec / norm if norm > 0 else vec
+
+        texts = ["Approve order", "Check-Stock 2", "审批贷款", "审批 loan 贷款", "Заявка x",
+                 "", "   ", "order order order", "a b a", "x1 y2 x1 x1"]
+        embedder = HashingEmbedder(dimension)
+        for _ in range(2):  # the second pass reads every token from the memo
+            for text, vec in zip(texts, embedder.embed_batch(texts)):
+                assert np.array_equal(vec, reference(text)), text
 
     def test_dimension_is_configurable(self):
         small = HashingEmbedder(dimension=16)

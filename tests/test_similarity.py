@@ -3,14 +3,17 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bpmnkit import similarity
 from bpmnkit.embeddings import HashingEmbedder
 from bpmnkit.model import BpmnEdge, BpmnGraph, BpmnNode, ElementCategory, build_graph
 from bpmnkit.similarity import (
+    DENSE_MIN_GROUPS,
     NegativeInput,
     compare,
     degree_similarity,
@@ -437,3 +440,105 @@ def test_semantic_set_similarity_embeds_each_distinct_text_once():
     scores = np.clip(vecs1 @ vecs2.T, 0.0, 1.0)
     expected = _assignment_value(scores, max_weight_assignment(scores)) / len(texts1)
     assert score == expected
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """Records the shape of every problem the numpy solver is given."""
+    calls = []
+    solve = similarity._dense_col4row
+
+    def recording(cost):
+        calls.append(cost.shape)
+        return solve(cost)
+
+    monkeypatch.setattr(similarity, "_dense_col4row", recording)
+    return calls
+
+
+def _forced(monkeypatch, matrix, dense, **counts):
+    """max_weight_assignment with the numpy solver on for every size, or off."""
+    monkeypatch.setattr(similarity, "DENSE_MIN_GROUPS", 1 if dense else 10**9)
+    return max_weight_assignment(matrix, **counts)
+
+
+class TestDenseAssignment:
+    @staticmethod
+    def _near_crossover():
+        rng = np.random.default_rng(31)
+        low, high = DENSE_MIN_GROUPS - 8, DENSE_MIN_GROUPS + 9
+        for _ in range(40):
+            n, m = (int(x) for x in rng.integers(low, high, size=2))
+            yield rng.random((n, m))
+            yield np.round(rng.random((n, m)), 1)
+            # about 1.6 units per row and column group
+            yield _tied_matrix(rng, n, m, n, m, decimals=1)
+        for k in (1, 2, 7, DENSE_MIN_GROUPS + 1):
+            yield rng.random((1, k))
+            yield np.round(rng.random((1, k)), 2)
+
+    def test_numpy_and_list_solvers_agree(self, monkeypatch, dense_calls):
+        cases = 0
+        for matrix in self._near_crossover():
+            for oriented in (matrix, matrix.T):
+                listed = _forced(monkeypatch, oriented, dense=False)
+                dense = _forced(monkeypatch, oriented, dense=True)
+                cases += 1
+                _check_pairs(oriented, listed)
+                _check_pairs(oriented, dense)
+                assert _assignment_value(oriented, dense) == pytest.approx(
+                    _assignment_value(oriented, listed), abs=1e-9)
+        assert len(dense_calls) == cases
+
+    def test_agrees_with_scipy_on_large_rectangular_matrices(self, dense_calls):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(41)
+        shapes = [(100, 400), (400, 100), (250, 180), (180, 250), (399, 400), (123, 321)]
+        for n, m in shapes:
+            for matrix in (rng.random((n, m)), np.round(rng.random((n, m)), 2)):
+                pairs = max_weight_assignment(matrix)
+                _check_pairs(matrix, pairs)
+                rows, cols = optimize.linear_sum_assignment(matrix, maximize=True)
+                assert _assignment_value(matrix, pairs) == pytest.approx(
+                    matrix[rows, cols].sum(), abs=1e-9)
+        assert len(dense_calls) == 2 * len(shapes)
+
+    def test_counts_equal_the_expanded_matrix(self, dense_calls):
+        rng = np.random.default_rng(43)
+        for case in range(120):
+            n, m = (int(x) for x in rng.integers(1, 50, size=2))
+            matrix = np.round(rng.random((n, m)), int(rng.integers(1, 4)))
+            # mostly unit counts in even cases, up to 5 in odd ones
+            high = 6 if case % 2 else 2
+            row_counts = [int(c) for c in rng.integers(1, high, n)]
+            col_counts = [int(c) for c in rng.integers(1, high, m)]
+            if case % 2 == 0:
+                row_counts[0] = col_counts[0] = 2
+            expanded = np.repeat(np.repeat(matrix, row_counts, axis=0), col_counts, axis=1)
+            pairs = max_weight_assignment(matrix, row_counts=row_counts, col_counts=col_counts)
+            assert pairs == sorted(pairs)
+            assert len(pairs) == min(sum(row_counts), sum(col_counts))
+            rows = Counter(i for i, _ in pairs)
+            cols = Counter(j for _, j in pairs)
+            assert all(rows[i] <= row_counts[i] for i in rows)
+            assert all(cols[j] <= col_counts[j] for j in cols)
+            assert _assignment_value(matrix, pairs) == pytest.approx(
+                _assignment_value(expanded, max_weight_assignment(expanded)), abs=1e-9)
+        assert dense_calls
+
+    @pytest.mark.parametrize("counts", [[1, 1], [1, 0, 1], [1, 1, -2]])
+    def test_counts_must_be_positive_and_one_per_row(self, counts):
+        with pytest.raises(ValueError):
+            max_weight_assignment(np.ones((3, 2)), row_counts=counts)
+
+    def test_semantic_set_similarity_scores_distinct_texts_with_counts(self, dense_calls):
+        embedder = HashingEmbedder()
+        texts1 = [f"task {i % 60}" for i in range(90)] + ["startEvent"] * 5
+        texts2 = [f"task {i % 50}" for i in range(70)] + ["endEvent", "task 99"]
+        vecs1 = embedder.embed_batch(texts1)
+        vecs2 = embedder.embed_batch(texts2)
+        full = np.clip(vecs1 @ vecs2.T, 0.0, 1.0)
+        expected = _assignment_value(full, max_weight_assignment(full)) / len(texts1)
+        assert semantic_set_similarity(texts1, texts2, embedder) == pytest.approx(
+            expected, abs=1e-12)
+        assert (72, 95) in dense_calls
