@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .atomic import write_atomic
-from .embeddings import EmbeddingProvider
-from .model import build_graph
+from .embeddings import EmbeddingProvider, MemoEmbedder
+from .model import BpmnGraph, build_graph
 from .similarity import compare
 from .xmlio import parse
 
@@ -176,13 +176,27 @@ def build_report(records: list[dict], total_pairs: int) -> EvaluationReport:
     )
 
 
-def _evaluate_pair(model_id: str, truth_path: Path, recon_path: Path,
-                   provider: EmbeddingProvider) -> dict:
+class _Truth:
+    """A ground truth shared by the pairs of one task: its graph and warnings,
+    built by the first pair that asks, and the vectors embedded for them."""
+
+    def __init__(self, path: Path, provider: EmbeddingProvider):
+        self.path = path
+        self.vectors = MemoEmbedder(provider)
+        self._built: tuple[BpmnGraph, list[str]] | None = None
+
+    def build(self) -> tuple[BpmnGraph, list[str]]:
+        if self._built is None:  # a failure is not kept: each pair meets it anew
+            self._built = build_graph(parse(self.path.read_bytes()))
+        return self._built
+
+
+def _evaluate_pair(model_id: str, truth: _Truth, recon_path: Path) -> dict:
     """The pair's breakdown, with its graph-build warnings when there are some."""
     try:
-        g1, w1 = build_graph(parse(truth_path.read_bytes()))
+        g1, w1 = truth.build()
         g2, w2 = build_graph(parse(recon_path.read_bytes()))
-        record = {"model_id": model_id, "breakdown": compare(g1, g2, provider).to_dict()}
+        record = {"model_id": model_id, "breakdown": compare(g1, g2, truth.vectors).to_dict()}
         if w1 or w2:
             record["warnings"] = [f"truth: {w}" for w in w1] + [f"reconstruction: {w}" for w in w2]
         return record
@@ -223,9 +237,11 @@ def _unique_stems(paths: list[str | Path]) -> list[str]:
 def batch_evaluate(pairs: list[tuple[str | Path, str | Path]],
                    provider: EmbeddingProvider, jobs: int = 1,
                    results_dir: str | Path | None = None) -> EvaluationReport:
-    """Compare all (ground truth, reconstruction) pairs, up to ``jobs`` at a
-    time. With ``results_dir``, each pair result is written to
-    ``<pair-id>.json`` and already-present results are reused (resume)."""
+    """Compare all (ground truth, reconstruction) pairs. The pairs of one
+    truth form one task, which parses, builds and embeds the truth once;
+    up to ``jobs`` tasks run at a time. With ``results_dir``, each pair result
+    is written to ``<pair-id>.json`` and already-present results are reused
+    (resume)."""
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     ids = _unique_stems([truth for truth, _ in pairs])
@@ -234,27 +250,33 @@ def batch_evaluate(pairs: list[tuple[str | Path, str | Path]],
         out_dir.mkdir(parents=True, exist_ok=True)
 
     records: list[dict] = []
-    todo: list[tuple[str, Path, Path]] = []
+    tasks: dict[Path, list[tuple[str, Path]]] = {}
     for model_id, (truth, recon) in zip(ids, pairs):
         record = _read_record(out_dir / f"{model_id}.json") if out_dir is not None else None
         if record is not None:
             records.append(record)
         else:
-            todo.append((model_id, Path(truth), Path(recon)))
+            tasks.setdefault(Path(truth), []).append((model_id, Path(recon)))
 
-    def work(item: tuple[str, Path, Path]) -> dict:
-        model_id, truth_path, recon_path = item
-        record = _evaluate_pair(model_id, truth_path, recon_path, provider)
-        if out_dir is not None:
-            write_atomic(out_dir / f"{model_id}.json",
-                         (json.dumps(record, indent=2) + "\n").encode("utf-8"))
-        return record
+    def work(task: tuple[Path, list[tuple[str, Path]]]) -> list[dict]:
+        truth_path, todo = task
+        truth = _Truth(truth_path, provider)
+        done = []
+        for model_id, recon_path in todo:
+            record = _evaluate_pair(model_id, truth, recon_path)
+            if out_dir is not None:
+                write_atomic(out_dir / f"{model_id}.json",
+                             (json.dumps(record, indent=2) + "\n").encode("utf-8"))
+            done.append(record)
+        return done
 
-    if jobs == 1 or len(todo) <= 1:
-        records.extend(work(item) for item in todo)
+    if jobs == 1 or len(tasks) <= 1:
+        for done in map(work, tasks.items()):
+            records.extend(done)
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records.extend(pool.map(work, todo))
+            for done in pool.map(work, tasks.items()):
+                records.extend(done)
 
     report = build_report(records, total_pairs=len(pairs))
     if out_dir is not None:

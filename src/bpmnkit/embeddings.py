@@ -13,6 +13,7 @@ import hashlib
 import io
 import os
 import re
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, Sequence
@@ -95,17 +96,28 @@ class HashingEmbedder:
         self.cache_key = f"hashing-fallback:{dimension}"
 
     def embed_one(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dimension, dtype=np.float64)
-        for token in _tokenize(text):
-            bucket, sign = _bucket_and_sign(token, self.dimension)
-            vec[bucket] += sign
-        norm = float(np.linalg.norm(vec))
-        return vec / norm if norm > 0 else vec
+        return self.embed_batch([text])[0]
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
-        if len(texts) == 0:
-            return np.zeros((0, self.dimension), dtype=np.float64)
-        return np.stack([self.embed_one(text) for text in texts])
+        """One row per text: the signed counts of its tokens' buckets, built
+        for all rows by one bincount, then scaled to unit norm (a text without
+        tokens stays zero). The counts are small integers, so the norms are
+        exact and a row does not depend on the rest of the batch."""
+        dim = self.dimension
+        index: list[int] = []
+        signs: list[float] = []
+        for row, text in enumerate(texts):
+            base = row * dim
+            for token in _tokenize(text):
+                bucket, sign = _bucket_and_sign(token, dim)
+                index.append(base + bucket)
+                signs.append(sign)
+        counts = np.bincount(index, weights=signs, minlength=len(texts) * dim)
+        # a bincount of no entries is int64 even with weights
+        vectors = counts.astype(np.float64, copy=False).reshape(len(texts), dim)
+        norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+        np.divide(vectors, norms, out=vectors, where=norms > 0)
+        return vectors
 
 
 class RemoteEmbedder:
@@ -147,8 +159,33 @@ class RemoteEmbedder:
         return np.concatenate([self._request_chunk(chunk) for chunk in chunks])
 
 
+class MemoEmbedder:
+    """In-memory vectors in front of another provider, kept for the life of
+    the object: each distinct text goes to the inner provider once, and the
+    misses of a batch go in one call. Not for sharing between threads."""
+
+    def __init__(self, inner: EmbeddingProvider):
+        self.inner = inner
+        self.dimension = inner.dimension
+        self.cache_key = inner.cache_key
+        self._vectors: dict[str, np.ndarray] = {}
+
+    def fill(self, texts: Sequence[str]) -> None:
+        missing = [text for text in dict.fromkeys(texts) if text not in self._vectors]
+        if missing:
+            self._vectors.update(zip(missing, self.inner.embed_batch(missing)))
+
+    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
+        if len(texts) == 0:
+            return np.zeros((0, self.dimension), dtype=np.float64)
+        self.fill(texts)
+        return np.array([self._vectors[text] for text in texts])
+
+
 class CachingEmbedder:
-    """Content-addressed on-disk cache in front of another provider."""
+    """Content-addressed on-disk cache in front of another provider. Threads
+    that miss the same text at once embed it once: the first claims it, the
+    others wait for its entry."""
 
     def __init__(self, inner: EmbeddingProvider, cache_dir: str | Path):
         self.inner = inner
@@ -158,6 +195,8 @@ class CachingEmbedder:
         buffer = io.BytesIO()  # an entry: what np.save writes for one (dimension,) <f8 vector
         np.save(buffer, np.zeros(self.dimension, dtype="<f8"))
         self._header = buffer.getvalue()[:-8 * self.dimension]
+        self._lock = threading.Lock()
+        self._claims: dict[str, threading.Event] = {}  # texts being embedded, set when done
 
     def _path(self, text: str) -> Path:
         key = hashlib.sha256(f"{self.cache_key}\x00{text}".encode("utf-8")).hexdigest()
@@ -175,20 +214,39 @@ class CachingEmbedder:
             return None
         return np.frombuffer(data, dtype="<f8", offset=size)
 
+    def _store(self, texts: list[str], found: dict[str, np.ndarray | None]) -> None:
+        for text, vec in zip(texts, self.inner.embed_batch(texts)):
+            path = self._path(text)
+            # another writer may have stored this entry since the lookup
+            found[text] = self._load(path)
+            if found[text] is None:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                write_atomic(path, self._header + vec.astype("<f8").tobytes())
+                found[text] = vec
+
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         if len(texts) == 0:
             return np.zeros((0, self.dimension), dtype=np.float64)
         found = {text: self._load(self._path(text)) for text in dict.fromkeys(texts)}
         missing = [text for text, vec in found.items() if vec is None]
-        if missing:
-            for text, vec in zip(missing, self.inner.embed_batch(missing)):
-                path = self._path(text)
-                # another writer may have stored this entry since the lookup
-                found[text] = self._load(path)
-                if found[text] is None:
-                    path.parent.mkdir(parents=True, exist_ok=True)
-                    write_atomic(path, self._header + vec.astype("<f8").tobytes())
-                    found[text] = vec
+        while missing:
+            with self._lock:
+                waits = {text: self._claims[text] for text in missing if text in self._claims}
+                mine = [text for text in missing if text not in waits]
+                self._claims.update((text, threading.Event()) for text in mine)
+            try:
+                if mine:
+                    self._store(mine, found)
+            finally:
+                with self._lock:
+                    for text in mine:
+                        self._claims.pop(text).set()
+            # Claims are released before waiting, so no two threads wait on
+            # each other. A text whose embedder failed is claimed again.
+            for text, done in waits.items():
+                done.wait()
+                found[text] = self._load(self._path(text))
+            missing = [text for text in waits if found[text] is None]
         return np.stack([found[text] for text in texts])
 
 

@@ -16,7 +16,7 @@ from operator import sub
 
 import numpy as np
 
-from .embeddings import EmbeddingProvider
+from .embeddings import EmbeddingProvider, MemoEmbedder
 from .model import (
     BpmnGraph,
     ElementCategory,
@@ -141,16 +141,24 @@ def type_distribution_similarity(g1: BpmnGraph, g2: BpmnGraph) -> float:
 DENSE_MIN_GROUPS = 24
 
 
-def _groups(matrix: np.ndarray) -> tuple[list[list[int]], np.ndarray]:
-    """The indices of each distinct row of `matrix` in first-seen order, and
-    the matrix of those rows."""
-    members: dict[bytes, list[int]] = {}
-    for index, row in enumerate(np.ascontiguousarray(matrix)):
-        members.setdefault(row.tobytes(), []).append(index)
-    groups = list(members.values())
-    if len(groups) < len(matrix):
-        matrix = matrix[[indices[0] for indices in groups]]
-    return groups, matrix
+def _groups(lines: np.ndarray) -> list[list[int]]:
+    """The indices of each distinct row of `lines` in first-seen order, rows
+    told apart by their bytes. A group is keyed by the hash of its first
+    row's bytes, so no copy of the matrix is kept, nor made for a transposed
+    view; a row whose hash is taken by other bytes is keyed by its bytes."""
+    members: dict[int | bytes, list[int]] = {}
+    for index, line in enumerate(lines):
+        data = line.tobytes()
+        key: int | bytes = hash(data)
+        group = members.get(key)
+        if group is not None and lines[group[0]].tobytes() != data:
+            key = data
+            group = members.get(key)
+        if group is None:
+            members[key] = [index]
+        else:
+            group.append(index)
+    return list(members.values())
 
 
 def _shortest_path(source: int, cost: list[list[float]], u: list[float], v: list[float],
@@ -360,10 +368,12 @@ def max_weight_assignment(scores: np.ndarray, row_counts=None,
     if flipped:
         matrix = matrix.T
         row_counts, col_counts = col_counts, row_counts
-    row_members, matrix = _groups(matrix)
-    col_members, matrix = _groups(matrix.T)
+    row_members = _groups(matrix)
+    col_members = _groups(matrix.T)
     # cost[p, q] between row group p and column group q, to be minimized.
-    cost = np.negative(matrix.T, order="C")
+    cost = (matrix.take([members[0] for members in row_members], axis=0)
+            .take([members[0] for members in col_members], axis=1))
+    np.negative(cost, out=cost)
     supply = [sum(row_counts[i] for i in members) for members in row_members]
     capacity = [sum(col_counts[j] for j in members) for members in col_members]
     if (min(len(supply), len(capacity)) >= DENSE_MIN_GROUPS
@@ -432,34 +442,32 @@ def _semantic_nodes(graph: BpmnGraph):
             if node.category not in (ElementCategory.OTHER, ElementCategory.FLOW)]
 
 
-def name_texts(graph: BpmnGraph, context_augmentation: bool = True) -> list[str]:
+def semantic_texts(graph: BpmnGraph, context_augmentation: bool = True
+                   ) -> tuple[list[str], list[str], list[str]]:
+    """The texts of the three semantic dimensions: each node's name (with its
+    neighbours' names under context augmentation), each element's type, and
+    each name followed by its node's ``[type]``."""
+    nodes = _semantic_nodes(graph)
     if context_augmentation:
-        return [context_label(graph, node.id) for node in _semantic_nodes(graph)]
-    return [effective_label(node) for node in _semantic_nodes(graph)]
-
-
-def type_texts(graph: BpmnGraph) -> list[str]:
-    texts = [node.tag for node in graph.nodes if node.category is not ElementCategory.OTHER]
-    texts += [edge.tag for edge in graph.edges]
-    return texts
-
-
-def name_type_texts(graph: BpmnGraph, context_augmentation: bool = True) -> list[str]:
-    names = name_texts(graph, context_augmentation)
-    return [f"{name} [{node.tag}]"
-            for name, node in zip(names, _semantic_nodes(graph))]
+        names = [context_label(graph, node.id) for node in nodes]
+    else:
+        names = [effective_label(node) for node in nodes]
+    types = [node.tag for node in graph.nodes if node.category is not ElementCategory.OTHER]
+    types += [edge.tag for edge in graph.edges]
+    name_types = [f"{name} [{node.tag}]" for name, node in zip(names, nodes)]
+    return names, types, name_types
 
 
 def compare(g1: BpmnGraph, g2: BpmnGraph, provider: EmbeddingProvider,
             context_augmentation: bool = True) -> SimilarityBreakdown:
-    """Score two models on all five dimensions plus their mean."""
+    """Score two models on all five dimensions plus their mean. The distinct
+    texts of both models are embedded in one call to the provider."""
     structural = structural_similarity(g1, g2)
     type_dist = type_distribution_similarity(g1, g2)
-    sem_name = semantic_set_similarity(
-        name_texts(g1, context_augmentation), name_texts(g2, context_augmentation), provider)
-    sem_type = semantic_set_similarity(type_texts(g1), type_texts(g2), provider)
-    sem_name_type = semantic_set_similarity(
-        name_type_texts(g1, context_augmentation),
-        name_type_texts(g2, context_augmentation), provider)
-    dims = (structural, type_dist, sem_name, sem_type, sem_name_type)
+    texts1 = semantic_texts(g1, context_augmentation)
+    texts2 = semantic_texts(g2, context_augmentation)
+    vectors = MemoEmbedder(provider)
+    vectors.fill([text for texts in texts1 + texts2 for text in texts])
+    semantic = [semantic_set_similarity(a, b, vectors) for a, b in zip(texts1, texts2)]
+    dims = (structural, type_dist, *semantic)
     return SimilarityBreakdown(*dims, overall=sum(dims) / len(dims))

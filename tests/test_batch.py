@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bpmnkit import batch
 from bpmnkit.batch import (
     CorpusManifest,
     ManifestEntry,
@@ -12,6 +13,8 @@ from bpmnkit.batch import (
     load_report,
     render_report,
 )
+from bpmnkit.embeddings import HashingEmbedder
+from bpmnkit.xmlio import parse
 
 from conftest import fixture_path
 
@@ -138,6 +141,92 @@ class TestBatchEvaluate:
     def test_invalid_jobs_rejected(self, embedder):
         with pytest.raises(ValueError):
             batch_evaluate([], embedder, jobs=0)
+
+
+# chain3 and loan-approval are the truths of several pairs each
+SHARED_TRUTHS = (("chain3.bpmn", "chain4.bpmn"), ("loan-approval.bpmn", "order-v1.bpmn"),
+                 ("chain3.bpmn", "diamond.bpmn"), ("boundary.bpmn", "chain4.bpmn"),
+                 ("chain3.bpmn", "parallel.bpmn"), ("loan-approval.bpmn", "order-v2.bpmn"))
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """The file name of every document ``batch`` parses, in call order."""
+    names = {fixture_path(name).read_bytes(): name
+             for pair in SHARED_TRUTHS for name in pair}
+    calls = []
+
+    def recording(data):
+        calls.append(names.get(data, "?"))
+        return parse(data)
+
+    monkeypatch.setattr(batch, "parse", recording)
+    return calls
+
+
+class TestSharedTruths:
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_each_truth_is_parsed_once(self, embedder, parsed, jobs):
+        batch_evaluate(_pairs(*SHARED_TRUTHS), embedder, jobs=jobs)
+        assert sorted(parsed) == sorted(["chain3.bpmn", "loan-approval.bpmn", "boundary.bpmn"]
+                                        + [recon for _, recon in SHARED_TRUTHS])
+
+    def test_the_pairs_of_one_truth_embed_each_text_once(self):
+        texts = []
+
+        class _RecordingEmbedder(HashingEmbedder):
+            def embed_batch(self, batch_texts):
+                texts.extend(batch_texts)
+                return super().embed_batch(batch_texts)
+
+        pairs = [pair for pair in SHARED_TRUTHS if pair[0] == "chain3.bpmn"]
+        batch_evaluate(_pairs(*pairs), _RecordingEmbedder())
+        assert len(texts) == len(set(texts))
+
+    def test_jobs_do_not_change_the_report_or_the_results(self, embedder, tmp_path):
+        pairs = _pairs(*SHARED_TRUTHS)
+        serial = batch_evaluate(pairs, embedder, jobs=1, results_dir=tmp_path / "serial")
+        parallel = batch_evaluate(pairs, embedder, jobs=3, results_dir=tmp_path / "parallel")
+        assert serial.to_dict() == parallel.to_dict()
+        assert len(serial.per_model) == len(pairs)
+        for name in ("summary.json", "chain3_1.json", "loan-approval_1.json"):
+            assert ((tmp_path / "serial" / name).read_bytes()
+                    == (tmp_path / "parallel" / name).read_bytes())
+
+    def test_resume_with_one_pair_of_a_truth_done(self, embedder, parsed, tmp_path):
+        pairs = _pairs(*SHARED_TRUTHS)
+        first = batch_evaluate(pairs, embedder, results_dir=tmp_path)
+        (tmp_path / "chain3_1.json").unlink()
+        parsed.clear()
+        resumed = batch_evaluate(pairs, embedder, results_dir=tmp_path)
+        assert resumed.to_dict() == first.to_dict()
+        assert parsed == ["chain3.bpmn", "diamond.bpmn"]
+
+    @pytest.mark.parametrize("content", [None, b"<boom"])
+    def test_unreadable_truth_fails_each_of_its_pairs_alike(self, embedder, tmp_path,
+                                                            content):
+        truth = tmp_path / "truth.bpmn"
+        if content is not None:
+            truth.write_bytes(content)
+        with pytest.raises(Exception) as caught:  # what comparing pair by pair records
+            parse(truth.read_bytes())
+        error = f"{caught.type.__name__}: {caught.value}"
+        pairs = [(truth, fixture_path("chain3.bpmn")), (truth, fixture_path("chain4.bpmn")),
+                 (fixture_path("diamond.bpmn"), fixture_path("diamond.bpmn"))]
+        report = batch_evaluate(pairs, embedder, jobs=2)
+        assert report.errors == [{"model_id": "truth", "error": error},
+                                 {"model_id": "truth_1", "error": error}]
+        assert [r["model_id"] for r in report.per_model] == ["diamond"]
+
+    def test_truth_warnings_reach_every_pair(self, embedder, tmp_path):
+        truth = tmp_path / "dangling.bpmn"
+        truth.write_text(fixture_path("chain3.bpmn").read_text().replace(
+            "</bpmn:process>", '<bpmn:sequenceFlow id="flow_x" sourceRef="task_1" '
+                               'targetRef="nowhere"/></bpmn:process>'))
+        pairs = [(truth, fixture_path("chain3.bpmn")), (truth, fixture_path("chain4.bpmn"))]
+        report = batch_evaluate(pairs, embedder, results_dir=tmp_path / "results")
+        warning = "truth: sequenceFlow 'flow_x' dropped: endpoint 'nowhere' not found"
+        assert [r["warnings"] for r in report.per_model] == [[warning], [warning]]
 
 
 class TestRenderReport:

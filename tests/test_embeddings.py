@@ -4,6 +4,7 @@ import hashlib
 import io
 import re
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -17,6 +18,7 @@ from bpmnkit.embeddings import (
     CachingEmbedder,
     DimensionMismatch,
     HashingEmbedder,
+    MemoEmbedder,
     ProviderConfig,
     RemoteEmbedder,
     RemoteUnavailable,
@@ -50,11 +52,27 @@ class TestHashingEmbedder:
         b = embedder.embed_one("approve order")
         assert np.array_equal(a, b)
 
-    def test_batch_matches_singleton_calls(self, embedder):
-        texts = ["alpha", "beta gamma", ""]
+    @pytest.mark.parametrize("dimension", [DEFAULT_DIMENSION, 7])
+    def test_batch_matches_singleton_calls(self, dimension):
+        embedder = HashingEmbedder(dimension)
+        texts = ["alpha", "beta gamma", "", "审批", "beta beta beta gamma", "alpha"]
         batch = embedder.embed_batch(texts)
         for i, text in enumerate(texts):
             assert np.array_equal(batch[i], embedder.embed_one(text))
+
+    @pytest.mark.parametrize("dimension", [DEFAULT_DIMENSION, 7])
+    def test_empty_batch_has_no_rows(self, dimension):
+        out = HashingEmbedder(dimension).embed_batch([])
+        assert out.shape == (0, dimension)
+        assert out.dtype == np.float64
+
+    def test_batch_without_tokens_is_float_zeros(self, embedder):
+        # np.bincount of no entries is int64, weights or not
+        assert np.bincount([], weights=[], minlength=3).dtype == np.int64
+        out = embedder.embed_batch(["", "   ", "审批贷款"])
+        assert out.dtype == np.float64
+        assert out.shape == (3, DEFAULT_DIMENSION)
+        assert not out.any()
 
     def test_shared_tokens_raise_cosine(self, embedder):
         # bag-of-words overlap: 2 shared tokens of 2 vs 3 -> 2/sqrt(6)
@@ -279,6 +297,91 @@ class TestCache:
         assert np.array_equal(CachingEmbedder(inner, tmp_path).embed_batch(texts),
                               HashingEmbedder().embed_batch(texts))
         assert inner.batches == 0
+
+
+    def test_threads_missing_one_text_embed_it_once(self, tmp_path):
+        class _SlowEmbedder(HashingEmbedder):
+            def __init__(self):
+                super().__init__()
+                self.texts = []
+
+            def embed_batch(self, texts):
+                self.texts.extend(texts)
+                time.sleep(0.2)  # long enough for every thread to miss
+                return super().embed_batch(texts)
+
+        inner = _SlowEmbedder()
+        cached = CachingEmbedder(inner, tmp_path)
+        threads = 4
+        start = threading.Barrier(threads)
+
+        def embed(_):
+            start.wait(timeout=10)
+            return cached.embed_batch(["approve order", "ship goods"])
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = [f.result(timeout=60)
+                       for f in [pool.submit(embed, k) for k in range(threads)]]
+        assert sorted(inner.texts) == ["approve order", "ship goods"]
+        for out in results:
+            assert np.array_equal(out, HashingEmbedder().embed_batch(["approve order",
+                                                                       "ship goods"]))
+        assert not cached._claims
+
+    def test_failed_claim_is_embedded_by_a_waiting_thread(self, tmp_path):
+        class _FailOnceEmbedder(HashingEmbedder):
+            def __init__(self):
+                super().__init__()
+                self.calls = 0
+
+            def embed_batch(self, texts):
+                self.calls += 1
+                if self.calls == 1:
+                    time.sleep(0.2)  # the other thread now waits on this claim
+                    raise RemoteUnavailable("down")
+                return super().embed_batch(texts)
+
+        inner = _FailOnceEmbedder()
+        cached = CachingEmbedder(inner, tmp_path)
+        start = threading.Barrier(2)
+
+        def embed(_):
+            start.wait(timeout=10)
+            return cached.embed_batch(["approve order"])
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(embed, k) for k in range(2)]
+            outcomes = []
+            for future in futures:
+                try:
+                    outcomes.append(future.result(timeout=60))
+                except RemoteUnavailable:
+                    outcomes.append(None)
+        assert sum(out is None for out in outcomes) == 1
+        assert inner.calls == 2
+        (out,) = [out for out in outcomes if out is not None]
+        assert np.array_equal(out, HashingEmbedder().embed_batch(["approve order"]))
+        assert not cached._claims
+
+
+class TestMemoEmbedder:
+    def test_each_distinct_text_reaches_the_inner_provider_once(self):
+        calls = []
+
+        class _RecordingEmbedder(HashingEmbedder):
+            def embed_batch(self, texts):
+                calls.append(list(texts))
+                return super().embed_batch(texts)
+
+        inner = _RecordingEmbedder()
+        memo = MemoEmbedder(inner)
+        memo.fill(["a b", "c", "a b"])
+        out = memo.embed_batch(["c", "d", "a b", "d"])
+        assert calls == [["a b", "c"], ["d"]]
+        assert np.array_equal(out, HashingEmbedder().embed_batch(["c", "d", "a b", "d"]))
+        assert memo.embed_batch([]).shape == (0, DEFAULT_DIMENSION)
+        assert calls == [["a b", "c"], ["d"]]
+        assert (memo.dimension, memo.cache_key) == (inner.dimension, inner.cache_key)
 
 
 class TestMakeProvider:

@@ -21,6 +21,7 @@ from bpmnkit.similarity import (
     max_weight_assignment,
     ratio_similarity,
     semantic_set_similarity,
+    semantic_texts,
     structural_similarity,
     type_counts,
     type_distribution_similarity,
@@ -440,6 +441,63 @@ def test_semantic_set_similarity_embeds_each_distinct_text_once():
     scores = np.clip(vecs1 @ vecs2.T, 0.0, 1.0)
     expected = _assignment_value(scores, max_weight_assignment(scores)) / len(texts1)
     assert score == expected
+
+
+PAIRS = [("chain3.bpmn", "chain4.bpmn"), ("loan-approval.bpmn", "order-v1.bpmn"),
+         ("unicode.bpmn", "unicode.bpmn"), ("boundary.bpmn", "inclusive.bpmn")]
+
+
+@pytest.mark.parametrize("context", [True, False])
+@pytest.mark.parametrize("left,right", PAIRS)
+def test_compare_embeds_the_distinct_texts_of_both_models_in_one_call(left, right, context):
+    g1, g2 = _graph(left), _graph(right)
+    provider = _RecordingProvider()
+    compare(g1, g2, provider, context_augmentation=context)
+    (texts,) = provider.calls
+    assert len(texts) == len(set(texts))
+    expected = {text for graph in (g1, g2)
+                for texts in semantic_texts(graph, context) for text in texts}
+    assert set(texts) == expected
+
+
+@pytest.mark.parametrize("context", [True, False])
+@pytest.mark.parametrize("left,right", PAIRS)
+def test_compare_scores_each_semantic_dimension_on_the_raw_provider(left, right, context,
+                                                                     embedder):
+    g1, g2 = _graph(left), _graph(right)
+    breakdown = compare(g1, g2, embedder, context_augmentation=context)
+    expected = [semantic_set_similarity(a, b, embedder)
+                for a, b in zip(semantic_texts(g1, context), semantic_texts(g2, context))]
+    assert [breakdown.semantic_name, breakdown.semantic_type,
+            breakdown.semantic_name_type] == expected
+
+
+def test_semantic_texts_derive_name_types_from_names():
+    graph = _graph("loan-approval.bpmn")
+    names, types, name_types = semantic_texts(graph)
+    tags = [node.tag for node in graph.nodes
+            if node.category not in (ElementCategory.OTHER, ElementCategory.FLOW)]
+    assert name_types == [f"{name} [{tag}]" for name, tag in zip(names, tags)]
+    assert len(types) == sum(node.category is not ElementCategory.OTHER
+                             for node in graph.nodes) + len(graph.edges)
+
+
+def test_groups_tell_rows_of_one_hash_apart_by_their_bytes(monkeypatch):
+    rng = np.random.default_rng(3)
+    matrix = np.round(rng.random((30, 25)), 1)
+    matrix[7] = matrix[2]
+    matrix[:, 11] = matrix[:, 4]
+    expected = {}
+    for axis, lines in (("rows", matrix), ("cols", matrix.T)):
+        members = {}
+        for index, line in enumerate(lines):
+            members.setdefault(line.tobytes(), []).append(index)
+        expected[axis] = list(members.values())
+    pairs = max_weight_assignment(matrix)
+    monkeypatch.setattr(similarity, "hash", lambda data: 0, raising=False)
+    assert similarity._groups(matrix) == expected["rows"]
+    assert similarity._groups(matrix.T) == expected["cols"]
+    assert max_weight_assignment(matrix) == pairs
 
 
 @pytest.fixture
