@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from operator import sub
 
 import numpy as np
 
@@ -134,13 +133,6 @@ def type_distribution_similarity(g1: BpmnGraph, g2: BpmnGraph) -> float:
 
 # --- optimal assignment -------------------------------------------------------
 
-# Grouped problems with at least this many groups on both sides, and at most
-# twice as many units as groups on each, go to the numpy solver. Below it the
-# list solver's lower cost per call wins: on perfbench corpus pairs the numpy
-# solver won about half the problems of 8-15 groups and all from 24 on.
-DENSE_MIN_GROUPS = 24
-
-
 def _groups(lines: np.ndarray) -> list[list[int]]:
     """The indices of each distinct row of `lines` in first-seen order, rows
     told apart by their bytes. A group is keyed by the hash of its first
@@ -161,86 +153,78 @@ def _groups(lines: np.ndarray) -> list[list[int]]:
     return list(members.values())
 
 
-def _shortest_path(source: int, cost: list[list[float]], u: list[float], v: list[float],
-                   flows: list[dict[int, int]], capacity: list[int]):
-    """Dijkstra over reduced costs from row group `source` to the sink, then
-    the potential update that keeps reduced costs non-negative.
+def _flows(cost: np.ndarray, supply: list[int],
+           capacity: list[int]) -> list[dict[int, int]]:
+    """Minimum-cost transportation from row groups (`supply` units each, no
+    more than the columns' total) to column groups (`capacity` each) over
+    their cost matrix. Returns flows[q], which maps row group p to the units
+    it sends to column group q.
 
-    Row p reaches every column q (reduced cost cost[p][q] - u[p] - v[q]); a
-    column reaches the rows that send it flow (reduced cost 0); a column with
-    spare capacity reaches the sink. Every such column keeps v = 0, the
-    sink's potential: it is settled only as the last node of a path, at the
-    path's length, and settled columns move by their distance minus that
-    length. Returns the last column, the row that reached each column, and
-    the column that reached each row."""
-    inf = float("inf")
-    kc = len(v)
-    dist = [inf] * kc
-    via = [0] * kc
-    open_cols = list(range(kc))
-    reached = {source: 0.0}
-    back: dict[int, int] = {}
-    fresh = [source]
-    while True:
-        for p in fresh:
-            dp = reached[p] - u[p]
-            row = cost[p]
-            # The last row relaxed sees every open column's final distance,
-            # so its pass also finds the nearest column.
-            best = inf
-            for q in open_cols:
-                d = dp + row[q] - v[q]
-                if d < dist[q]:
-                    dist[q] = d
-                    via[q] = p
-                else:
-                    d = dist[q]
-                if d < best:
-                    best = d
-                    end = q
-        if not fresh:
-            end = min(open_cols, key=dist.__getitem__)
-        open_cols.remove(end)
-        if capacity[end]:
-            break
-        fresh = [p for p in flows[end] if p not in reached]
-        for p in fresh:
-            reached[p] = dist[end]
-            back[p] = end
-    total = dist[end]
-    for q in range(kc):
-        if dist[q] < total:
-            v[q] += dist[q] - total
-    for p, dp in reached.items():
-        u[p] += total - dp
-    return end, via, back
+    Crouse's successive shortest paths (IEEE TAES 2016) on the capacitated
+    problem, each path carrying as many units as it can; with unit supplies
+    and capacities this is the Hungarian algorithm. It starts from Jonker and
+    Volgenant's column reduction (Computing 38, 1987): each row's potential
+    is its cheapest cost, and it sends as many units as fit to that column.
 
-
-def _list_flows(cost: list[list[float]], supply: list[int],
-                capacity: list[int]) -> list[dict[int, int]]:
-    """Minimum-cost transportation from row groups (`supply` units each,
-    no more than the columns' total) to column groups (`capacity` each):
-    successive shortest paths with potentials, each path carrying as many
-    units as it can (Crouse, IEEE TAES 2016, on the capacitated problem).
-    With unit supplies and capacities this is the Hungarian algorithm.
-    Returns flows[q], which maps row group p to the units it sends to q."""
+    A row reaches every column (reduced cost cost[p, q] - u[p] - v[q]), a
+    full column reaches the rows that send it units (reduced cost 0), and a
+    column with spare capacity ends the path. Each Dijkstra step relaxes the
+    whole row of a row just reached in one vectorised update of full-width
+    arrays, where settled columns read as infinitely far, and takes the
+    nearest open column with one argmin. Column potentials start at 0 and
+    only settled full columns lower theirs, so every column with spare
+    capacity keeps the largest potential, which makes the result optimal
+    when capacity is left over."""
     supply = list(supply)
     capacity = list(capacity)
+    inf = np.inf
+    u = cost.min(axis=1)
+    v = np.zeros(len(capacity))
     flows: list[dict[int, int]] = [{} for _ in capacity]
-    u = [0.0] * len(supply)
-    v = [0.0] * len(capacity)
-
-    # Row groups join one at a time, each with the potential that makes its
-    # cheapest arc tight.
-    for source, row in enumerate(cost):
-        u[source] = min(map(sub, row, v))
-        while supply[source]:
-            end, via, back = _shortest_path(source, cost, u, v, flows, capacity)
-            units = min(supply[source], capacity[end])
+    for p, q in enumerate(cost.argmin(axis=1).tolist()):
+        units = min(supply[p], capacity[q])
+        if units:
+            flows[q][p] = units
+            supply[p] -= units
+            capacity[q] -= units
+    via = np.empty(len(capacity), dtype=np.intp)  # the row that reached each column
+    for source, left in enumerate(supply):
+        while left:
+            dist = np.full(len(capacity), inf)  # open columns' distances, inf once settled
+            open_v = v.copy()  # v, but -inf once settled, so no row improves them
+            reached = {source: 0.0}
+            back: dict[int, int] = {}  # the column that reached each row
+            settled, settled_dist = [], []
+            fresh = [source]
+            while True:
+                for p in fresh:
+                    reduced = cost[p] - open_v
+                    reduced += reached[p] - u[p]
+                    via[reduced < dist] = p
+                    np.minimum(dist, reduced, out=dist)
+                end = int(dist.argmin())
+                total = float(dist[end])
+                if capacity[end]:
+                    break
+                settled.append(end)
+                settled_dist.append(total)
+                dist[end] = inf
+                open_v[end] = -inf
+                fresh = []
+                for p in flows[end]:
+                    if p not in reached:
+                        reached[p] = total
+                        back[p] = end
+                        fresh.append(p)
+            # The path has length `total`; settled columns and the rows
+            # reached move by how much nearer than that they are.
+            v[settled] -= total - np.array(settled_dist)
+            u[list(reached)] += total - np.fromiter(reached.values(), float, len(reached))
+            units = min(left, capacity[end])
             forward, reverse = [], []
             q = end
             while True:
-                p = via[q]
+                p = int(via[q])
                 forward.append((p, q))
                 if p == source:
                     break
@@ -253,81 +237,8 @@ def _list_flows(cost: list[list[float]], supply: list[int],
                 flows[q][p] -= units
                 if not flows[q][p]:
                     del flows[q][p]
-            supply[source] -= units
+            left -= units
             capacity[end] -= units
-    return flows
-
-
-def _dense_col4row(cost: np.ndarray) -> np.ndarray:
-    """The column of each row in a minimum-cost assignment of every row of
-    an n x m cost matrix, n <= m.
-
-    Crouse's shortest augmenting path over numpy arrays: each Dijkstra step
-    relaxes the whole row of the row just reached in one vectorised update
-    of full-width arrays, where settled columns read as infinitely far, and
-    takes the nearest open column with one argmin. It starts from Jonker and
-    Volgenant's column reduction (Computing 38, 1987), run over the side
-    matched in full: each row's potential is its cheapest cost, and it takes
-    that column unless an earlier row did. The columns' potentials start at
-    0 and only settled columns lower theirs, so every unmatched column keeps
-    the largest potential, which makes the result optimal on rectangular
-    matrices too."""
-    n, m = cost.shape
-    inf = np.inf
-    u = cost.min(axis=1)
-    v = np.zeros(m)
-    col4row = np.full(n, -1)
-    row4col = np.full(m, -1)
-    cols, rows = np.unique(cost.argmin(axis=1), return_index=True)
-    col4row[rows] = cols
-    row4col[cols] = rows
-    via = np.empty(m, dtype=np.intp)  # the row that reached each column
-    for source in np.flatnonzero(col4row < 0).tolist():
-        dist = np.full(m, inf)  # open columns' distances, inf once settled
-        open_v = v.copy()  # v, but -inf once settled, so no row improves them
-        settled, settled_dist = [], []
-        row, row_dist = source, 0.0
-        while True:
-            reduced = cost[row] - open_v
-            reduced += row_dist - u[row]
-            closer = reduced < dist
-            via[closer] = row
-            np.minimum(dist, reduced, out=dist)
-            col = int(dist.argmin())
-            row_dist = float(dist[col])
-            settled.append(col)
-            settled_dist.append(row_dist)
-            dist[col] = inf
-            open_v[col] = -inf
-            row = int(row4col[col])
-            if row < 0:
-                break
-        # The path has length row_dist; settled columns and the rows they
-        # lead to move by how much nearer than that they are.
-        path_cols = np.array(settled)
-        gaps = row_dist - np.array(settled_dist)
-        v[path_cols] -= gaps
-        u[row4col[path_cols[:-1]]] += gaps[:-1]
-        u[source] += row_dist
-        while True:
-            row = int(via[col])
-            row4col[col] = row
-            col4row[row], col = col, col4row[row]
-            if row == source:
-                break
-    return col4row
-
-
-def _dense_flows(cost: np.ndarray, supply: list[int],
-                 capacity: list[int]) -> list[dict[int, int]]:
-    """`_list_flows` by expanding every group into its units and solving the
-    unit assignment with `_dense_col4row`."""
-    rows = np.repeat(np.arange(len(supply)), supply)
-    cols = np.repeat(np.arange(len(capacity)), capacity)
-    col4row = _dense_col4row(cost[np.ix_(rows, cols)])
-    flows: list[dict[int, int]] = [{} for _ in capacity]
-    for p, q in zip(rows.tolist(), cols[col4row].tolist()):
-        flows[q][p] = flows[q].get(p, 0) + 1
     return flows
 
 
@@ -351,15 +262,14 @@ def max_weight_assignment(scores: np.ndarray, row_counts=None,
     With unit counts this is the one-to-one assignment.
 
     Identical rows are interchangeable, and so are identical columns, so both
-    are merged into groups whose counts add up, and the transportation problem
-    between the groups is solved exactly: by `_list_flows`, or by expanding
-    the groups into units for the numpy solver `_dense_col4row` when there are
-    at least DENSE_MIN_GROUPS groups on both sides and at most twice as many
-    units as groups on each.
+    are merged into groups whose counts add up, and `_flows` solves the
+    transportation problem between the groups exactly.
     """
     matrix = np.asarray(scores, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError("score matrix must be two-dimensional")
+    if not np.isfinite(matrix).all():
+        raise ValueError("scores must be finite")
     row_counts = _counts(row_counts, matrix.shape[0])
     col_counts = _counts(col_counts, matrix.shape[1])
     if matrix.size == 0:
@@ -371,16 +281,12 @@ def max_weight_assignment(scores: np.ndarray, row_counts=None,
     row_members = _groups(matrix)
     col_members = _groups(matrix.T)
     # cost[p, q] between row group p and column group q, to be minimized.
-    cost = (matrix.take([members[0] for members in row_members], axis=0)
-            .take([members[0] for members in col_members], axis=1))
+    cost = matrix[np.ix_([members[0] for members in row_members],
+                         [members[0] for members in col_members])]
     np.negative(cost, out=cost)
     supply = [sum(row_counts[i] for i in members) for members in row_members]
     capacity = [sum(col_counts[j] for j in members) for members in col_members]
-    if (min(len(supply), len(capacity)) >= DENSE_MIN_GROUPS
-            and sum(supply) <= 2 * len(supply) and sum(capacity) <= 2 * len(capacity)):
-        flows = _dense_flows(cost, supply, capacity)
-    else:
-        flows = _list_flows(cost.tolist(), supply, capacity)
+    flows = _flows(cost, supply, capacity)
 
     row_units = [[i for i in members for _ in range(row_counts[i])] for members in row_members]
     col_units = [[j for j in members for _ in range(col_counts[j])] for members in col_members]

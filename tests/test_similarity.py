@@ -13,7 +13,6 @@ from bpmnkit import similarity
 from bpmnkit.embeddings import HashingEmbedder
 from bpmnkit.model import BpmnEdge, BpmnGraph, BpmnNode, ElementCategory, build_graph
 from bpmnkit.similarity import (
-    DENSE_MIN_GROUPS,
     NegativeInput,
     compare,
     degree_similarity,
@@ -500,55 +499,79 @@ def test_groups_tell_rows_of_one_hash_apart_by_their_bytes(monkeypatch):
     assert max_weight_assignment(matrix) == pairs
 
 
-@pytest.fixture
-def dense_calls(monkeypatch):
-    """Records the shape of every problem the numpy solver is given."""
-    calls = []
-    solve = similarity._dense_col4row
-
-    def recording(cost):
-        calls.append(cost.shape)
-        return solve(cost)
-
-    monkeypatch.setattr(similarity, "_dense_col4row", recording)
-    return calls
+@st.composite
+def counted_problems(draw):
+    """A small matrix of quarter steps, so scores tie, with 1-4 units per
+    row and column."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = draw(st.lists(st.integers(0, 4), min_size=n * m, max_size=n * m))
+    row_counts = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    col_counts = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+    return np.array(cells, dtype=np.float64).reshape(n, m) / 4, row_counts, col_counts
 
 
-def _forced(monkeypatch, matrix, dense, **counts):
-    """max_weight_assignment with the numpy solver on for every size, or off."""
-    monkeypatch.setattr(similarity, "DENSE_MIN_GROUPS", 1 if dense else 10**9)
-    return max_weight_assignment(matrix, **counts)
+@given(counted_problems())
+@settings(max_examples=300, deadline=None)
+def test_counted_assignment_is_optimal(problem):
+    optimize = pytest.importorskip("scipy.optimize")
+    matrix, row_counts, col_counts = problem
+    expanded = np.repeat(np.repeat(matrix, row_counts, axis=0), col_counts, axis=1)
+    rows, cols = optimize.linear_sum_assignment(expanded, maximize=True)
+    pairs = max_weight_assignment(matrix, row_counts=row_counts, col_counts=col_counts)
+    value = _assignment_value(matrix, pairs)
+    assert value == pytest.approx(expanded[rows, cols].sum(), abs=1e-9)
+    carried_rows = Counter(i for i, _ in pairs)
+    carried_cols = Counter(j for _, j in pairs)
+    assert all(carried_rows[i] <= count for i, count in enumerate(row_counts))
+    assert all(carried_cols[j] <= count for j, count in enumerate(col_counts))
+    assert len(pairs) == min(sum(row_counts), sum(col_counts))
+    flipped = max_weight_assignment(matrix.T, row_counts=col_counts, col_counts=row_counts)
+    assert _assignment_value(matrix.T, flipped) == pytest.approx(value, abs=1e-9)
 
 
-class TestDenseAssignment:
+def test_solver_gets_one_row_and_column_per_group(monkeypatch):
+    shapes = []
+    solve = similarity._flows
+
+    def recording(cost, supply, capacity):
+        shapes.append(cost.shape)
+        return solve(cost, supply, capacity)
+
+    monkeypatch.setattr(similarity, "_flows", recording)
+    rng = np.random.default_rng(9)
+    matrix = _tied_matrix(rng, 1003, 1003, 6, 6, decimals=3)
+    _check_pairs(matrix, max_weight_assignment(matrix))
+    pairs = max_weight_assignment(rng.random((3, 3)), row_counts=[400] * 3,
+                                  col_counts=[400] * 3)
+    assert len(pairs) == 1200
+    assert shapes == [(6, 6), (3, 3)]
+
+
+class TestFlows:
     @staticmethod
-    def _near_crossover():
+    def _mid_size():
         rng = np.random.default_rng(31)
-        low, high = DENSE_MIN_GROUPS - 8, DENSE_MIN_GROUPS + 9
         for _ in range(40):
-            n, m = (int(x) for x in rng.integers(low, high, size=2))
+            n, m = (int(x) for x in rng.integers(16, 33, size=2))
             yield rng.random((n, m))
             yield np.round(rng.random((n, m)), 1)
             # about 1.6 units per row and column group
             yield _tied_matrix(rng, n, m, n, m, decimals=1)
-        for k in (1, 2, 7, DENSE_MIN_GROUPS + 1):
+        for k in (1, 2, 7, 25):
             yield rng.random((1, k))
             yield np.round(rng.random((1, k)), 2)
 
-    def test_numpy_and_list_solvers_agree(self, monkeypatch, dense_calls):
-        cases = 0
-        for matrix in self._near_crossover():
+    def test_agrees_with_scipy_on_mid_size_matrices(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        for matrix in self._mid_size():
             for oriented in (matrix, matrix.T):
-                listed = _forced(monkeypatch, oriented, dense=False)
-                dense = _forced(monkeypatch, oriented, dense=True)
-                cases += 1
-                _check_pairs(oriented, listed)
-                _check_pairs(oriented, dense)
-                assert _assignment_value(oriented, dense) == pytest.approx(
-                    _assignment_value(oriented, listed), abs=1e-9)
-        assert len(dense_calls) == cases
+                pairs = max_weight_assignment(oriented)
+                _check_pairs(oriented, pairs)
+                rows, cols = optimize.linear_sum_assignment(oriented, maximize=True)
+                assert _assignment_value(oriented, pairs) == pytest.approx(
+                    oriented[rows, cols].sum(), abs=1e-9)
 
-    def test_agrees_with_scipy_on_large_rectangular_matrices(self, dense_calls):
+    def test_agrees_with_scipy_on_large_rectangular_matrices(self):
         optimize = pytest.importorskip("scipy.optimize")
         rng = np.random.default_rng(41)
         shapes = [(100, 400), (400, 100), (250, 180), (180, 250), (399, 400), (123, 321)]
@@ -559,9 +582,8 @@ class TestDenseAssignment:
                 rows, cols = optimize.linear_sum_assignment(matrix, maximize=True)
                 assert _assignment_value(matrix, pairs) == pytest.approx(
                     matrix[rows, cols].sum(), abs=1e-9)
-        assert len(dense_calls) == 2 * len(shapes)
 
-    def test_counts_equal_the_expanded_matrix(self, dense_calls):
+    def test_counts_equal_the_expanded_matrix(self):
         rng = np.random.default_rng(43)
         for case in range(120):
             n, m = (int(x) for x in rng.integers(1, 50, size=2))
@@ -582,14 +604,22 @@ class TestDenseAssignment:
             assert all(cols[j] <= col_counts[j] for j in cols)
             assert _assignment_value(matrix, pairs) == pytest.approx(
                 _assignment_value(expanded, max_weight_assignment(expanded)), abs=1e-9)
-        assert dense_calls
 
     @pytest.mark.parametrize("counts", [[1, 1], [1, 0, 1], [1, 1, -2]])
     def test_counts_must_be_positive_and_one_per_row(self, counts):
         with pytest.raises(ValueError):
             max_weight_assignment(np.ones((3, 2)), row_counts=counts)
 
-    def test_semantic_set_similarity_scores_distinct_texts_with_counts(self, dense_calls):
+    @pytest.mark.parametrize("score", [np.nan, np.inf, -np.inf])
+    def test_scores_must_be_finite(self, score):
+        # A column no row can reach would leave the shortest path search
+        # without an end.
+        matrix = np.array([[0.5, 0.1], [0.4, 0.2]])
+        matrix[:, 1] = score
+        with pytest.raises(ValueError):
+            max_weight_assignment(matrix)
+
+    def test_semantic_set_similarity_scores_distinct_texts_with_counts(self):
         embedder = HashingEmbedder()
         texts1 = [f"task {i % 60}" for i in range(90)] + ["startEvent"] * 5
         texts2 = [f"task {i % 50}" for i in range(70)] + ["endEvent", "task 99"]
@@ -599,4 +629,3 @@ class TestDenseAssignment:
         expected = _assignment_value(full, max_weight_assignment(full)) / len(texts1)
         assert semantic_set_similarity(texts1, texts2, embedder) == pytest.approx(
             expected, abs=1e-12)
-        assert (72, 95) in dense_calls
