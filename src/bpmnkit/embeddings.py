@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import io
+import itertools
 import os
 import re
 import threading
@@ -31,7 +32,7 @@ TIMEOUT = 30.0
 ENV_ENDPOINT = "BPMNKIT_EMBED_ENDPOINT"
 ENV_MODEL = "BPMNKIT_EMBED_MODEL"
 
-_TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
+_TOKEN = re.compile(r"[0-9a-z]+")
 
 
 class RemoteUnavailable(RuntimeError):
@@ -74,8 +75,9 @@ def make_provider(cfg: ProviderConfig) -> "EmbeddingProvider":
     return provider
 
 
-def _tokenize(text: str) -> list[str]:
-    return [tok for tok in _TOKEN_SPLIT.split(text.lower()) if tok]
+def _tokens(text: str) -> list[str]:
+    """The runs of ASCII letters and digits in the lower-cased text."""
+    return _TOKEN.findall(text.lower())
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -99,24 +101,27 @@ class HashingEmbedder:
         return self.embed_batch([text])[0]
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
-        """One row per text: the signed counts of its tokens' buckets, built
-        for all rows by one bincount, then scaled to unit norm (a text without
-        tokens stays zero). The counts are small integers, so the norms are
-        exact and a row does not depend on the rest of the batch."""
+        """One row per text: the signed counts of its tokens' buckets, scaled
+        to unit norm (a text without tokens stays zero). Each text is
+        tokenized once and each distinct token of the batch hashed once; one
+        gather of the tokens' buckets and signs and one bincount then build
+        all rows. The counts are small integers, so the norms are exact and a
+        row does not depend on the rest of the batch."""
         dim = self.dimension
-        index: list[int] = []
-        signs: list[float] = []
-        for row, text in enumerate(texts):
-            base = row * dim
-            for token in _tokenize(text):
-                bucket, sign = _bucket_and_sign(token, dim)
-                index.append(base + bucket)
-                signs.append(sign)
-        counts = np.bincount(index, weights=signs, minlength=len(texts) * dim)
+        tokens = [_tokens(text) for text in texts]
+        flat = list(itertools.chain.from_iterable(tokens))
+        distinct = {token: i for i, token in enumerate(dict.fromkeys(flat))}
+        ids = np.fromiter(map(distinct.__getitem__, flat), np.intp, len(flat))
+        # (bucket, sign) per distinct token, shape (0, 2) when there are none
+        hashed = np.array([_bucket_and_sign(token, dim) for token in distinct]).reshape(-1, 2)
+        index = np.repeat(np.arange(len(texts)) * dim, [len(row) for row in tokens])
+        index += hashed[ids, 0].astype(np.intp)
+        counts = np.bincount(index, weights=hashed[ids, 1], minlength=len(texts) * dim)
         # a bincount of no entries is int64 even with weights
         vectors = counts.astype(np.float64, copy=False).reshape(len(texts), dim)
-        norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-        np.divide(vectors, norms, out=vectors, where=norms > 0)
+        norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors))
+        norms[norms == 0] = 1.0
+        vectors /= norms[:, None]
         return vectors
 
 

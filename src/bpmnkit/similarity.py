@@ -163,30 +163,51 @@ def _flows(cost: np.ndarray, supply: list[int],
     Crouse's successive shortest paths (IEEE TAES 2016) on the capacitated
     problem, each path carrying as many units as it can; with unit supplies
     and capacities this is the Hungarian algorithm. It starts from Jonker and
-    Volgenant's column reduction (Computing 38, 1987): each row's potential
-    is its cheapest cost, and it sends as many units as fit to that column.
+    Volgenant's row reduction with reduction transfer (Computing 38, 1987).
+    Each row's potential u is its cheapest cost, column potentials v are 0,
+    and each row sends as many units as fit to its cheapest column. Then
+    each column the start filled lowers v by the smallest gap between the
+    second-cheapest and the cheapest cost of the rows that send to it, and
+    those rows raise u by as much: their units stay on arcs of reduced cost
+    0, the reduced costs stay non-negative, and a later path reroutes them
+    for less. Columns left with spare capacity keep v = 0.
 
     A row reaches every column (reduced cost cost[p, q] - u[p] - v[q]), a
     full column reaches the rows that send it units (reduced cost 0), and a
     column with spare capacity ends the path. Each Dijkstra step relaxes the
     whole row of a row just reached in one vectorised update of full-width
     arrays, where settled columns read as infinitely far, and takes the
-    nearest open column with one argmin. Column potentials start at 0 and
-    only settled full columns lower theirs, so every column with spare
-    capacity keeps the largest potential, which makes the result optimal
-    when capacity is left over."""
+    nearest open column with one argmin. Only full columns ever lower their
+    potential, in the start or once settled, so every column with spare
+    capacity keeps v = 0, the largest potential, which makes the result
+    optimal when capacity is left over. `cost` is modified during the start
+    and restored."""
     supply = list(supply)
     capacity = list(capacity)
     inf = np.inf
-    u = cost.min(axis=1)
+    rows = np.arange(len(supply))
+    cheapest = cost.argmin(axis=1)
+    u = cost[rows, cheapest]
     v = np.zeros(len(capacity))
     flows: list[dict[int, int]] = [{} for _ in capacity]
-    for p, q in enumerate(cost.argmin(axis=1).tolist()):
+    targets = cheapest.tolist()
+    for p, q in enumerate(targets):
         units = min(supply[p], capacity[q])
         if units:
             flows[q][p] = units
             supply[p] -= units
             capacity[q] -= units
+    if any(supply):  # so one column is full and another is not: two or more columns
+        senders = np.array([p for p, q in enumerate(targets) if not capacity[q] and p in flows[q]],
+                           dtype=np.intp)
+        filled = cheapest[senders]
+        cost[rows, cheapest] = inf  # each row's second-cheapest cost, without a copy
+        gap = cost.min(axis=1)[senders] - u[senders]
+        cost[rows, cheapest] = u
+        transfer = np.full(len(capacity), inf)
+        np.minimum.at(transfer, filled, gap)
+        u[senders] += transfer[filled]
+        v[filled] = -transfer[filled]
     via = np.empty(len(capacity), dtype=np.intp)  # the row that reached each column
     for source, left in enumerate(supply):
         while left:

@@ -10,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bpmnkit import embeddings
 from bpmnkit.atomic import write_atomic
@@ -25,6 +26,17 @@ from bpmnkit.embeddings import (
     cosine,
     make_provider,
 )
+
+
+def _reference_vector(text, dimension):
+    """The hashing embedding of one text, token by token."""
+    vec = np.zeros(dimension)
+    for token in re.split(r"[^0-9a-z]+", text.lower()):
+        if token:
+            digest = hashlib.md5(token.encode("utf-8")).digest()
+            vec[int.from_bytes(digest[:8], "big") % dimension] += 1.0 if digest[8] & 1 else -1.0
+    norm = float(np.linalg.norm(vec))
+    return vec / norm if norm > 0 else vec
 
 
 class TestHashingEmbedder:
@@ -85,22 +97,28 @@ class TestHashingEmbedder:
 
     @pytest.mark.parametrize("dimension", [DEFAULT_DIMENSION, 7])
     def test_vectors_equal_an_inline_md5_reference(self, dimension):
-        def reference(text):
-            vec = np.zeros(dimension)
-            for token in re.split(r"[^0-9a-z]+", text.lower()):
-                if token:
-                    digest = hashlib.md5(token.encode("utf-8")).digest()
-                    vec[int.from_bytes(digest[:8], "big") % dimension] += (
-                        1.0 if digest[8] & 1 else -1.0)
-            norm = float(np.linalg.norm(vec))
-            return vec / norm if norm > 0 else vec
-
         texts = ["Approve order", "Check-Stock 2", "审批贷款", "审批 loan 贷款", "Заявка x",
                  "", "   ", "order order order", "a b a", "x1 y2 x1 x1"]
         embedder = HashingEmbedder(dimension)
         for _ in range(2):  # the second pass reads every token from the memo
             for text, vec in zip(texts, embedder.embed_batch(texts)):
-                assert np.array_equal(vec, reference(text)), text
+                assert np.array_equal(vec, _reference_vector(text, dimension)), text
+
+    @given(st.lists(st.one_of(
+        st.text(),  # any Unicode, mostly without an ASCII token
+        st.text(alphabet="ab xy-İ", max_size=30),  # repeated tokens; "İ" lowers to two code points
+        st.from_regex(r"[0-9 ]*", fullmatch=True),  # digits only, or nothing
+    ), max_size=12), st.sampled_from([7, DEFAULT_DIMENSION]))
+    @settings(max_examples=200, deadline=None)
+    def test_batch_equals_a_per_token_reference_loop(self, texts, dimension):
+        embedder = HashingEmbedder(dimension)
+        batch = embedder.embed_batch(texts)
+        assert batch.shape == (len(texts), dimension)
+        assert batch.dtype == np.float64
+        for text, row in zip(texts, batch):
+            assert row.tobytes() == _reference_vector(text, dimension).tobytes()
+            # a row does not depend on the rest of its batch
+            assert row.tobytes() == embedder.embed_batch([text])[0].tobytes()
 
     def test_dimension_is_configurable(self):
         small = HashingEmbedder(dimension=16)

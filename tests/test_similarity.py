@@ -629,3 +629,47 @@ class TestFlows:
         expected = _assignment_value(full, max_weight_assignment(full)) / len(texts1)
         assert semantic_set_similarity(texts1, texts2, embedder) == pytest.approx(
             expected, abs=1e-12)
+
+
+def _counted_cases(seed, count):
+    """Seeded (matrix, row_counts, col_counts) cases: shapes up to 40 x 60 in
+    both orientations, thin ones among them, with quarter-step, 0/1,
+    negative or continuous scores and 1-4 units per row and column."""
+    rng = np.random.default_rng(seed)
+    thin = [(1, 1), (1, 7), (7, 1), (1, 60), (60, 1), (3, 50), (50, 3), (2, 40)]
+    for case in range(count):
+        if case < 4 * len(thin):  # each thin shape with each kind of score
+            n, m = thin[case // 4]
+        else:
+            n, m = int(rng.integers(1, 41)), int(rng.integers(1, 61))
+            if case % 2:
+                n, m = m, n
+        kind = case % 4
+        if kind == 0:
+            matrix = rng.integers(0, 5, (n, m)) / 4
+        elif kind == 1:
+            matrix = rng.integers(0, 2, (n, m)).astype(np.float64)
+        elif kind == 2:
+            matrix = rng.integers(-4, 5, (n, m)) / 4
+        else:
+            matrix = rng.random((n, m)) - 0.5
+        units = 1 if case % 3 == 0 else 4  # unit counts in a third of the cases
+        yield (matrix, [int(c) for c in rng.integers(1, units + 1, n)],
+               [int(c) for c in rng.integers(1, units + 1, m)])
+
+
+def test_counted_assignment_equals_scipy_on_the_expanded_matrix():
+    optimize = pytest.importorskip("scipy.optimize")
+    for matrix, row_counts, col_counts in _counted_cases(seed=15, count=400):
+        expanded = np.repeat(np.repeat(matrix, row_counts, axis=0), col_counts, axis=1)
+        rows, cols = optimize.linear_sum_assignment(expanded, maximize=True)
+        pairs = max_weight_assignment(matrix, row_counts=row_counts, col_counts=col_counts)
+        assert _assignment_value(matrix, pairs) == pytest.approx(
+            expanded[rows, cols].sum(), abs=1e-9)
+        assert len(pairs) == min(sum(row_counts), sum(col_counts))
+        carried_rows = Counter(i for i, _ in pairs)
+        carried_cols = Counter(j for _, j in pairs)
+        assert set(carried_rows) <= set(range(len(row_counts)))
+        assert set(carried_cols) <= set(range(len(col_counts)))
+        assert all(carried_rows[i] <= count for i, count in enumerate(row_counts))
+        assert all(carried_cols[j] <= count for j, count in enumerate(col_counts))
