@@ -20,10 +20,9 @@ from pathlib import Path
 from typing import Protocol, Sequence
 
 import numpy as np
-import requests
 
 from .atomic import write_atomic
-from .llm import retry
+from .llm import post_json, retry
 
 DEFAULT_DIMENSION = 384
 BATCH_SIZE = 32
@@ -97,9 +96,6 @@ class HashingEmbedder:
         self.dimension = dimension
         self.cache_key = f"hashing-fallback:{dimension}"
 
-    def embed_one(self, text: str) -> np.ndarray:
-        return self.embed_batch([text])[0]
-
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         """One row per text: the signed counts of its tokens' buckets, scaled
         to unit norm (a text without tokens stays zero). Each text is
@@ -132,20 +128,17 @@ class RemoteEmbedder:
         self.dimension = DEFAULT_DIMENSION
         self.cache_key = f"remote:{model or 'default'}@{endpoint}"
 
-    def _post(self, payload: dict) -> dict:
-        response = requests.post(self.endpoint, json=payload, timeout=TIMEOUT)
-        response.raise_for_status()
-        return response.json()
-
     def _request_chunk(self, chunk: list[str]) -> np.ndarray:
-        def post() -> dict:
+        def post() -> np.ndarray:
             try:
-                return self._post({"model": self.model, "input": chunk})
-            except (requests.RequestException, ValueError) as exc:
+                reply = post_json(self.endpoint, {"model": self.model, "input": chunk}, TIMEOUT)
+                if not isinstance(reply, dict) or not isinstance(reply.get("embeddings"), list):
+                    raise TypeError("reply has no embeddings list")
+                return np.asarray(reply["embeddings"], dtype=np.float64)
+            except (OSError, TypeError, ValueError) as exc:
                 raise RemoteUnavailable(f"embedding service failed: {exc}") from exc
 
-        data = retry(post, RemoteUnavailable)
-        vectors = np.asarray(data["embeddings"], dtype=np.float64)
+        vectors = retry(post, RemoteUnavailable)
         if vectors.shape != (len(chunk), self.dimension):
             raise DimensionMismatch(
                 f"service returned shape {vectors.shape}, expected ({len(chunk)}, {self.dimension})"
@@ -253,16 +246,3 @@ class CachingEmbedder:
                 found[text] = self._load(self._path(text))
             missing = [text for text in waits if found[text] is None]
         return np.stack([found[text] for text in texts])
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity; 0.0 when either vector has zero norm."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"vector shapes differ: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))

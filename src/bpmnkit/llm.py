@@ -3,7 +3,8 @@
 ``HttpChatClient`` speaks the common JSON chat protocol
 (``{model, messages, temperature, max_tokens}`` ->
 ``{choices: [{message: {content}}]}``) and retries through ``retry``, the
-transport retry policy it shares with the remote embedder.
+transport retry policy it shares with the remote embedder; ``post_json`` is
+the one HTTP call both make.
 ``MockChatClient`` replays a scripted response list for offline runs and
 records every prompt it receives.
 """
@@ -15,10 +16,10 @@ import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import jsonschema
-import requests
+if TYPE_CHECKING:
+    import jsonschema
 
 ENV_LLM_ENDPOINT = "BPMNKIT_LLM_ENDPOINT"
 ENV_LLM_MODEL = "BPMNKIT_LLM_MODEL"
@@ -73,6 +74,32 @@ MAX_TOKENS = 4096
 TIMEOUT = 120.0
 
 
+def post_json(url: str, payload, timeout: float):
+    """POST ``payload`` as JSON to ``url`` and return the decoded JSON reply.
+    Raises TimeoutError when no reply comes within ``timeout`` seconds, and
+    OSError for any other failed call: a bad URL, a refused connection, an
+    HTTP error status (307/308 included), a reply cut short or not JSON."""
+    # imported on first use: with ssl they take tens of ms to load
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    try:
+        request = urllib.request.Request(url, json.dumps(payload).encode("utf-8"),
+                                         {"Content-Type": "application/json"})
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            return json.loads(response.read())
+    except urllib.error.HTTPError as exc:
+        exc.close()  # the error reply holds the connection
+        raise
+    except urllib.error.URLError as exc:
+        if isinstance(exc.reason, TimeoutError):  # timed out while connecting
+            raise TimeoutError(exc.reason) from exc
+        raise
+    except (http.client.HTTPException, ValueError) as exc:
+        raise OSError(exc) from exc
+
+
 def retry(call, errors, retry_count: int = 2):
     """``call()``, retried on ``errors`` up to ``retry_count`` times, sleeping
     ``0.5 * 2**attempt`` seconds before each retry."""
@@ -104,14 +131,15 @@ class HttpChatClient:
             "max_tokens": MAX_TOKENS,
         }
         try:
-            response = requests.post(self.endpoint, json=payload, timeout=TIMEOUT)
-            response.raise_for_status()
-            data = response.json()
-            return data["choices"][0]["message"]["content"]
-        except requests.Timeout as exc:
+            reply = post_json(self.endpoint, payload, TIMEOUT)
+            content = reply["choices"][0]["message"]["content"]
+            if not isinstance(content, str):
+                raise TypeError(f"reply content is {type(content).__name__}, not a string")
+        except TimeoutError as exc:
             raise LlmTimeout(f"chat completion timed out: {exc}") from exc
-        except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
+        except (OSError, LookupError, TypeError) as exc:
             raise LlmUnavailable(f"chat completion failed: {exc}") from exc
+        return content
 
 
 class MockChatClient:
@@ -233,7 +261,9 @@ def _validator(schema: dict) -> jsonschema.protocols.Validator:
     immutable: one is never checked again."""
     cached = _VALIDATORS.get(id(schema))
     if cached is None:
-        cls = jsonschema.validators.validator_for(schema)
+        from jsonschema.validators import validator_for
+
+        cls = validator_for(schema)
         cls.check_schema(schema)
         cached = _VALIDATORS[id(schema)] = (schema, cls(schema))
     return cached[1]
@@ -248,9 +278,11 @@ def parse_json_with_retry(client, messages: Sequence[ChatMessage], response: str
     Returns (validated payload, raw response text).
     """
     def parse(raw: str):
+        from jsonschema.exceptions import best_match
+
         payload = extract_json(raw)
         # the error jsonschema.validate(payload, schema) would raise
-        error = jsonschema.exceptions.best_match(_validator(schema).iter_errors(payload))
+        error = best_match(_validator(schema).iter_errors(payload))
         if error is not None:
             raise ValueError(error.message) from error
         return payload

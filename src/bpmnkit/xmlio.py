@@ -73,12 +73,6 @@ class BpmnDocument:
     def copy(self) -> "BpmnDocument":
         return BpmnDocument(deepcopy(self.root), dict(self.nsmap))
 
-    def find_by_id(self, element_id: str) -> ET.Element | None:
-        for elem in self.root.iter():
-            if elem.get("id") == element_id:
-                return elem
-        return None
-
     def element_ids(self) -> set[str]:
         return {e.get("id") for e in self.root.iter() if e.get("id")}
 
@@ -242,10 +236,6 @@ def tree_equal(a: ET.Element, b: ET.Element) -> bool:
     if len(a) != len(b):
         return False
     return all(tree_equal(ca, cb) for ca, cb in zip(a, b))
-
-
-def documents_equal(a: BpmnDocument, b: BpmnDocument) -> bool:
-    return tree_equal(a.root, b.root)
 
 
 # --- diagram interchange ------------------------------------------------------

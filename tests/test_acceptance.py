@@ -29,9 +29,9 @@ from bpmnkit.pipeline import (
     translate_model,
 )
 from bpmnkit.similarity import compare, js_divergence, max_weight_assignment
-from bpmnkit.xmlio import documents_equal, parse, serialize
+from bpmnkit.xmlio import parse, serialize, tree_equal
 
-from conftest import FIXTURES, fixture_bytes, fixture_path, load_doc
+from conftest import FIXTURES, element_by_id, fixture_bytes, fixture_path, load_doc
 
 EXPECTED = json.loads((FIXTURES / "expected_breakdowns.json").read_text())
 
@@ -151,7 +151,7 @@ def test_criterion_6_round_trip_and_translation_safety():
     with criterion(6, "round-trip and translation safety"):
         for path in sorted(FIXTURES.glob("*.bpmn")):
             doc = parse(path.read_bytes())
-            assert documents_equal(doc, parse(serialize(doc))), path.name
+            assert tree_equal(doc.root, parse(serialize(doc)).root), path.name
 
         doc = load_doc("unicode.bpmn")
         mapping = {
@@ -164,7 +164,7 @@ def test_criterion_6_round_trip_and_translation_safety():
         client = MockChatClient([json.dumps(mapping, ensure_ascii=False)])
         translated, warnings = translate_model(doc, client, threshold=0.8)
         assert warnings == []
-        assert translated.find_by_id("task_check").get("name") == "Check"
+        assert element_by_id(translated, "task_check").get("name") == "Check"
 
         # byte-diff is scoped: restoring the configured locations restores the bytes
         reverted = translated.copy()
@@ -175,7 +175,7 @@ def test_criterion_6_round_trip_and_translation_safety():
             "end_1": "Bestellung abgeschlossen",
         }
         for element_id, name in originals.items():
-            reverted.find_by_id(element_id).set("name", name)
+            element_by_id(reverted, element_id).set("name", name)
         documentation = next(e for e in reverted.root.iter()
                              if e.tag.endswith("documentation"))
         documentation.text = "Überprüfung der eingegangenen Bestellung"

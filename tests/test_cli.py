@@ -5,11 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import requests
 
 from bpmnkit.cli import EXIT_FAILURE, EXIT_NONCOMPLIANT, EXIT_OK, main
 
-from conftest import FakeResponse, fixture_path, flaky_chat_post
+from conftest import fixture_path, flaky_chat
 
 
 def _run(capsys, *argv):
@@ -248,26 +247,31 @@ class TestConfigPrecedence:
         settings = resolve_config(args)
         assert settings["llm_endpoint"] == "http://flag.invalid"
 
-    def test_embed_flags_override_env(self, capsys, monkeypatch):
+    def test_embed_flags_override_env(self, capsys, monkeypatch, loopback):
         monkeypatch.setenv("BPMNKIT_EMBED_ENDPOINT", "http://env.invalid")
         monkeypatch.setenv("BPMNKIT_EMBED_MODEL", "env-model")
-        posted = []
-
-        def fake_post(url, json=None, timeout=None):
-            posted.append((url, json["model"]))
-            return FakeResponse({"embeddings": np.eye(384)[:len(json["input"])].tolist()})
-
-        monkeypatch.setattr(requests, "post", fake_post)
+        loopback.answer = lambda body: {"embeddings": np.eye(384)[:len(body["input"])].tolist()}
         model = str(fixture_path("chain3.bpmn"))
         code, _, _ = _run(capsys, "compare", model, model,
-                          "--embed-endpoint", "http://flag.invalid",
+                          "--embed-endpoint", loopback.url("/flag"),
                           "--embed-model", "flag-model")
         assert code == EXIT_OK
-        assert posted
-        assert set(posted) == {("http://flag.invalid", "flag-model")}
+        assert loopback.posts
+        assert {(path, body["model"]) for path, _, body in loopback.posts} == {
+            ("/flag", "flag-model")}
 
 
 class TestMalformedInputs:
+    def test_embedding_reply_without_embeddings_fails_cleanly(self, capsys, loopback, sleeps):
+        loopback.answer = lambda body: {"data": []}
+        model = str(fixture_path("chain3.bpmn"))
+        code, out, err = _run(capsys, "compare", model, model,
+                              "--embed-endpoint", loopback.url(), "--embed-model", "m")
+        assert code == EXIT_FAILURE
+        assert out == ""
+        assert err == "error: embedding service failed: reply has no embeddings list\n"
+        assert sleeps == [0.5, 1.0]
+
     def test_config_that_is_not_an_object_fails_cleanly(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         config.write_text("[1, 2]")
@@ -367,20 +371,41 @@ class TestMalformedInputs:
 
 
 class TestLlmRetries:
-    def test_http_retries_back_off(self, capsys, tmp_path, monkeypatch):
+    def test_http_retries_back_off(self, capsys, tmp_path, monkeypatch, loopback, sleeps):
         monkeypatch.delenv("BPMNKIT_LLM_ENDPOINT", raising=False)
         monkeypatch.delenv("BPMNKIT_LLM_MODEL", raising=False)
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"llm_endpoint": "http://llm.invalid/v1/chat",
+        config.write_text(json.dumps({"llm_endpoint": loopback.url("/v1/chat"),
                                       "llm_model": "test-model", "llm_retry_count": 2}))
-        posts, sleeps = flaky_chat_post(monkeypatch, failures=2)
+        flaky_chat(loopback, failures=2)
         out_file = tmp_path / "description.txt"
         code, _, _ = _run(capsys, "describe", str(fixture_path("diamond.bpmn")),
                           "-o", str(out_file), "--config", str(config))
         assert code == EXIT_OK
         assert out_file.read_text() == "recovered"
-        assert len(posts) == 3
+        assert len(loopback.posts) == 3
         assert sleeps == [0.5, 1.0]
+
+    @pytest.mark.parametrize("command", ["describe", "translate", "reconstruct"])
+    def test_reply_without_text_content_fails_cleanly(self, capsys, tmp_path, monkeypatch,
+                                                      loopback, sleeps, command):
+        monkeypatch.delenv("BPMNKIT_LLM_ENDPOINT", raising=False)
+        monkeypatch.delenv("BPMNKIT_LLM_MODEL", raising=False)
+        loopback.answer = lambda body: {"choices": [{"message": {"content": None}}]}
+        source = fixture_path("unicode.bpmn")
+        if command == "reconstruct":
+            source = tmp_path / "description.txt"
+            source.write_text("A clerk checks the order, then ships it.")
+        out_file = tmp_path / "out"
+        code, _, err = _run(capsys, command, str(source),
+                            "-o", str(out_file), "--llm-endpoint", loopback.url(),
+                            "--llm-model", "test-model")
+        assert code == EXIT_FAILURE
+        assert err == ("error: chat completion failed: "
+                       "reply content is NoneType, not a string\n")
+        assert len(loopback.posts) == 3
+        assert sleeps == [0.5, 1.0]
+        assert not out_file.exists()
 
 
 class TestBatchErrorIsolation:

@@ -11,7 +11,7 @@ from bpmnkit.compliance import (
 )
 from bpmnkit.xmlio import qname
 
-from conftest import load_doc
+from conftest import element_by_id, load_doc
 
 SEEDED_DEFECTS = [
     ("r1_missing_default.bpmn", RuleCode.R1_DEFAULT_FLOW, "gw_route"),
@@ -57,7 +57,7 @@ def test_non_bpmn_document_surfaces_as_r5():
 
 def test_default_referencing_foreign_flow_is_r1():
     doc = load_doc("diamond.bpmn")
-    gateway = doc.find_by_id("gw_split")
+    gateway = element_by_id(doc, "gw_split")
     gateway.set("default", "flow_out")  # not one of its outgoing flows
     report = validate(doc)
     codes = [(d.code, d.element_id) for d in report.diagnostics]
@@ -76,7 +76,7 @@ def test_parallel_gateways_need_no_conditions():
 
 def test_unresolved_flow_reference_is_r4():
     doc = load_doc("chain3.bpmn")
-    flow = doc.find_by_id("flow_2")
+    flow = element_by_id(doc, "flow_2")
     flow.set("targetRef", "ghost")
     report = validate(doc)
     assert (RuleCode.R4_CONNECTIVITY, "flow_2") in [
@@ -126,9 +126,9 @@ def test_compliant_document_really_satisfies_gateway_rules():
 
 def test_diagnostics_ordered_by_document_position():
     doc = load_doc("r1_missing_default.bpmn")
-    gateway = doc.find_by_id("gw_route")
+    gateway = element_by_id(doc, "gw_route")
     # also remove the condition from the later flow_full to add an R2
-    flow = doc.find_by_id("flow_full")
+    flow = element_by_id(doc, "flow_full")
     for child in list(flow):
         flow.remove(child)
     report = validate(doc)

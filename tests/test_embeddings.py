@@ -23,9 +23,10 @@ from bpmnkit.embeddings import (
     ProviderConfig,
     RemoteEmbedder,
     RemoteUnavailable,
-    cosine,
     make_provider,
 )
+
+from conftest import Reply, scripted
 
 
 def _reference_vector(text, dimension):
@@ -55,13 +56,13 @@ class TestHashingEmbedder:
         assert np.allclose(norms, 1.0, atol=1e-6)
 
     def test_word_order_does_not_matter(self, embedder):
-        a = embedder.embed_one("approve the order")
-        b = embedder.embed_one("order the approve")
+        a = embedder.embed_batch(["approve the order"])[0]
+        b = embedder.embed_batch(["order the approve"])[0]
         assert np.array_equal(a, b)
 
     def test_tokenization_is_case_and_punctuation_insensitive(self, embedder):
-        a = embedder.embed_one("Approve-Order!")
-        b = embedder.embed_one("approve order")
+        a = embedder.embed_batch(["Approve-Order!"])[0]
+        b = embedder.embed_batch(["approve order"])[0]
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("dimension", [DEFAULT_DIMENSION, 7])
@@ -70,7 +71,7 @@ class TestHashingEmbedder:
         texts = ["alpha", "beta gamma", "", "审批", "beta beta beta gamma", "alpha"]
         batch = embedder.embed_batch(texts)
         for i, text in enumerate(texts):
-            assert np.array_equal(batch[i], embedder.embed_one(text))
+            assert np.array_equal(batch[i], embedder.embed_batch([text])[0])
 
     @pytest.mark.parametrize("dimension", [DEFAULT_DIMENSION, 7])
     def test_empty_batch_has_no_rows(self, dimension):
@@ -88,10 +89,10 @@ class TestHashingEmbedder:
 
     def test_shared_tokens_raise_cosine(self, embedder):
         # bag-of-words overlap: 2 shared tokens of 2 vs 3 -> 2/sqrt(6)
-        close = cosine(embedder.embed_one("approve order"),
-                       embedder.embed_one("approve the order"))
-        far = cosine(embedder.embed_one("approve order"),
-                     embedder.embed_one("reject shipment"))
+        base, near, other = embedder.embed_batch(
+            ["approve order", "approve the order", "reject shipment"])
+        close = float(base @ near)  # the rows are unit vectors
+        far = float(base @ other)
         assert close == pytest.approx(2 / np.sqrt(6))
         assert close > far
 
@@ -127,85 +128,54 @@ class TestHashingEmbedder:
             HashingEmbedder(dimension=0)
 
 
-class TestCosine:
-    def test_self_cosine_is_one(self, embedder):
-        vec = embedder.embed_one("notify customer")
-        assert cosine(vec, vec) == pytest.approx(1.0)
-
-    def test_orthogonal_unit_vectors(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_antipodal(self):
-        vec = np.array([0.6, 0.8])
-        assert cosine(vec, -vec) == pytest.approx(-1.0)
-
-    def test_zero_vector_scores_zero(self):
-        assert cosine(np.zeros(4), np.ones(4)) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            cosine(np.ones(3), np.ones(4))
-
-
-class _FakeRemote(RemoteEmbedder):
-    def __init__(self, responses):
-        super().__init__("http://embed.invalid/v1", "test-model")
-        self._responses = list(responses)
-        self.requests_made = 0
-        self.payloads = []
-
-    def _post(self, payload):
-        self.requests_made += 1
-        self.payloads.append(payload)
-        entry = self._responses.pop(0)
-        if isinstance(entry, Exception):
-            raise entry
-        return entry
-
-
 def _fake_vectors(n):
     return {"embeddings": [[1.0] + [0.0] * (DEFAULT_DIMENSION - 1)] * n}
 
 
 class TestRemoteEmbedder:
-    def test_happy_path_normalizes(self):
-        remote = _FakeRemote([{"embeddings": [[3.0, 4.0] + [0.0] * (DEFAULT_DIMENSION - 2)]}])
-        vecs = remote.embed_batch(["x"])
+    def test_happy_path_normalizes(self, loopback):
+        vector = [3.0, 4.0] + [0.0] * (DEFAULT_DIMENSION - 2)
+        loopback.answer = lambda body: {"embeddings": [vector]}
+        vecs = RemoteEmbedder(loopback.url(), "test-model").embed_batch(["x"])
         assert vecs[0][:2] == pytest.approx([0.6, 0.8])
-        assert remote.payloads == [{"model": "test-model", "input": ["x"]}]
+        assert loopback.posts == [("/v1", "application/json",
+                                   {"model": "test-model", "input": ["x"]})]
 
-    def test_chunks_by_batch_size(self):
-        remote = _FakeRemote([_fake_vectors(32), _fake_vectors(1)])
-        vecs = remote.embed_batch([f"text {i}" for i in range(33)])
+    def test_chunks_by_batch_size(self, loopback):
+        loopback.answer = scripted(_fake_vectors(32), _fake_vectors(1))
+        vecs = RemoteEmbedder(loopback.url(), "test-model").embed_batch(
+            [f"text {i}" for i in range(33)])
         assert vecs.shape == (33, DEFAULT_DIMENSION)
-        assert [len(payload["input"]) for payload in remote.payloads] == [32, 1]
+        assert [len(body["input"]) for _, _, body in loopback.posts] == [32, 1]
 
-    def test_retries_then_succeeds(self, monkeypatch):
-        import requests
-
-        sleeps = []
-        monkeypatch.setattr(time, "sleep", sleeps.append)
-        remote = _FakeRemote([requests.ConnectionError("down")] * 2 + [_fake_vectors(1)])
+    def test_retries_then_succeeds(self, loopback, sleeps):
+        loopback.answer = scripted(Reply(status=503), Reply(status=503), _fake_vectors(1))
+        remote = RemoteEmbedder(loopback.url(), "test-model")
         assert remote.embed_batch(["a"]).shape == (1, DEFAULT_DIMENSION)
-        assert remote.requests_made == 3
+        assert len(loopback.posts) == 3
         assert sleeps == [0.5, 1.0]
 
-    def test_gives_up_after_retries(self, monkeypatch):
-        import requests
-
-        sleeps = []
-        monkeypatch.setattr(time, "sleep", sleeps.append)
-        failures = [requests.ConnectionError("down")] * 3
-        remote = _FakeRemote(failures)
+    def test_gives_up_after_retries(self, loopback, sleeps):
+        loopback.answer = lambda body: Reply(status=503)
         with pytest.raises(RemoteUnavailable):
-            remote.embed_batch(["a"])
-        assert remote.requests_made == 3
+            RemoteEmbedder(loopback.url(), "test-model").embed_batch(["a"])
+        assert len(loopback.posts) == 3
         assert sleeps == [0.5, 1.0]
 
-    def test_wrong_width_is_dimension_mismatch(self):
-        remote = _FakeRemote([{"embeddings": [[1.0, 0.0]]}])
+    def test_wrong_width_is_dimension_mismatch(self, loopback):
+        loopback.answer = lambda body: {"embeddings": [[1.0, 0.0]]}
         with pytest.raises(DimensionMismatch):
-            remote.embed_batch(["a"])
+            RemoteEmbedder(loopback.url(), "test-model").embed_batch(["a"])
+        assert len(loopback.posts) == 1
+
+    @pytest.mark.parametrize("reply", [{"data": []}, {"embeddings": None}, [[1.0]], "text"])
+    def test_reply_without_embeddings_list_is_unavailable(self, loopback, sleeps, reply):
+        loopback.answer = lambda body: reply
+        with pytest.raises(RemoteUnavailable,
+                           match="^embedding service failed: reply has no embeddings list$"):
+            RemoteEmbedder(loopback.url(), "test-model").embed_batch(["a"])
+        assert len(loopback.posts) == 3
+        assert sleeps == [0.5, 1.0]
 
 
 class _CountingEmbedder(HashingEmbedder):
@@ -234,8 +204,8 @@ class TestCache:
         cached.embed_batch(["alpha"])
         out = cached.embed_batch(["alpha", "beta"])
         assert inner.batches == 2
-        assert np.array_equal(out[0], inner.embed_one("alpha"))
-        assert np.array_equal(out[1], inner.embed_one("beta"))
+        assert np.array_equal(out[0], inner.embed_batch(["alpha"])[0])
+        assert np.array_equal(out[1], inner.embed_batch(["beta"])[0])
 
     def test_truncated_entry_is_a_miss_and_gets_rewritten(self, tmp_path):
         inner = _CountingEmbedder()
@@ -246,7 +216,7 @@ class TestCache:
         path.write_bytes(whole[:len(whole) // 2])
         out = cached.embed_batch(["approve order"])
         assert inner.batches == 2
-        assert np.array_equal(out[0], inner.embed_one("approve order"))
+        assert np.array_equal(out[0], inner.embed_batch(["approve order"])[0])
         assert path.read_bytes() == whole
         assert [p.name for p in path.parent.iterdir()] == [path.name]
 
@@ -267,7 +237,7 @@ class TestCache:
         np.save(path, stored)
         out = cached.embed_batch(["approve order"])
         assert inner.batches == 1
-        assert np.array_equal(out[0], inner.embed_one("approve order"))
+        assert np.array_equal(out[0], inner.embed_batch(["approve order"])[0])
 
     def test_repeated_miss_is_embedded_and_written_once(self, tmp_path, monkeypatch):
         writes = []

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import json
+import urllib.error
+import urllib.request
 
 import jsonschema
 import pytest
-import requests
 
 from bpmnkit import pipeline
 from bpmnkit.llm import (
@@ -21,7 +22,7 @@ from bpmnkit.llm import (
     user,
 )
 
-from conftest import FakeResponse, flaky_chat_post
+from conftest import flaky_chat
 
 MESSAGES = [system("You are a test."), user("Say hi.")]
 
@@ -63,41 +64,39 @@ class TestMockClient:
 
 
 class TestHttpChatClient:
-    ENDPOINT = "http://llm.invalid/v1/chat"
-
-    def test_posts_the_standard_chat_shape(self, monkeypatch):
-        seen = {}
-
-        def fake_post(url, json=None, timeout=None):
-            seen["url"] = url
-            seen["payload"] = json
-            return FakeResponse({"choices": [{"message": {"content": "pong"}}]})
-
-        monkeypatch.setattr(requests, "post", fake_post)
-        client = HttpChatClient(self.ENDPOINT, "test-model")
+    def test_posts_the_standard_chat_shape(self, loopback):
+        loopback.answer = lambda body: {"choices": [{"message": {"content": "pong"}}]}
+        client = HttpChatClient(loopback.url("/v1/chat"), "test-model")
         assert complete(client, MESSAGES) == "pong"
-        assert seen["url"] == "http://llm.invalid/v1/chat"
-        assert seen["payload"] == {
+        assert loopback.posts == [("/v1/chat", "application/json", {
             "model": "test-model",
             "messages": [{"role": "system", "content": "You are a test."},
                          {"role": "user", "content": "Say hi."}],
             "temperature": 0.0,
             "max_tokens": 4096,
-        }
+        })]
 
     def test_timeout_maps_to_llm_timeout(self, monkeypatch):
-        def fake_post(url, json=None, timeout=None):
-            raise requests.Timeout("too slow")
+        def urlopen(request, timeout):
+            raise urllib.error.URLError(TimeoutError("timed out"))
 
-        monkeypatch.setattr(requests, "post", fake_post)
-        with pytest.raises(LlmTimeout):
-            HttpChatClient(self.ENDPOINT, "test-model").complete_once(MESSAGES)
+        # a connect timeout comes wrapped in a URLError
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        with pytest.raises(LlmTimeout, match="^chat completion timed out: timed out$"):
+            HttpChatClient("http://127.0.0.1:9/v1/chat", "test-model").complete_once(MESSAGES)
 
-    def test_malformed_reply_maps_to_unavailable(self, monkeypatch):
-        monkeypatch.setattr(requests, "post",
-                            lambda url, json=None, timeout=None: FakeResponse({"oops": 1}))
+    def test_malformed_reply_maps_to_unavailable(self, loopback):
+        loopback.answer = lambda body: {"oops": 1}
         with pytest.raises(LlmUnavailable):
-            HttpChatClient(self.ENDPOINT, "test-model").complete_once(MESSAGES)
+            HttpChatClient(loopback.url(), "test-model").complete_once(MESSAGES)
+
+    @pytest.mark.parametrize("content", [None, 5, ["text"]])
+    def test_content_that_is_not_a_string_is_unavailable(self, loopback, sleeps, content):
+        loopback.answer = lambda body: {"choices": [{"message": {"content": content}}]}
+        with pytest.raises(LlmUnavailable, match="^chat completion failed: reply content is "):
+            HttpChatClient(loopback.url(), "test-model").complete(MESSAGES)
+        assert len(loopback.posts) == 3
+        assert sleeps == [0.5, 1.0]
 
     def test_requires_endpoint_and_model(self):
         with pytest.raises(ValueError):
@@ -105,19 +104,17 @@ class TestHttpChatClient:
 
 
 class TestRetries:
-    ENDPOINT = "http://llm.invalid/v1/chat"
-
-    def test_two_failures_then_success(self, monkeypatch):
-        posts, sleeps = flaky_chat_post(monkeypatch, failures=2)
-        assert HttpChatClient(self.ENDPOINT, "test-model", 2).complete(MESSAGES) == "recovered"
-        assert len(posts) == 3
+    def test_two_failures_then_success(self, loopback, sleeps):
+        flaky_chat(loopback, failures=2)
+        assert HttpChatClient(loopback.url(), "test-model", 2).complete(MESSAGES) == "recovered"
+        assert len(loopback.posts) == 3
         assert sleeps == [0.5, 1.0]
 
-    def test_persistent_failure_exhausts(self, monkeypatch):
-        posts, sleeps = flaky_chat_post(monkeypatch, failures=10)
+    def test_persistent_failure_exhausts(self, loopback, sleeps):
+        flaky_chat(loopback, failures=10)
         with pytest.raises(LlmUnavailable):
-            HttpChatClient(self.ENDPOINT, "test-model", 2).complete(MESSAGES)
-        assert len(posts) == 2 + 1
+            HttpChatClient(loopback.url(), "test-model", 2).complete(MESSAGES)
+        assert len(loopback.posts) == 2 + 1
         assert sleeps == [0.5, 1.0]
 
     def test_messages_must_start_with_system(self):

@@ -16,9 +16,9 @@ from bpmnkit.pipeline import (
     reconstruct,
     translate_model,
 )
-from bpmnkit.xmlio import documents_equal, serialize
+from bpmnkit.xmlio import serialize, tree_equal
 
-from conftest import fixture_path, load_doc
+from conftest import element_by_id, fixture_path, load_doc
 
 DESCRIPTION = "Orders are registered, checked against inventory, then confirmed."
 
@@ -41,15 +41,15 @@ class TestTranslateModel:
         translated, warnings = translate_model(doc, client)
         assert warnings == []
         assert _ids(translated) == _ids(doc)
-        assert translated.find_by_id("task_check").get("name") == "Check"
-        assert translated.find_by_id("task_ship").get("name") == "Prepare shipping"
+        assert element_by_id(translated, "task_check").get("name") == "Check"
+        assert element_by_id(translated, "task_ship").get("name") == "Prepare shipping"
 
     def test_document_without_strings_skips_llm(self):
         doc = load_doc("r6_empty_process.bpmn")
         client = MockChatClient([])
         translated, warnings = translate_model(doc, client)
         assert client.call_count == 0
-        assert documents_equal(doc, translated)
+        assert tree_equal(doc.root, translated.root)
 
     def test_whitespace_perturbed_keys_resolved_fuzzily(self):
         doc = load_doc("unicode.bpmn")
@@ -63,8 +63,8 @@ class TestTranslateModel:
         client = MockChatClient([json.dumps(mapping, ensure_ascii=False)])
         translated, warnings = translate_model(doc, client, threshold=0.8)
         assert warnings == []
-        assert translated.find_by_id("task_check").get("name") == "Check"
-        assert translated.find_by_id("start_1").get("name") == "Order received"
+        assert element_by_id(translated, "task_check").get("name") == "Check"
+        assert element_by_id(translated, "start_1").get("name") == "Order received"
 
     def test_prompt_carries_unique_strings_once(self):
         doc = load_doc("unicode.bpmn")
@@ -85,7 +85,7 @@ class TestCorrectModel:
         result = correct_model(doc, client)
         assert result.iterations == 0
         assert result.report.compliant
-        assert documents_equal(doc, result.document)
+        assert tree_equal(doc.root, result.document.root)
         assert client.call_count == 0
 
     def test_local_repair_fixes_missing_default(self):
@@ -101,12 +101,12 @@ class TestCorrectModel:
                                simple_threshold=0)  # force local repair
         assert result.iterations == 1
         assert result.report.compliant
-        assert result.document.find_by_id("gw_route").get("default") == "flow_fast"
+        assert element_by_id(result.document, "gw_route").get("default") == "flow_fast"
 
     def test_regenerate_mode_for_small_models(self):
         doc = load_doc("r1_missing_default.bpmn")
         fixed = load_doc("r1_missing_default.bpmn")
-        fixed.find_by_id("gw_route").set("default", "flow_fast")
+        element_by_id(fixed, "gw_route").set("default", "flow_fast")
         client = MockChatClient([serialize(fixed).decode("utf-8")])
         result = correct_model(doc, client, limit=3)
         assert result.iterations == 1
@@ -128,7 +128,7 @@ class TestCorrectModel:
         client = MockChatClient(_repair_script([sabotage]) * 2)
         result = correct_model(doc, client, limit=2, simple_threshold=0)
         assert result.report.error_count <= before_errors
-        assert result.document.find_by_id("end_1") is not None
+        assert element_by_id(result.document, "end_1") is not None
         assert any("rolled back" in w for e in result.log for w in e["warnings"])
 
     def test_unknown_repair_target_skipped_with_warning(self):
@@ -144,7 +144,7 @@ class TestCorrectModel:
         client = MockChatClient(_repair_script([action]))
         result = correct_model(doc, client, limit=1, simple_threshold=0)
         assert not result.report.compliant
-        assert result.document.find_by_id("gw_route") is not None
+        assert element_by_id(result.document, "gw_route") is not None
         assert result.log[0]["warnings"] == ["action carries no new_xml; skipped"]
 
     def test_augment_appends_child(self):
@@ -166,7 +166,7 @@ class TestCorrectModel:
 
     def test_di_is_stripped_while_prompting_and_reattached(self):
         doc = load_doc("diamond.bpmn")
-        doc.find_by_id("gw_split").attrib.pop("default")
+        element_by_id(doc, "gw_split").attrib.pop("default")
         fix = {
             "action": "modify",
             "target_id": "gw_split",

@@ -12,7 +12,6 @@ from bpmnkit.xmlio import (
     BPMNDI_NS,
     MissingBpmnNamespace,
     XmlSyntaxError,
-    documents_equal,
     extract_strings,
     levenshtein,
     normalized_similarity,
@@ -25,7 +24,7 @@ from bpmnkit.xmlio import (
     unique_values,
 )
 
-from conftest import ALL_FIXTURES, fixture_bytes, load_doc
+from conftest import ALL_FIXTURES, element_by_id, fixture_bytes, load_doc
 
 MINIMAL = b"""<?xml version="1.0" encoding="UTF-8"?>
 <bpmn:definitions xmlns:bpmn="http://www.omg.org/spec/BPMN/20100524/MODEL" id="d1">
@@ -69,7 +68,7 @@ class TestSerialize:
     def test_round_trip_tree_equality(self, name):
         doc = parse(fixture_bytes(name))
         again = parse(serialize(doc))
-        assert documents_equal(doc, again)
+        assert tree_equal(doc.root, again.root)
 
     @pytest.mark.parametrize("name", ALL_FIXTURES)
     def test_serialize_is_deterministic(self, name):
@@ -112,14 +111,14 @@ class TestDiagramInterchange:
         doc = load_doc("chain3.bpmn")
         stripped, di = strip_di(doc)
         assert di.entries == []
-        assert documents_equal(doc, stripped)
+        assert tree_equal(doc.root, stripped.root)
 
     def test_strip_then_reattach_restores_tree(self):
         doc = load_doc("diamond.bpmn")
         stripped, di = strip_di(doc)
         restored, dropped = reattach_di(stripped, di)
         assert dropped == 0
-        assert documents_equal(doc, restored)
+        assert tree_equal(doc.root, restored.root)
 
     def test_interleaved_diagrams_return_to_their_positions(self):
         doc = parse(f"""<definitions xmlns="{BPMN_NS}" xmlns:di="{BPMNDI_NS}">
@@ -141,7 +140,7 @@ class TestDiagramInterchange:
           <di:BPMNDiagram id="top"/></definitions>""")
         stripped, di = strip_di(doc)
         assert [entry.element.get("id") for entry in di.entries] == ["top"]
-        assert stripped.find_by_id("nested") is not None
+        assert element_by_id(stripped, "nested") is not None
 
     def test_stale_shape_is_dropped_and_counted(self):
         doc = load_doc("diamond.bpmn")
@@ -165,7 +164,7 @@ class TestDiagramInterchange:
         ET.SubElement(process, qname("userTask"), {"id": "task_new", "name": "Extra"})
         restored, dropped = reattach_di(stripped, di)
         assert dropped == 0
-        assert restored.find_by_id("task_new") is not None
+        assert element_by_id(restored, "task_new") is not None
 
 
 class TestExtractStrings:
@@ -216,31 +215,31 @@ class TestReinsertStrings:
     def test_exact_replacement(self):
         doc = load_doc("unicode.bpmn")
         translated, warnings = reinsert_strings(doc, {"Prüfen": "Check"})
-        task = translated.find_by_id("task_check")
+        task = element_by_id(translated, "task_check")
         assert task.get("name") == "Check"
 
     def test_fuzzy_match_over_threshold(self):
         doc = load_doc("unicode.bpmn")
         translated, _ = reinsert_strings(doc, {"Prüfen ": "Check"})
-        assert translated.find_by_id("task_check").get("name") == "Check"
+        assert element_by_id(translated, "task_check").get("name") == "Check"
 
     def test_low_similarity_left_untouched(self):
         doc = load_doc("unicode.bpmn")
         translated, warnings = reinsert_strings(doc, {"zzzz": "nope"})
-        assert translated.find_by_id("task_check").get("name") == "Prüfen"
+        assert element_by_id(translated, "task_check").get("name") == "Prüfen"
         assert warnings
 
     def test_untargeted_content_is_byte_identical(self):
         doc = load_doc("unicode.bpmn")
         translated, _ = reinsert_strings(doc, {"Prüfen": "Check"})
         # revert the one change; everything else must serialize identically
-        translated.find_by_id("task_check").set("name", "Prüfen")
+        element_by_id(translated, "task_check").set("name", "Prüfen")
         assert serialize(translated) == serialize(doc)
 
     def test_original_document_not_mutated(self):
         doc = load_doc("unicode.bpmn")
         reinsert_strings(doc, {"Prüfen": "Check"})
-        assert doc.find_by_id("task_check").get("name") == "Prüfen"
+        assert element_by_id(doc, "task_check").get("name") == "Prüfen"
 
 
 class TestFuzzySimilarity:
