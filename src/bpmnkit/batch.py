@@ -192,16 +192,18 @@ class _Truth:
 
 
 def _evaluate_pair(model_id: str, truth: _Truth, recon_path: Path) -> dict:
-    """The pair's breakdown, with its graph-build warnings when there are some."""
+    """The pair's breakdown, with its graph-build warnings when there are
+    some, or its error; either way with the two paths compared."""
+    record = {"model_id": model_id, "truth": str(truth.path), "reconstruction": str(recon_path)}
     try:
         g1, w1 = truth.build()
         g2, w2 = build_graph(parse(recon_path.read_bytes()))
-        record = {"model_id": model_id, "breakdown": compare(g1, g2, truth.vectors).to_dict()}
+        record["breakdown"] = compare(g1, g2, truth.vectors).to_dict()
         if w1 or w2:
             record["warnings"] = [f"truth: {w}" for w in w1] + [f"reconstruction: {w}" for w in w2]
-        return record
     except Exception as exc:  # per-pair failures are recorded, not fatal
-        return {"model_id": model_id, "error": f"{type(exc).__name__}: {exc}"}
+        record["error"] = f"{type(exc).__name__}: {exc}"
+    return record
 
 
 def _read_record(path: Path) -> dict | None:
@@ -240,8 +242,8 @@ def batch_evaluate(pairs: list[tuple[str | Path, str | Path]],
     """Compare all (ground truth, reconstruction) pairs. The pairs of one
     truth form one task, which parses, builds and embeds the truth once;
     up to ``jobs`` tasks run at a time. With ``results_dir``, each pair result
-    is written to ``<pair-id>.json`` and already-present results are reused
-    (resume)."""
+    is written to ``<pair-id>.json``, and a stored result is reused (resume)
+    when it names the same truth and reconstruction paths."""
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     ids = _unique_stems([truth for truth, _ in pairs])
@@ -252,11 +254,14 @@ def batch_evaluate(pairs: list[tuple[str | Path, str | Path]],
     records: list[dict] = []
     tasks: dict[Path, list[tuple[str, Path]]] = {}
     for model_id, (truth, recon) in zip(ids, pairs):
+        truth, recon = Path(truth), Path(recon)
         record = _read_record(out_dir / f"{model_id}.json") if out_dir is not None else None
-        if record is not None:
+        # a pair id can name another pair in an earlier run with other pairs
+        if record is not None and (record.get("truth"), record.get("reconstruction")) \
+                == (str(truth), str(recon)):
             records.append(record)
         else:
-            tasks.setdefault(Path(truth), []).append((model_id, Path(recon)))
+            tasks.setdefault(truth, []).append((model_id, recon))
 
     def work(task: tuple[Path, list[tuple[str, Path]]]) -> list[dict]:
         truth_path, todo = task

@@ -11,15 +11,7 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 
 from .model import ATTACHMENT_TAG, DocumentIndex
-from .xmlio import (
-    BPMNDI_NS,
-    DC_NS,
-    DI_NS,
-    BpmnDocument,
-    DiagramInterchange,
-    DiEntry,
-    DocumentWithoutProcess,
-)
+from .xmlio import BPMNDI_NS, DC_NS, DI_NS, BpmnDocument, DocumentWithoutProcess
 
 NODE_WIDTH = 100
 NODE_HEIGHT = 80
@@ -28,19 +20,15 @@ STEP_X = NODE_WIDTH + GAP
 STEP_Y = NODE_HEIGHT + GAP
 
 
-def auto_layout(doc: BpmnDocument) -> DiagramInterchange:
-    """Produce one BPMNDiagram per process, with a shape for every flow node
-    and an edge for every resolvable sequence flow."""
+def auto_layout(doc: BpmnDocument) -> list[ET.Element]:
+    """Draw one BPMNDiagram per process, with a shape for every flow node and
+    an edge for every resolvable sequence flow. The document is not modified."""
     processes = doc.processes()
     if not processes:
         raise DocumentWithoutProcess("no process definition found")
 
     index = DocumentIndex(doc)
-    entries = []
-    for offset, process in enumerate(processes):
-        diagram = _layout_process(index, process, offset)
-        entries.append(DiEntry(len(doc.root) + offset, diagram))
-    return DiagramInterchange(entries)
+    return [_layout_process(index, process, offset) for offset, process in enumerate(processes)]
 
 
 def _layout_process(index: DocumentIndex, process: ET.Element, offset: int) -> ET.Element:

@@ -32,8 +32,6 @@ from .model import build_graph
 from .xmlio import (
     BpmnDocument,
     DocumentWithoutProcess,
-    MissingBpmnNamespace,
-    XmlSyntaxError,
     extract_strings,
     parse,
     reattach_di,
@@ -370,8 +368,8 @@ def translate_model(doc: BpmnDocument, client,
 # --- correction loop -----------------------------------------------------------
 
 
-def correct_model(doc: BpmnDocument, client, limit: int = 5, simple_threshold: int = 10,
-                  log_path: str | Path | None = None) -> CorrectionResult:
+def correct_model(doc: BpmnDocument, client, limit: int = 5,
+                  simple_threshold: int = 10) -> CorrectionResult:
     """Validate-and-repair until compliance or ``limit`` iterations.
 
     DI is stripped while prompting and reattached afterward. Small models
@@ -411,12 +409,6 @@ def correct_model(doc: BpmnDocument, client, limit: int = 5, simple_threshold: i
         log.append(entry)
 
     result_doc, _dropped = reattach_di(working, di)
-    if log_path is not None:
-        path = Path(log_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("a", encoding="utf-8") as handle:
-            for entry in log:
-                handle.write(json.dumps(entry) + "\n")
     return CorrectionResult(result_doc, report, len(log), log)
 
 
@@ -444,7 +436,7 @@ def _apply_correction(doc: BpmnDocument, response: str, mode: str,
     if mode == "regenerate":
         try:
             return parse(extract_xml(response))
-        except (ValueError, XmlSyntaxError, MissingBpmnNamespace) as exc:
+        except ValueError as exc:  # XmlSyntaxError and MissingBpmnNamespace too
             warnings.append(f"regenerated model rejected: {exc}")
             return None
     try:
@@ -470,10 +462,12 @@ def _apply_repair_actions(doc: BpmnDocument, actions: list,
         if kind not in _REPAIR_ACTIONS or not target_id:
             warnings.append(f"skipped malformed action {action!r}")
             continue
-        target, parent = _find_with_parent(new_doc, target_id)
+        # the first element in document order owns an id, as in DocumentIndex
+        target = next((e for e in new_doc.root.iter() if e.get("id") == target_id), None)
         if target is None:
             warnings.append(f"repair target {target_id!r} not found; action skipped")
             continue
+        parent = next((e for e in new_doc.root.iter() if target in e), None)
         if kind == "delete":
             if parent is None:
                 warnings.append("cannot delete the document root; action skipped")
@@ -494,19 +488,6 @@ def _apply_repair_actions(doc: BpmnDocument, actions: list,
             parent.remove(target)
             parent.insert(index, fragment)
     return new_doc
-
-
-def _find_with_parent(doc: BpmnDocument, element_id: str):
-    if doc.root.get("id") == element_id:
-        return doc.root, None
-    stack = [doc.root]
-    while stack:
-        parent = stack.pop()
-        for child in parent:
-            if child.get("id") == element_id:
-                return child, parent
-            stack.append(child)
-    return None, None
 
 
 def _parse_fragment(fragment_xml, doc: BpmnDocument, warnings: list[str]):
@@ -576,6 +557,8 @@ def reconstruct(description: str, client, run_dir: str | Path | None = None,
     parsed and validated; a non-compliant model enters the correction loop,
     and DI layout is appended only after compliance. Raises
     ReconstructionNonCompliant (artifacts attached) when correction fails.
+    ``run_dir`` receives ``stage1.json``-``stage5.json``, ``stage6.bpmn`` and
+    one line per correction iteration appended to ``correction.log.jsonl``.
     """
     if not description.strip():
         raise ValueError("description must be non-empty")
@@ -613,15 +596,16 @@ def reconstruct(description: str, client, run_dir: str | Path | None = None,
 
     report = validate(doc)
     if not report.compliant:
-        log_path = run_path / "correction.log.jsonl" if run_path is not None else None
-        result = correct_model(doc, client, correction_limit, simple_threshold, log_path)
+        result = correct_model(doc, client, correction_limit, simple_threshold)
         doc, report = result.document, result.report
+        if run_path is not None:
+            with (run_path / "correction.log.jsonl").open("a", encoding="utf-8") as handle:
+                handle.writelines(json.dumps(entry) + "\n" for entry in result.log)
     if not report.compliant:
         raise ReconstructionNonCompliant(report, artifacts, doc)
 
     try:
-        di = auto_layout(doc)
-        doc, _ = reattach_di(doc, di)
+        doc.root.extend(auto_layout(doc))
     except DocumentWithoutProcess:
         logger.warning("reconstructed document has no process; skipping layout")
     return doc, artifacts

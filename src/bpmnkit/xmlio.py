@@ -14,7 +14,7 @@ import unicodedata
 import xml.etree.ElementTree as ET
 from copy import deepcopy
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -241,40 +241,28 @@ def tree_equal(a: ET.Element, b: ET.Element) -> bool:
 # --- diagram interchange ------------------------------------------------------
 
 
-class DiEntry(NamedTuple):
-    """A detached diagram and its position among the children of the root."""
-
-    index: int
-    element: ET.Element
-
-
-@dataclass
-class DiagramInterchange:
-    """Detached BPMNDI subtrees, with enough context to reinsert them."""
-
-    entries: list[DiEntry] = field(default_factory=list)
-
-
-def strip_di(doc: BpmnDocument) -> tuple[BpmnDocument, DiagramInterchange]:
+def strip_di(doc: BpmnDocument) -> tuple[BpmnDocument, list[tuple[int, ET.Element]]]:
     """Detach the BPMNDiagram children of ``definitions``, the only place
-    BPMN 2.0 allows them. The input document is not modified."""
+    BPMN 2.0 allows them, as (position among those children, diagram) pairs.
+    The input document is not modified."""
     new_doc = doc.copy()
-    entries = [DiEntry(index, child) for index, child in enumerate(new_doc.root)
-               if child.tag == f"{{{BPMNDI_NS}}}BPMNDiagram"]
-    for entry in entries:
-        new_doc.root.remove(entry.element)
-    return new_doc, DiagramInterchange(entries)
+    diagrams = [(index, child) for index, child in enumerate(new_doc.root)
+                if child.tag == f"{{{BPMNDI_NS}}}BPMNDiagram"]
+    for _, diagram in diagrams:
+        new_doc.root.remove(diagram)
+    return new_doc, diagrams
 
 
-def reattach_di(doc: BpmnDocument, di: DiagramInterchange) -> tuple[BpmnDocument, int]:
-    """Reinsert detached DI. Shapes/edges whose referenced semantic element no
-    longer exists are dropped; returns the document and the drop count.
-    """
+def reattach_di(doc: BpmnDocument,
+                diagrams: list[tuple[int, ET.Element]]) -> tuple[BpmnDocument, int]:
+    """Reinsert the (position, diagram) pairs of ``strip_di``, dropping shapes
+    and edges whose semantic element no longer exists; returns the document
+    and the drop count."""
     new_doc = doc.copy()
     ids = new_doc.element_ids()
     dropped = 0
-    for entry in di.entries:
-        diagram = deepcopy(entry.element)
+    for index, detached in diagrams:
+        diagram = deepcopy(detached)
         for parent in list(diagram.iter()):
             for child in list(parent):
                 if local_name(child.tag) in ("BPMNShape", "BPMNEdge"):
@@ -282,7 +270,7 @@ def reattach_di(doc: BpmnDocument, di: DiagramInterchange) -> tuple[BpmnDocument
                     if ref and ref not in ids:
                         parent.remove(child)
                         dropped += 1
-        new_doc.root.insert(entry.index, diagram)
+        new_doc.root.insert(index, diagram)
     if dropped:
         logger.info("reattach_di dropped %d stale DI shape(s)/edge(s)", dropped)
     return new_doc, dropped

@@ -69,13 +69,29 @@ class TestBatchEvaluate:
         batch_evaluate(pairs, embedder, results_dir=tmp_path)
         marker = tmp_path / "chain3.json"
         assert marker.exists()
-        poisoned = {"model_id": "chain3", "breakdown": {
+        paths = {"truth": str(pairs[0][0]), "reconstruction": str(pairs[0][1])}
+        poisoned = {"model_id": "chain3", **paths, "breakdown": {
             dim: 0.25 for dim in ("structural", "type_distribution", "semantic_name",
                                   "semantic_type", "semantic_name_type", "overall")}}
         marker.write_text(json.dumps(poisoned))
         report = batch_evaluate(pairs, embedder, results_dir=tmp_path)
         # the stored result was reused, not recomputed
         assert report.averages["overall"] == pytest.approx(0.25)
+
+    def test_resume_recomputes_a_result_stored_for_other_paths(self, embedder, tmp_path):
+        for folder, name in (("a", "chain3.bpmn"), ("b", "diamond.bpmn")):
+            (tmp_path / folder).mkdir()
+            (tmp_path / folder / "x.bpmn").write_bytes(fixture_path(name).read_bytes())
+        a_pair = (tmp_path / "a" / "x.bpmn", fixture_path("chain4.bpmn"))
+        b_pair = (tmp_path / "b" / "x.bpmn", fixture_path("parallel.bpmn"))
+        results = tmp_path / "results"
+        batch_evaluate([b_pair], embedder, results_dir=results)
+        # with a/x first, its id "x" names the file b/x was stored under
+        resumed = batch_evaluate([a_pair, b_pair], embedder, results_dir=results)
+        fresh = batch_evaluate([a_pair, b_pair], embedder)
+        assert resumed.to_dict() == fresh.to_dict()
+        stored = json.loads((results / "x.json").read_text())
+        assert (stored["truth"], stored["reconstruction"]) == tuple(map(str, a_pair))
 
     @pytest.mark.parametrize("damage", ["truncated", "no_model_id"])
     def test_resume_recomputes_a_damaged_result(self, embedder, tmp_path, damage):
@@ -135,8 +151,8 @@ class TestBatchEvaluate:
 
     def test_clean_pair_result_has_no_warnings_key(self, embedder, tmp_path):
         batch_evaluate(_pairs(("chain3.bpmn", "diamond.bpmn")), embedder, results_dir=tmp_path)
-        assert set(json.loads((tmp_path / "chain3.json").read_text())) == {"model_id",
-                                                                           "breakdown"}
+        assert set(json.loads((tmp_path / "chain3.json").read_text())) == {
+            "model_id", "truth", "reconstruction", "breakdown"}
 
     def test_invalid_jobs_rejected(self, embedder):
         with pytest.raises(ValueError):
@@ -214,8 +230,11 @@ class TestSharedTruths:
         pairs = [(truth, fixture_path("chain3.bpmn")), (truth, fixture_path("chain4.bpmn")),
                  (fixture_path("diamond.bpmn"), fixture_path("diamond.bpmn"))]
         report = batch_evaluate(pairs, embedder, jobs=2)
-        assert report.errors == [{"model_id": "truth", "error": error},
-                                 {"model_id": "truth_1", "error": error}]
+        assert report.errors == [
+            {"model_id": "truth", "truth": str(truth), "reconstruction": str(pairs[0][1]),
+             "error": error},
+            {"model_id": "truth_1", "truth": str(truth), "reconstruction": str(pairs[1][1]),
+             "error": error}]
         assert [r["model_id"] for r in report.per_model] == ["diamond"]
 
     def test_truth_warnings_reach_every_pair(self, embedder, tmp_path):

@@ -80,8 +80,8 @@ def test_graph_layout_and_compliance_agree_on_flow_nodes(xml):
     graph, _ = build_graph(doc)
     flow_nodes = {node.id for node in graph.nodes if node.category in FLOW_NODES}
 
-    shapes = [shape for entry in auto_layout(doc).entries
-              for shape in entry.element.iter(f"{{{BPMNDI_NS}}}BPMNShape")]
+    shapes = [shape for diagram in auto_layout(doc)
+              for shape in diagram.iter(f"{{{BPMNDI_NS}}}BPMNShape")]
     assert {shape.get("bpmnElement") for shape in shapes} == flow_nodes
     shape_ids = [shape.get("id") for shape in shapes]
     assert len(shape_ids) == len(set(shape_ids))

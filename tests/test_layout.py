@@ -10,7 +10,6 @@ from bpmnkit.xmlio import (
     DocumentWithoutProcess,
     local_name,
     parse,
-    reattach_di,
     serialize,
     strip_di,
 )
@@ -18,10 +17,10 @@ from bpmnkit.xmlio import (
 from conftest import CLEAN_FIXTURES, load_doc
 
 
-def _shapes(di):
+def _shapes(diagrams):
     shapes = {}
-    for entry in di.entries:
-        for elem in entry.element.iter():
+    for diagram in diagrams:
+        for elem in diagram.iter():
             if local_name(elem.tag) == "BPMNShape":
                 bounds = elem[0]
                 shapes[elem.get("bpmnElement")] = (
@@ -30,8 +29,7 @@ def _shapes(di):
 
 
 def test_chain_lays_out_on_the_grid():
-    di = auto_layout(load_doc("chain3.bpmn"))
-    shapes = _shapes(di)
+    shapes = _shapes(auto_layout(load_doc("chain3.bpmn")))
     assert shapes["start_1"] == (0, 0)
     assert shapes["task_1"] == (STEP_X, 0)
     assert shapes["end_1"] == (2 * STEP_X, 0)
@@ -39,8 +37,7 @@ def test_chain_lays_out_on_the_grid():
 
 
 def test_diamond_branches_share_layer_with_distinct_rows():
-    di = auto_layout(load_doc("diamond.bpmn"))
-    shapes = _shapes(di)
+    shapes = _shapes(auto_layout(load_doc("diamond.bpmn")))
     approve = shapes["task_approve"]
     reject = shapes["task_reject"]
     assert approve[0] == reject[0] == 2 * STEP_X
@@ -49,9 +46,9 @@ def test_diamond_branches_share_layer_with_distinct_rows():
 
 
 def test_empty_process_yields_empty_plane():
-    di = auto_layout(load_doc("r6_empty_process.bpmn"))
-    assert len(di.entries) == 1
-    plane = di.entries[0].element[0]
+    diagrams = auto_layout(load_doc("r6_empty_process.bpmn"))
+    assert len(diagrams) == 1
+    plane = diagrams[0][0]
     assert local_name(plane.tag) == "BPMNPlane"
     assert len(plane) == 0
 
@@ -60,10 +57,9 @@ def test_empty_process_yields_empty_plane():
 def test_every_flow_node_gets_exactly_one_shape(name):
     doc = load_doc(name)
     stripped, _ = strip_di(doc)
-    di = auto_layout(stripped)
     shape_refs = []
-    for entry in di.entries:
-        for elem in entry.element.iter():
+    for diagram in auto_layout(stripped):
+        for elem in diagram.iter():
             if local_name(elem.tag) == "BPMNShape":
                 shape_refs.append(elem.get("bpmnElement"))
     flow_nodes = [
@@ -78,25 +74,27 @@ def test_every_flow_node_gets_exactly_one_shape(name):
 def test_layout_is_deterministic():
     doc = load_doc("loan-approval.bpmn")
     stripped, _ = strip_di(doc)
-    first, _ = reattach_di(stripped, auto_layout(stripped))
-    second, _ = reattach_di(stripped, auto_layout(stripped))
+    first, second = stripped.copy(), stripped.copy()
+    first.root.extend(auto_layout(stripped))
+    second.root.extend(auto_layout(stripped))
     assert serialize(first) == serialize(second)
 
 
 def test_layout_output_parses_as_valid_di():
     doc = load_doc("boundary.bpmn")
-    di = auto_layout(doc)
-    attached, dropped = reattach_di(doc, di)
-    assert dropped == 0
-    again = parse(serialize(attached))
+    diagrams = auto_layout(doc)
+    ids = doc.element_ids()
+    assert all(e.get("bpmnElement") in ids
+               for diagram in diagrams for e in diagram.iter() if e.get("bpmnElement"))
+    doc.root.extend(diagrams)
+    again = parse(serialize(doc))
     diagrams = [e for e in again.root.iter()
                 if e.tag == f"{{{BPMNDI_NS}}}BPMNDiagram"]
     assert len(diagrams) == 1
 
 
 def test_every_sequence_flow_gets_waypoints():
-    di = auto_layout(load_doc("diamond.bpmn"))
-    edges = [e for entry in di.entries for e in entry.element.iter()
+    edges = [e for diagram in auto_layout(load_doc("diamond.bpmn")) for e in diagram.iter()
              if local_name(e.tag) == "BPMNEdge"]
     assert len(edges) == 6
     for edge in edges:
@@ -106,8 +104,7 @@ def test_every_sequence_flow_gets_waypoints():
 
 def test_cyclic_model_still_lays_out():
     # loan-approval has a resubmission loop back to task_submit
-    di = auto_layout(load_doc("loan-approval.bpmn"))
-    shapes = _shapes(di)
+    shapes = _shapes(auto_layout(load_doc("loan-approval.bpmn")))
     assert len(shapes) == 8
 
 

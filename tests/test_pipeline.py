@@ -4,11 +4,13 @@ import json
 
 import pytest
 
-from bpmnkit.compliance import validate
+from bpmnkit.compliance import RuleCode, validate
 from bpmnkit.llm import MockChatClient, SchemaFailureAfterRetries
+from bpmnkit.model import DocumentIndex
 from bpmnkit.pipeline import (
     STAGES,
     ReconstructionNonCompliant,
+    _apply_repair_actions,
     canonical_json,
     correct_model,
     extract_xml,
@@ -16,7 +18,7 @@ from bpmnkit.pipeline import (
     reconstruct,
     translate_model,
 )
-from bpmnkit.xmlio import serialize, tree_equal
+from bpmnkit.xmlio import BPMN_NS, parse, qname, serialize, tree_equal
 
 from conftest import element_by_id, fixture_path, load_doc
 
@@ -189,14 +191,44 @@ class TestCorrectModel:
         last_prompt = client.calls[-1][1].content
         assert last_prompt.count("### Previous attempt") == 2
 
-    def test_correction_log_written(self, tmp_path):
-        doc = load_doc("r1_missing_default.bpmn")
-        client = MockChatClient(_repair_script([]) * 2)
-        log_path = tmp_path / "correction.log.jsonl"
-        correct_model(doc, client, limit=2, simple_threshold=0, log_path=log_path)
-        lines = log_path.read_text().strip().splitlines()
-        assert len(lines) == 2
-        assert json.loads(lines[0])["iteration"] == 1
+    @pytest.mark.parametrize("action, names", [
+        ({"action": "delete"}, ["outer"]),
+        ({"action": "modify", "new_xml": '<task id="a" name="renamed"/>'}, ["renamed", "outer"]),
+        ({"action": "augment", "new_xml": '<documentation>note</documentation>'},
+         ["inner", "outer"]),
+    ])
+    def test_repairs_act_on_the_first_owner_of_a_repeated_id(self, action, names):
+        doc = parse(f'<definitions xmlns="{BPMN_NS}"><process id="p"><subProcess id="s">'
+                    '<task id="a" name="inner"/></subProcess><task id="a" name="outer"/>'
+                    '</process></definitions>')
+        assert DocumentIndex(doc).elements["a"].get("name") == "inner"
+        warnings: list[str] = []
+        repaired = _apply_repair_actions(doc, [dict(action, target_id="a")], warnings)
+        assert warnings == []
+        tasks = [e for e in repaired.root.iter(qname("task")) if e.get("id") == "a"]
+        assert [task.get("name") for task in tasks] == names
+        notes = [len(task.findall(qname("documentation"))) for task in tasks]
+        assert notes == ([1, 0] if action["action"] == "augment" else [0] * len(tasks))
+
+    def test_modify_of_a_repeated_gateway_id_clears_its_r1_diagnostic(self):
+        source = fixture_path("r1_missing_default.bpmn").read_text().replace(
+            "</bpmn:process>", '</bpmn:process><bpmn:process id="proc_2">'
+                               '<bpmn:task id="gw_route" name="Route case"/></bpmn:process>')
+        doc = parse(source)
+        before = [d.element_id for d in validate(doc).diagnostics
+                  if d.code is RuleCode.R1_DEFAULT_FLOW]
+        assert before == ["gw_route"]
+        fix = {
+            "action": "modify",
+            "target_id": "gw_route",
+            "new_xml": '<bpmn:exclusiveGateway id="gw_route" name="Route case" '
+                       'default="flow_fast"/>',
+        }
+        client = MockChatClient(_repair_script([fix]))
+        result = correct_model(doc, client, limit=1, simple_threshold=0)
+        assert result.log[0]["accepted"]
+        assert not [d for d in result.report.diagnostics if d.code is RuleCode.R1_DEFAULT_FLOW]
+        assert element_by_id(result.document, "gw_route").get("default") == "flow_fast"
 
 
 class TestGenerateDescription:
@@ -243,6 +275,14 @@ class TestReconstruct:
         for i in range(1, 6):
             assert (tmp_path / f"stage{i}.json").exists()
         assert (tmp_path / "stage6.bpmn").exists()
+
+    def test_correction_log_appended_to_run_dir(self, tmp_path):
+        for run in (1, 2):
+            client = MockChatClient.from_json(fixture_path("mock_reconstruct_fixup.json"))
+            reconstruct(DESCRIPTION, client, run_dir=tmp_path)
+            lines = (tmp_path / "correction.log.jsonl").read_text().splitlines()
+            assert len(lines) == run  # one JSON line per iteration, one iteration a run
+            assert [json.loads(line)["iteration"] for line in lines] == [1] * run
 
     def test_layout_added_after_compliance(self):
         client = MockChatClient.from_json(fixture_path("mock_reconstruct_ok.json"))

@@ -103,14 +103,14 @@ class TestDiagramInterchange:
         stripped, di = strip_di(doc)
         assert not [e for e in stripped.root.iter()
                     if e.tag == f"{{{BPMNDI_NS}}}BPMNDiagram"]
-        assert di.entries
+        assert di
         assert any(e.get("id") == "shape_start_1" and e.get("bpmnElement") == "start_1"
-                   for entry in di.entries for e in entry.element.iter())
+                   for _, diagram in di for e in diagram.iter())
 
     def test_strip_without_di_is_identity(self):
         doc = load_doc("chain3.bpmn")
         stripped, di = strip_di(doc)
-        assert di.entries == []
+        assert di == []
         assert tree_equal(doc.root, stripped.root)
 
     def test_strip_then_reattach_restores_tree(self):
@@ -128,8 +128,7 @@ class TestDiagramInterchange:
         assert [child.get("id") for child in doc.root] == order
         stripped, di = strip_di(doc)
         assert [child.get("id") for child in stripped.root] == ["p1", "m", "p2"]
-        assert [(entry.index, entry.element.get("id")) for entry in di.entries] == [
-            (0, "d0"), (3, "d1")]
+        assert [(index, diagram.get("id")) for index, diagram in di] == [(0, "d0"), (3, "d1")]
         restored, dropped = reattach_di(stripped, di)
         assert dropped == 0
         assert [child.get("id") for child in restored.root] == order
@@ -139,7 +138,7 @@ class TestDiagramInterchange:
           <process id="p"><di:BPMNDiagram id="nested"/></process>
           <di:BPMNDiagram id="top"/></definitions>""")
         stripped, di = strip_di(doc)
-        assert [entry.element.get("id") for entry in di.entries] == ["top"]
+        assert [diagram.get("id") for _, diagram in di] == ["top"]
         assert element_by_id(stripped, "nested") is not None
 
     def test_stale_shape_is_dropped_and_counted(self):
