@@ -15,13 +15,10 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import batch as batch_mod
 from . import pipeline
 from .compliance import ComplianceReport, validate_bytes
-from .embeddings import ENV_ENDPOINT, ENV_MODEL, ProviderConfig, make_provider
-from .llm import ENV_LLM_ENDPOINT, ENV_LLM_MODEL, HttpChatClient, MockChatClient
+from .llm import HttpChatClient, MockChatClient
 from .model import build_graph
-from .similarity import compare
 from .xmlio import parse, serialize
 
 EXIT_OK = 0
@@ -29,11 +26,12 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_NONCOMPLIANT = 3
 
+# The only settings read from the environment, and the only reader.
 _ENV_KEYS = {
-    "llm_endpoint": ENV_LLM_ENDPOINT,
-    "llm_model": ENV_LLM_MODEL,
-    "embed_endpoint": ENV_ENDPOINT,
-    "embed_model": ENV_MODEL,
+    "llm_endpoint": "BPMNKIT_LLM_ENDPOINT",
+    "llm_model": "BPMNKIT_LLM_MODEL",
+    "embed_endpoint": "BPMNKIT_EMBED_ENDPOINT",
+    "embed_model": "BPMNKIT_EMBED_MODEL",
 }
 
 _DEFAULTS = {
@@ -173,14 +171,11 @@ def _make_client(settings: dict):
 
 
 def _make_provider(settings: dict):
-    if settings["embed_endpoint"] and not settings["embed_fallback"]:
-        cfg = ProviderConfig(kind="remote-http", endpoint=settings["embed_endpoint"],
-                             model_name=settings["embed_model"],
-                             cache_dir=settings["embed_cache_dir"])
-    else:
-        cfg = ProviderConfig(kind="hashing-fallback",
-                             cache_dir=settings["embed_cache_dir"])
-    return make_provider(cfg)
+    from .embeddings import ProviderConfig, make_provider  # numpy, for the commands that embed
+
+    return make_provider(ProviderConfig(
+        endpoint=None if settings["embed_fallback"] else settings["embed_endpoint"],
+        model_name=settings["embed_model"], cache_dir=settings["embed_cache_dir"]))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -206,6 +201,8 @@ def _cmd_validate(args, settings) -> int:
 
 
 def _cmd_compare(args, settings) -> int:
+    from .similarity import compare
+
     provider = _make_provider(settings)
     graphs = []
     for path in (args.model_a, args.model_b):
@@ -284,6 +281,8 @@ def _cmd_stage(args, settings) -> int:
 
 
 def _cmd_batch(args, settings) -> int:
+    from . import batch as batch_mod
+
     manifest_path = Path(args.manifest)
     manifest = batch_mod.CorpusManifest.load(manifest_path)
     base = manifest_path.parent
@@ -333,6 +332,8 @@ def _cmd_batch(args, settings) -> int:
 
 
 def _cmd_report(args, settings) -> int:
+    from . import batch as batch_mod
+
     report = batch_mod.load_report(args.results_dir)
     fmt = args.format
     if fmt is None:

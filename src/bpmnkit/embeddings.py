@@ -12,7 +12,6 @@ import functools
 import hashlib
 import io
 import itertools
-import os
 import re
 import threading
 from dataclasses import dataclass
@@ -28,9 +27,6 @@ DEFAULT_DIMENSION = 384
 BATCH_SIZE = 32
 TIMEOUT = 30.0
 
-ENV_ENDPOINT = "BPMNKIT_EMBED_ENDPOINT"
-ENV_MODEL = "BPMNKIT_EMBED_MODEL"
-
 _TOKEN = re.compile(r"[0-9a-z]+")
 
 
@@ -44,8 +40,7 @@ class DimensionMismatch(ValueError):
 
 @dataclass
 class ProviderConfig:
-    kind: str = "hashing-fallback"  # or "remote-http"
-    endpoint: str | None = None
+    endpoint: str | None = None  # the remote service; None means the hashing fallback
     model_name: str | None = None
     cache_dir: str | Path | None = None
 
@@ -59,16 +54,10 @@ class EmbeddingProvider(Protocol):
 
 def make_provider(cfg: ProviderConfig) -> "EmbeddingProvider":
     provider: EmbeddingProvider
-    if cfg.kind == "hashing-fallback":
-        provider = HashingEmbedder()
-    elif cfg.kind == "remote-http":
-        endpoint = cfg.endpoint or os.environ.get(ENV_ENDPOINT)
-        model = cfg.model_name or os.environ.get(ENV_MODEL)
-        if not endpoint:
-            raise ValueError("remote-http embedding provider requires an endpoint")
-        provider = RemoteEmbedder(endpoint, model)
+    if cfg.endpoint:
+        provider = RemoteEmbedder(cfg.endpoint, cfg.model_name)
     else:
-        raise ValueError(f"unknown embedding provider kind {cfg.kind!r}")
+        provider = HashingEmbedder()
     if cfg.cache_dir:
         provider = CachingEmbedder(provider, cfg.cache_dir)
     return provider

@@ -21,9 +21,6 @@ from typing import TYPE_CHECKING, Sequence
 if TYPE_CHECKING:
     import jsonschema
 
-ENV_LLM_ENDPOINT = "BPMNKIT_LLM_ENDPOINT"
-ENV_LLM_MODEL = "BPMNKIT_LLM_MODEL"
-
 
 class LlmUnavailable(RuntimeError):
     pass

@@ -71,6 +71,7 @@ def degree_similarity(d1, d2) -> float:
         return 1.0 if a[0] == b[0] else ratio_similarity(float(a[0]), float(b[0]))
     if const_a or const_b:
         return 0.0
+    a, b = sorted((a, b))  # corrcoef rounds differently in the two orders
     rho = np.corrcoef(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))[0, 1]
     return min(1.0, abs(float(rho)))
 
@@ -93,15 +94,16 @@ def structural_similarity(g1: BpmnGraph, g2: BpmnGraph) -> float:
 def js_divergence(p, q) -> float:
     """Base-2 Jensen-Shannon divergence between two aligned probability
     vectors: JS = KL(P||M)/2 + KL(Q||M)/2 with M the even mixture. Bounded
-    in [0, 1]; zero exactly when the vectors are equal."""
-    total = 0.0
+    in [0, 1]; zero exactly when the vectors are equal. The terms are summed
+    exactly (fsum), so swapping the vectors gives the same bits."""
+    terms = []
     for pi, qi in zip(p, q):
         m = 0.5 * (pi + qi)
         if pi > 0:
-            total += 0.5 * pi * math.log2(pi / m)
+            terms.append(0.5 * pi * math.log2(pi / m))
         if qi > 0:
-            total += 0.5 * qi * math.log2(qi / m)
-    return min(1.0, max(0.0, total))
+            terms.append(0.5 * qi * math.log2(qi / m))
+    return min(1.0, max(0.0, math.fsum(terms)))
 
 
 def type_counts(graph: BpmnGraph) -> dict[str, int]:
@@ -337,7 +339,7 @@ def semantic_set_similarity(texts1: list[str], texts2: list[str],
     np.clip(scores, 0.0, 1.0, out=scores)
     pairs = max_weight_assignment(scores, row_counts=list(counts1.values()),
                                   col_counts=list(counts2.values()))
-    matched = float(sum(scores[i, j] for i, j in pairs))
+    matched = math.fsum(scores[i, j] for i, j in pairs)  # exact, so in any order
     return matched / max(len(texts1), len(texts2))
 
 

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bpmnkit
 from bpmnkit.cli import EXIT_FAILURE, EXIT_NONCOMPLIANT, EXIT_OK, main
 
 from conftest import fixture_path, flaky_chat
@@ -259,6 +263,19 @@ class TestConfigPrecedence:
         assert loopback.posts
         assert {(path, body["model"]) for path, _, body in loopback.posts} == {
             ("/flag", "flag-model")}
+
+    def test_embed_env_selects_remote_unless_fallback(self, capsys, monkeypatch, loopback):
+        monkeypatch.setenv("BPMNKIT_EMBED_ENDPOINT", loopback.url("/env"))
+        monkeypatch.setenv("BPMNKIT_EMBED_MODEL", "env-model")
+        loopback.answer = lambda body: {"embeddings": np.eye(384)[:len(body["input"])].tolist()}
+        model = str(fixture_path("chain3.bpmn"))
+        assert _run(capsys, "compare", model, model)[0] == EXIT_OK
+        assert loopback.posts
+        assert {(path, body["model"]) for path, _, body in loopback.posts} == {
+            ("/env", "env-model")}
+        loopback.posts.clear()
+        assert _run(capsys, "compare", model, model, "--embed-fallback")[0] == EXIT_OK
+        assert loopback.posts == []
 
 
 class TestMalformedInputs:
@@ -536,3 +553,40 @@ class TestBatchStages:
         assert paths == [str(tmp_path / "describe" / "x.txt"),
                          str(tmp_path / "describe" / "x_1.txt")]
         assert [Path(p).read_text() for p in paths] == ["desc of a", "desc of b"]
+
+
+_NO_NUMPY = """
+import sys
+from bpmnkit import cli
+
+chain3, script, description, reconstruct_script, out = sys.argv[1:]
+assert cli.main(["validate", chain3]) == 0
+assert cli.main(["translate", chain3, "-o", out, "--llm-mock-script", script]) == 0
+assert cli.main(["reconstruct", description, "-o", out,
+                 "--llm-mock-script", reconstruct_script]) == 0
+assert "numpy" not in sys.modules, "numpy was loaded"
+import bpmnkit
+from bpmnkit import HashingEmbedder, batch, compare
+assert "numpy" in sys.modules
+try:
+    bpmnkit.nope
+except AttributeError:
+    pass
+else:
+    sys.exit("bpmnkit.nope did not raise AttributeError")
+"""
+
+
+def test_commands_that_embed_nothing_do_not_load_numpy(tmp_path):
+    """In a fresh interpreter, validate and a mock translate and reconstruct
+    leave numpy unloaded; the package's lazy names still import."""
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(["{}"]))
+    description = tmp_path / "description.txt"
+    description.write_text("A clerk checks the order.", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(bpmnkit.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY, str(fixture_path("chain3.bpmn")), str(script),
+         str(description), str(fixture_path("mock_reconstruct_ok.json")),
+         str(tmp_path / "out.bpmn")], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

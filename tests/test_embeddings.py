@@ -377,16 +377,16 @@ class TestMakeProvider:
         provider = make_provider(ProviderConfig())
         assert isinstance(provider, HashingEmbedder)
 
-    def test_remote_requires_endpoint(self):
-        with pytest.raises(ValueError):
-            make_provider(ProviderConfig(kind="remote-http"))
+    def test_endpoint_selects_remote(self):
+        provider = make_provider(ProviderConfig(endpoint="http://embed.invalid/v1",
+                                                model_name="m"))
+        assert isinstance(provider, RemoteEmbedder)
+        assert (provider.endpoint, provider.model) == ("http://embed.invalid/v1", "m")
 
-    def test_env_override_supplies_endpoint(self, monkeypatch):
+    def test_environment_is_not_read(self, monkeypatch):
         monkeypatch.setenv("BPMNKIT_EMBED_ENDPOINT", "http://embed.invalid/v1")
         monkeypatch.setenv("BPMNKIT_EMBED_MODEL", "env-model")
-        provider = make_provider(ProviderConfig(kind="remote-http"))
-        assert isinstance(provider, RemoteEmbedder)
-        assert provider.model == "env-model"
+        assert isinstance(make_provider(ProviderConfig()), HashingEmbedder)
 
     def test_cache_dir_wraps_provider(self, tmp_path):
         provider = make_provider(ProviderConfig(cache_dir=tmp_path))
