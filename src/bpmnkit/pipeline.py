@@ -377,19 +377,24 @@ def correct_model(doc: BpmnDocument, client, limit: int = 5,
     receive localized JSON repair actions. Each prompt quotes the last
     ``HISTORY_WINDOW`` attempts. A repair that increases the error count is
     rolled back and the iteration counts as failed, so the returned document
-    never validates worse than the input.
+    never validates worse than the input. The returned document shares no
+    element with ``doc``, which is left unchanged.
     """
-    working, di = strip_di(doc)
+    working, di = strip_di(doc)  # shares doc's elements until a candidate replaces it
     report = validate(working)
     history: list[tuple[str, str]] = []
     log: list[dict] = []
+    state = None  # (mode, model excerpt) of the working document, once needed
 
     while not report.compliant and len(log) < limit:
-        graph, _ = build_graph(working) if working.processes() else (None, [])
-        node_count = graph.node_count if graph is not None else 0
-        mode = "regenerate" if node_count <= simple_threshold else "local_repair"
+        if state is None:
+            graph, _ = build_graph(working) if working.processes() else (None, [])
+            node_count = graph.node_count if graph is not None else 0
+            state = ("regenerate" if node_count <= simple_threshold else "local_repair",
+                     _truncate(serialize(working).decode("utf-8"), MODEL_EXCERPT_LIMIT))
+        mode, model_excerpt = state
 
-        prompt = _correction_prompt(working, report, mode, history)
+        prompt = _correction_prompt(model_excerpt, report, mode, history)
         messages = [system(CORRECTION_SYSTEM_PROMPT), user(prompt)]
         response = complete(client, messages)
         history = [*history, (_truncate(report.to_json(), HISTORY_EXCERPT_LIMIT),
@@ -402,24 +407,26 @@ def correct_model(doc: BpmnDocument, client, limit: int = 5,
             candidate_report = validate(candidate)
             entry["errors_after"] = candidate_report.error_count
             if candidate_report.error_count <= report.error_count:
-                working, report = candidate, candidate_report
+                working, report, state = candidate, candidate_report, None
                 entry["accepted"] = True
             else:
                 entry["warnings"].append("repair increased error count; rolled back")
         log.append(entry)
 
+    if not any(entry["accepted"] for entry in log):
+        working = working.copy()  # accepted candidates are fresh trees already
     result_doc, _dropped = reattach_di(working, di)
     return CorrectionResult(result_doc, report, len(log), log)
 
 
-def _correction_prompt(doc: BpmnDocument, report: ComplianceReport, mode: str,
+def _correction_prompt(model_excerpt: str, report: ComplianceReport, mode: str,
                        history: list[tuple[str, str]]) -> str:
     parts = [
         "The following BPMN model fails execution compliance checks.",
         "Diagnostics (JSON):",
         report.to_json(indent=2),
         "Model:",
-        _truncate(serialize(doc).decode("utf-8"), MODEL_EXCERPT_LIMIT),
+        model_excerpt,
     ]
     for prompt, response in history:
         parts.append("### Previous attempt")

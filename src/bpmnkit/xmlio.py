@@ -12,6 +12,7 @@ import io
 import logging
 import unicodedata
 import xml.etree.ElementTree as ET
+from collections import Counter
 from copy import deepcopy
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -110,6 +111,8 @@ def parse(data: bytes | str) -> BpmnDocument:
 
 
 def _escape_text(text: str) -> str:
+    if not ("&" in text or "<" in text or ">" in text or "\r" in text):
+        return text
     return (
         text.replace("&", "&amp;")
         .replace("<", "&lt;")
@@ -119,6 +122,9 @@ def _escape_text(text: str) -> str:
 
 
 def _escape_attr(value: str) -> str:
+    if not ("&" in value or "<" in value or ">" in value or '"' in value
+            or "\n" in value or "\t" in value or "\r" in value):
+        return value
     return (
         value.replace("&", "&amp;")
         .replace("<", "&lt;")
@@ -130,29 +136,25 @@ def _escape_attr(value: str) -> str:
     )
 
 
-def _collect_uris(elem: ET.Element, tag_uris: list[str], attr_uris: list[str]) -> None:
-    if isinstance(elem.tag, str) and elem.tag.startswith("{"):
-        uri = elem.tag[1:].split("}", 1)[0]
-        if uri not in tag_uris:
-            tag_uris.append(uri)
-    for name in elem.attrib:
-        if name.startswith("{"):
-            uri = name[1:].split("}", 1)[0]
-            if uri not in attr_uris:
-                attr_uris.append(uri)
-    for child in elem:
-        _collect_uris(child, tag_uris, attr_uris)
+def _uris(names: Iterable[str]) -> list[str]:
+    """The namespace URIs of qualified names, in first-seen order."""
+    return list(dict.fromkeys(name[1:].split("}", 1)[0] for name in names
+                              if isinstance(name, str) and name.startswith("{")))
 
 
 def _prefix_assignment(doc: BpmnDocument) -> tuple[dict[str, str], list[tuple[str, str]]]:
     """Choose one prefix per namespace URI and the declarations to emit.
 
-    Returns (uri -> prefix, ordered (prefix, uri) declarations). Attribute
+    Returns (``{uri}local`` -> ``prefix:local`` for every tag and attribute
+    name in the tree, ordered (prefix, uri) declarations). Attribute
     namespaces always get a non-empty prefix.
     """
-    tag_uris: list[str] = []
-    attr_uris: list[str] = []
-    _collect_uris(doc.root, tag_uris, attr_uris)
+    tags: dict[str, None] = {}
+    attrs: dict[str, str] = {}  # only the keys matter: names in first-seen order
+    for elem in doc.root.iter():
+        tags[elem.tag] = None
+        attrs.update(elem.attrib)
+    tag_uris, attr_uris = _uris(tags), _uris(attrs)
 
     declarations: list[tuple[str, str]] = [(p, u) for p, u in doc.nsmap.items()]
     uri_to_prefix: dict[str, str] = {}
@@ -181,47 +183,46 @@ def _prefix_assignment(doc: BpmnDocument) -> tuple[dict[str, str], list[tuple[st
         declarations.append((candidate, uri))
 
     uri_to_prefix[XML_NS] = "xml"
-    return uri_to_prefix, declarations
+    names = {}
+    for name in [*tags, *attrs]:
+        if isinstance(name, str) and name.startswith("{"):
+            uri, local = name[1:].split("}", 1)
+            prefix = uri_to_prefix[uri]
+            names[name] = f"{prefix}:{local}" if prefix else local
+        else:
+            names[name] = name
+    return names, declarations
 
 
-def _qualified(name: str, uri_to_prefix: dict[str, str]) -> str:
-    if not name.startswith("{"):
-        return name
-    uri, local = name[1:].split("}", 1)
-    prefix = uri_to_prefix[uri]
-    return f"{prefix}:{local}" if prefix else local
-
-
-def _write_element(out: io.StringIO, elem: ET.Element, uri_to_prefix: dict[str, str],
+def _write_element(out: list[str], elem: ET.Element, names: dict[str, str],
                    declarations: list[tuple[str, str]] | None) -> None:
-    tag = _qualified(elem.tag, uri_to_prefix)
-    out.write(f"<{tag}")
+    tag = names[elem.tag]
+    out.append(f"<{tag}")
     if declarations:
         for prefix, uri in declarations:
             name = f"xmlns:{prefix}" if prefix else "xmlns"
-            out.write(f' {name}="{_escape_attr(uri)}"')
+            out.append(f' {name}="{_escape_attr(uri)}"')
     for name, value in elem.attrib.items():
-        out.write(f' {_qualified(name, uri_to_prefix)}="{_escape_attr(value)}"')
+        out.append(f' {names[name]}="{_escape_attr(value)}"')
     if elem.text is None and len(elem) == 0:
-        out.write("/>")
+        out.append("/>")
     else:
-        out.write(">")
+        out.append(">")
         if elem.text:
-            out.write(_escape_text(elem.text))
+            out.append(_escape_text(elem.text))
         for child in elem:
-            _write_element(out, child, uri_to_prefix, None)
-        out.write(f"</{tag}>")
+            _write_element(out, child, names, None)
+        out.append(f"</{tag}>")
     if elem.tail:
-        out.write(_escape_text(elem.tail))
+        out.append(_escape_text(elem.tail))
 
 
 def serialize(doc: BpmnDocument) -> bytes:
     """Serialize a document to UTF-8 bytes. Deterministic for a given tree."""
-    uri_to_prefix, declarations = _prefix_assignment(doc)
-    out = io.StringIO()
-    out.write('<?xml version="1.0" encoding="UTF-8"?>\n')
-    _write_element(out, doc.root, uri_to_prefix, declarations)
-    text = out.getvalue()
+    names, declarations = _prefix_assignment(doc)
+    out = ['<?xml version="1.0" encoding="UTF-8"?>\n']
+    _write_element(out, doc.root, names, declarations)
+    text = "".join(out)
     if not text.endswith("\n"):
         text += "\n"
     return text.encode("utf-8")
@@ -244,22 +245,30 @@ def tree_equal(a: ET.Element, b: ET.Element) -> bool:
 def strip_di(doc: BpmnDocument) -> tuple[BpmnDocument, list[tuple[int, ET.Element]]]:
     """Detach the BPMNDiagram children of ``definitions``, the only place
     BPMN 2.0 allows them, as (position among those children, diagram) pairs.
-    The input document is not modified."""
-    new_doc = doc.copy()
-    diagrams = [(index, child) for index, child in enumerate(new_doc.root)
-                if child.tag == f"{{{BPMNDI_NS}}}BPMNDiagram"]
-    for _, diagram in diagrams:
-        new_doc.root.remove(diagram)
-    return new_doc, diagrams
+
+    Nothing is copied: the result's root is a new ``definitions`` element
+    that holds the very same non-DI child elements as ``doc.root``, and the
+    pairs hold ``doc``'s own diagrams. ``doc.root`` keeps all its children,
+    so an edit below the result's root is an edit of ``doc``; copy the
+    result before changing it in place."""
+    root = doc.root.makeelement(doc.root.tag, doc.root.attrib)
+    root.text, root.tail = doc.root.text, doc.root.tail
+    diagrams = []
+    for index, child in enumerate(doc.root):
+        if child.tag == f"{{{BPMNDI_NS}}}BPMNDiagram":
+            diagrams.append((index, child))
+        else:
+            root.append(child)
+    return BpmnDocument(root, dict(doc.nsmap)), diagrams
 
 
 def reattach_di(doc: BpmnDocument,
                 diagrams: list[tuple[int, ET.Element]]) -> tuple[BpmnDocument, int]:
-    """Reinsert the (position, diagram) pairs of ``strip_di``, dropping shapes
-    and edges whose semantic element no longer exists; returns the document
-    and the drop count."""
-    new_doc = doc.copy()
-    ids = new_doc.element_ids()
+    """Insert a copy of each (position, diagram) pair of ``strip_di`` into
+    ``doc`` itself, dropping shapes and edges whose semantic element no
+    longer exists; returns ``doc`` and the drop count. The given diagrams
+    are left as they were."""
+    ids = doc.element_ids()
     dropped = 0
     for index, detached in diagrams:
         diagram = deepcopy(detached)
@@ -270,10 +279,10 @@ def reattach_di(doc: BpmnDocument,
                     if ref and ref not in ids:
                         parent.remove(child)
                         dropped += 1
-        new_doc.root.insert(index, diagram)
+        doc.root.insert(index, diagram)
     if dropped:
         logger.info("reattach_di dropped %d stale DI shape(s)/edge(s)", dropped)
-    return new_doc, dropped
+    return doc, dropped
 
 
 # --- translatable strings -----------------------------------------------------
@@ -392,17 +401,22 @@ def normalized_similarity(a: str, b: str) -> float:
     return 1.0 - levenshtein(na, nb) / max(len(na), len(nb))
 
 
-def _closest(target: str, candidates: Sequence[tuple[str, str]],
+def _closest(target: str, candidates: Sequence[tuple[str, Counter, str]],
              threshold: float) -> str | None:
-    """The translation of the first (normalized key, translation) candidate
-    with the highest ``normalized_similarity`` to the normalized ``target``,
-    or None unless that similarity is above 0 and at least ``threshold``.
+    """The translation of the first (normalized key, key's character counts,
+    translation) candidate with the highest ``normalized_similarity`` to the
+    normalized ``target``, or None unless that similarity is above 0 and at
+    least ``threshold``.
 
     A similarity never exceeds ``1 - |la - lb| / max(la, lb)``, so a key
     whose bound cannot win is skipped, and the other distances are cut off
-    at the largest one that could still win."""
+    at the largest one that could still win. The bag distance, the longer
+    length minus the characters the two strings share as multisets, is a
+    lower bound on the edit distance (Bartolini, Ciaccia and Patella, SPIRE
+    2002), so a key whose bag distance exceeds that cutoff is skipped too."""
     best, best_sim = None, 0.0
-    for key, translation in candidates:
+    target_counts = Counter(target)
+    for key, key_counts, translation in candidates:
         if key == target:  # similarity 1.0, which no later key can beat
             return translation if threshold <= 1.0 else None
         if not key or not target:
@@ -412,6 +426,10 @@ def _closest(target: str, candidates: Sequence[tuple[str, str]],
         if not threshold <= bound > best_sim:  # also skips all for a NaN threshold
             continue
         cutoff = _winning_distance(longest, best_sim, threshold)
+        shared = sum(n if n < (m := key_counts.get(ch, 0)) else m  # min(n, m), inlined
+                     for ch, n in target_counts.items())
+        if longest - shared > cutoff:  # the bag distance
+            continue
         distance = levenshtein(target, key, cutoff)
         if distance <= cutoff:
             best, best_sim = translation, 1.0 - distance / longest
@@ -441,8 +459,9 @@ def reinsert_strings(doc: BpmnDocument, mapping: dict[str, str], threshold: floa
 
     Exact key hits are applied directly; otherwise the highest-similarity key
     (``normalized_similarity``) is used when it clears ``threshold``. Locations
-    without an acceptable match are left unchanged and reported as warnings.
-    Content outside the configured locations is never touched.
+    without an acceptable match are left unchanged and reported as warnings,
+    one per location. Each distinct value is matched once per call. Content
+    outside the configured locations is never touched.
     """
     effective = _effective_attrs(attrs)
     new_doc = doc.copy()
@@ -451,13 +470,15 @@ def reinsert_strings(doc: BpmnDocument, mapping: dict[str, str], threshold: floa
     for k in mapping:
         if not mapping[k]:
             warnings.append(f"empty translation for {k!r} ignored")
-    candidates = [(_nfc_strip(key), translation) for key, translation in usable.items()]
+    keys = [(_nfc_strip(key), translation) for key, translation in usable.items()]
+    candidates = [(key, Counter(key), translation) for key, translation in keys]
+    matches: dict[str, str | None] = dict(usable)  # value -> replacement; None: no match
 
     for elem, path, attr in _walk_translatable(new_doc, effective, include_documentation):
         value = elem.get(attr) if attr is not None else elem.text
-        replacement = usable.get(value)
-        if replacement is None:
-            replacement = _closest(_nfc_strip(value), candidates, threshold)
+        if value not in matches:
+            matches[value] = _closest(_nfc_strip(value), candidates, threshold)
+        replacement = matches[value]
         if replacement is None:
             warnings.append(f"no translation matched {value!r} at {path}")
             continue

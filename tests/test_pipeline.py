@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bpmnkit import pipeline
 from bpmnkit.compliance import RuleCode, validate
 from bpmnkit.llm import MockChatClient, SchemaFailureAfterRetries
 from bpmnkit.model import DocumentIndex
@@ -78,6 +79,34 @@ class TestTranslateModel:
 
 def _repair_script(actions) -> list[str]:
     return [json.dumps(actions)]
+
+
+_FIX_R1 = {
+    "action": "modify",
+    "target_id": "gw_route",
+    "new_xml": '<bpmn:exclusiveGateway id="gw_route" name="Route case" '
+               'default="flow_fast"/>',
+}
+
+
+def _long_r1_model():
+    """r1_missing_default with five more tasks before ``task_assess``: 11
+    graph nodes, so the default ``simple_threshold`` picks local repair."""
+    chain = ["start_1", *(f"task_pre{k}" for k in range(5)), "task_assess"]
+    tasks = "".join(f'<bpmn:task id="{node}" name="Step {node}"/>' for node in chain[1:-1])
+    flows = "".join(f'<bpmn:sequenceFlow id="flow_pre{k}" sourceRef="{a}" targetRef="{b}"/>'
+                    for k, (a, b) in enumerate(zip(chain, chain[1:])))
+    source = fixture_path("r1_missing_default.bpmn").read_text().replace(
+        '<bpmn:sequenceFlow id="flow_1" sourceRef="start_1" targetRef="task_assess"/>',
+        tasks + flows)
+    return parse(source)
+
+
+def _mutate(doc) -> None:
+    for elem in doc.root.iter():
+        elem.set("mutated", "yes")
+    for process in doc.processes():
+        del process[:]
 
 
 class TestCorrectModel:
@@ -190,6 +219,36 @@ class TestCorrectModel:
         assert client.call_count == 4
         last_prompt = client.calls[-1][1].content
         assert last_prompt.count("### Previous attempt") == 2
+
+    @pytest.mark.parametrize("script, accepted", [
+        (_repair_script([_FIX_R1]), [True]),
+        ([], []),  # already compliant
+        (_repair_script([{"action": "delete", "target_id": "end_1"}]) * 2, [False, False]),
+    ], ids=["accepted", "compliant", "rolled_back"])
+    def test_result_shares_nothing_with_the_input(self, script, accepted):
+        doc = load_doc("diamond.bpmn" if not script else "r1_missing_default.bpmn")
+        before = serialize(doc)
+        result = correct_model(doc, MockChatClient(script), limit=2, simple_threshold=0)
+        assert [entry["accepted"] for entry in result.log] == accepted
+        _mutate(result.document)
+        assert serialize(doc) == before
+
+    def test_each_working_state_is_built_and_serialized_once(self, monkeypatch):
+        calls = {"build_graph": [], "serialize": []}
+        for name, seen in calls.items():
+            def spy(doc, *args, _real=getattr(pipeline, name), _seen=seen, **kwargs):
+                _seen.append(doc)
+                return _real(doc, *args, **kwargs)
+            monkeypatch.setattr(pipeline, name, spy)
+        sabotage = {"action": "delete", "target_id": "end_1"}
+        client = MockChatClient(_repair_script([sabotage]) + _repair_script([_FIX_R1]))
+        result = correct_model(_long_r1_model(), client)
+        assert [entry["mode"] for entry in result.log] == ["local_repair"] * 2
+        assert [entry["accepted"] for entry in result.log] == [False, True]
+        assert result.report.compliant
+        # the rolled-back repair leaves the state as it was: same graph, same prompt model
+        assert len(calls["build_graph"]) == 1
+        assert len(calls["serialize"]) == 1
 
     @pytest.mark.parametrize("action, names", [
         ({"action": "delete"}, ["outer"]),

@@ -96,6 +96,25 @@ class TestSerialize:
         task = next(e for e in again.root.iter() if e.get("id") == "t1")
         assert task.get("name") == 'a < b & "c"'
 
+    @pytest.mark.parametrize("char, escaped", [
+        ("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ('"', "&quot;"),
+        ("\n", "&#10;"), ("\t", "&#9;"), ("\r", "&#13;"),
+    ])
+    def test_every_escaped_character_is_written_escaped_and_read_back(self, char, escaped):
+        in_text = char in "&<>\r"  # text and tails escape these only
+        doc = parse(MINIMAL)
+        task = ET.SubElement(doc.processes()[0], f"{{{BPMN_NS}}}task", id="t1",
+                             name=f"a{char}b")
+        note = ET.SubElement(task, f"{{{BPMN_NS}}}documentation")
+        note.text, note.tail = f"c{char}d", f"e{char}f"
+        out = serialize(doc).decode("utf-8")
+        assert f'name="a{escaped}b"' in out
+        written = escaped if in_text else char
+        assert f">c{written}d</bpmn:documentation>e{written}f<" in out
+        again = element_by_id(parse(out), "t1")
+        assert again.get("name") == f"a{char}b"
+        assert (again[0].text, again[0].tail) == (f"c{char}d", f"e{char}f")
+
 
 class TestDiagramInterchange:
     def test_strip_removes_all_di(self):
@@ -120,6 +139,27 @@ class TestDiagramInterchange:
         assert dropped == 0
         assert tree_equal(doc.root, restored.root)
 
+    def test_strip_shares_the_semantic_children_and_leaves_the_input(self):
+        doc = load_doc("diamond.bpmn")
+        children, before = list(doc.root), serialize(doc)
+        stripped, di = strip_di(doc)
+        assert di
+        assert list(doc.root) == children  # elements compare by identity
+        assert serialize(doc) == before
+        kept = [child for child in children if child.tag != f"{{{BPMNDI_NS}}}BPMNDiagram"]
+        assert list(stripped.root) == kept
+        assert stripped.root is not doc.root
+        assert stripped.root.attrib == doc.root.attrib
+
+    def test_reattach_returns_the_document_it_was_given(self):
+        doc = load_doc("diamond.bpmn")
+        stripped, di = strip_di(doc.copy())
+        restored, _ = reattach_di(stripped, di)
+        assert restored is stripped
+        assert tree_equal(doc.root, restored.root)
+        # the detached diagrams are copied in, not moved
+        assert all(diagram is not child for _, diagram in di for child in restored.root)
+
     def test_interleaved_diagrams_return_to_their_positions(self):
         doc = parse(f"""<definitions xmlns="{BPMN_NS}" xmlns:di="{BPMNDI_NS}">
           <di:BPMNDiagram id="d0"/><process id="p1"/><message id="m"/>
@@ -143,7 +183,7 @@ class TestDiagramInterchange:
 
     def test_stale_shape_is_dropped_and_counted(self):
         doc = load_doc("diamond.bpmn")
-        stripped, di = strip_di(doc)
+        stripped, di = strip_di(doc.copy())
         process = stripped.processes()[0]
         victim = next(e for e in process if e.get("id") == "task_approve")
         process.remove(victim)
@@ -158,7 +198,7 @@ class TestDiagramInterchange:
         from bpmnkit.xmlio import qname
 
         doc = load_doc("diamond.bpmn")
-        stripped, di = strip_di(doc)
+        stripped, di = strip_di(doc.copy())
         process = stripped.processes()[0]
         ET.SubElement(process, qname("userTask"), {"id": "task_new", "name": "Extra"})
         restored, dropped = reattach_di(stripped, di)
