@@ -14,14 +14,16 @@ import io
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .atomic import write_atomic
-from .embeddings import EmbeddingProvider, MemoEmbedder
 from .model import BpmnGraph, build_graph
-from .similarity import compare
 from .xmlio import parse
+
+if TYPE_CHECKING:
+    from .embeddings import EmbeddingProvider
 
 logger = logging.getLogger(__name__)
 
@@ -129,14 +131,7 @@ class EvaluationReport:
     counts: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "per_model": self.per_model,
-            "errors": self.errors,
-            "averages": self.averages,
-            "averages_per_description": self.averages_per_description,
-            "histogram": self.histogram,
-            "counts": self.counts,
-        }
+        return asdict(self)
 
 
 def _empty_histogram() -> list[dict]:
@@ -181,6 +176,8 @@ class _Truth:
     built by the first pair that asks, and the vectors embedded for them."""
 
     def __init__(self, path: Path, provider: EmbeddingProvider):
+        from .embeddings import MemoEmbedder  # numpy, for the stage that embeds
+
         self.path = path
         self.vectors = MemoEmbedder(provider)
         self._built: tuple[BpmnGraph, list[str]] | None = None
@@ -194,6 +191,8 @@ class _Truth:
 def _evaluate_pair(model_id: str, truth: _Truth, recon_path: Path) -> dict:
     """The pair's breakdown, with its graph-build warnings when there are
     some, or its error; either way with the two paths compared."""
+    from .similarity import compare  # numpy, for the stage that embeds
+
     record = {"model_id": model_id, "truth": str(truth.path), "reconstruction": str(recon_path)}
     try:
         g1, w1 = truth.build()

@@ -79,11 +79,8 @@ class HashingEmbedder:
     """Signed-hash bag of words. Deterministic across runs and processes;
     word order does not matter."""
 
-    def __init__(self, dimension: int = DEFAULT_DIMENSION):
-        if dimension <= 0:
-            raise ValueError("dimension must be positive")
-        self.dimension = dimension
-        self.cache_key = f"hashing-fallback:{dimension}"
+    dimension = DEFAULT_DIMENSION
+    cache_key = f"hashing-fallback:{DEFAULT_DIMENSION}"
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         """One row per text: the signed counts of its tokens' buckets, scaled

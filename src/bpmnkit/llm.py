@@ -193,13 +193,13 @@ def complete(client, messages: Sequence[ChatMessage]) -> str:
     return client.complete(messages)
 
 
-_FENCE = re.compile(r"```(?:[a-zA-Z0-9_-]+)?\s*\n?(.*?)```", re.DOTALL)
+FENCE = re.compile(r"```(?:[a-zA-Z0-9_-]+)?\s*\n?(.*?)```", re.DOTALL)
 
 
 def extract_json(text: str):
     """Pull the first JSON value out of a response, tolerating code fences
     and surrounding prose. Raises ValueError when nothing parses."""
-    for block in _FENCE.findall(text):
+    for block in FENCE.findall(text):
         candidate = block.strip()
         if candidate:
             try:
@@ -219,11 +219,13 @@ def extract_json(text: str):
 JSON_COMPLAINT = ("The previous response was not valid against the required JSON "
                   "schema: {error}. Reply again with only the corrected JSON.")
 
+SCHEMA_RETRIES = 3  # re-prompts after a response that does not parse
+
 
 def parse_with_retry(client, messages: Sequence[ChatMessage], response: str, parse,
-                     complaint: str, max_retries: int = 3, stage: str | None = None):
+                     complaint: str, stage: str | None = None):
     """Parse a response with ``parse``, re-prompting the model up to
-    ``max_retries`` times with ``complaint`` (its ``{error}`` field filled
+    ``SCHEMA_RETRIES`` times with ``complaint`` (its ``{error}`` field filled
     from the parser's ValueError). The final failure is tagged with ``stage``.
 
     Returns (parsed value, raw response text).
@@ -231,19 +233,19 @@ def parse_with_retry(client, messages: Sequence[ChatMessage], response: str, par
     conversation = list(messages)
     raw = response
     last_error = ""
-    for attempt in range(max_retries + 1):
+    for attempt in range(SCHEMA_RETRIES + 1):
         try:
             return parse(raw), raw
         except ValueError as exc:
             last_error = str(exc)
-        if attempt == max_retries:
+        if attempt == SCHEMA_RETRIES:
             break
         conversation = conversation + [
             assistant(raw if raw.strip() else "(empty response)"),
             user(complaint.format(error=last_error)),
         ]
         raw = complete(client, conversation)
-    raise SchemaFailureAfterRetries(last_error, raw, max_retries + 1, stage)
+    raise SchemaFailureAfterRetries(last_error, raw, SCHEMA_RETRIES + 1, stage)
 
 
 # id(schema) -> (schema, its validator). Holding the schema keeps its id from
@@ -267,10 +269,9 @@ def _validator(schema: dict) -> jsonschema.protocols.Validator:
 
 
 def parse_json_with_retry(client, messages: Sequence[ChatMessage], response: str,
-                          schema: dict, **options):
+                          schema: dict, stage: str | None = None):
     """Validate a response against a JSON schema, re-prompting the model with
-    the validation error; ``options`` (``max_retries``, ``stage``) go to
-    ``parse_with_retry``.
+    the validation error, as ``parse_with_retry`` does.
 
     Returns (validated payload, raw response text).
     """
@@ -284,4 +285,4 @@ def parse_json_with_retry(client, messages: Sequence[ChatMessage], response: str
             raise ValueError(error.message) from error
         return payload
 
-    return parse_with_retry(client, messages, response, parse, JSON_COMPLAINT, **options)
+    return parse_with_retry(client, messages, response, parse, JSON_COMPLAINT, stage)

@@ -71,8 +71,6 @@ class BpmnEdge:
     source: str
     target: str
     tag: str
-    condition: str | None = None
-    is_default: bool = False
 
 
 class BpmnGraph:
@@ -116,16 +114,9 @@ class BpmnGraph:
         except KeyError:
             raise UnknownNode(node_id) from None
 
-    def successors(self, node_id: str) -> tuple[str, ...]:
-        self.node(node_id)
-        return tuple(self._succ[node_id])
-
-    def predecessors(self, node_id: str) -> tuple[str, ...]:
-        self.node(node_id)
-        return tuple(self._pred[node_id])
-
     def neighbors(self, node_id: str) -> set[str]:
-        return set(self.successors(node_id)) | set(self.predecessors(node_id))
+        self.node(node_id)
+        return set(self._succ[node_id]) | set(self._pred[node_id])
 
     def degree(self, node_id: str) -> int:
         """Total degree: in-degree + out-degree."""
@@ -183,10 +174,9 @@ class DocumentIndex:
         self.repeats: list[tuple[str, int]] = []  # (id, position) of each reuse
         self.nodes: list[IndexedNode] = []  # tasks, gateways, events, data; ids optional
         self.links: list[IndexedLink] = []  # flow elements and boundary attachments
-        self.defaults: set[str] = set()  # ids named by a ``default`` attribute
         self.warnings: list[str] = []  # graph-build warnings, in walk order
         elements, positions, repeats = self.elements, self.positions, self.repeats
-        nodes, links, defaults, warnings = self.nodes, self.links, self.defaults, self.warnings
+        nodes, links, warnings = self.nodes, self.links, self.warnings
         cut = len(_BPMN_PREFIX)
         position = -1
         anonymous = 0
@@ -224,9 +214,6 @@ class DocumentIndex:
                         elif category is not ElementCategory.DATA:
                             inner_activity = eid
                         nodes.append(IndexedNode(elem, eid, tag, category, process))
-                        default = elem.get("default")
-                        if default:
-                            defaults.add(default)
                         host = elem.get("attachedToRef") if tag == "boundaryEvent" else None
                         if host and eid:
                             links.append(IndexedLink(elem, f"{eid}__attached", ATTACHMENT_TAG,
@@ -285,8 +272,7 @@ def build_graph(doc: BpmnDocument) -> tuple[BpmnGraph, list[str]]:
         if not link.source or not link.target:
             continue
         if link.source in node_ids and link.target in node_ids:
-            edges.append(BpmnEdge(link.id, link.source, link.target, link.tag, link.condition,
-                                  link.id in index.defaults))
+            edges.append(BpmnEdge(link.id, link.source, link.target, link.tag))
         else:
             missing = link.target if link.source in node_ids else link.source
             warnings.append(f"{link.tag} {link.id!r} dropped: endpoint {missing!r} not found")

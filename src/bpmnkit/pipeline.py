@@ -14,13 +14,14 @@ import json
 import logging
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
 from .compliance import ComplianceReport, validate
 from .layout import auto_layout
 from .llm import (
+    FENCE,
     complete,
     extract_json,
     parse_json_with_retry,
@@ -319,8 +320,7 @@ class StageArtifact:
     raw_response: str
 
     def to_dict(self) -> dict:
-        return {"stage": self.stage, "payload": self.payload,
-                "raw_response": self.raw_response}
+        return asdict(self)
 
 
 @dataclass
@@ -520,8 +520,7 @@ def _parse_fragment(fragment_xml, doc: BpmnDocument, warnings: list[str]):
 def extract_xml(text: str) -> str:
     """Pull a BPMN XML document out of a chat response, tolerating code
     fences and surrounding prose."""
-    fenced = re.findall(r"```(?:xml)?\s*\n?(.*?)```", text, re.DOTALL)
-    for block in fenced:
+    for block in FENCE.findall(text):
         if "<" in block:
             text = block
             break
@@ -561,8 +560,8 @@ def reconstruct(description: str, client, run_dir: str | Path | None = None,
     document plus the per-stage artifact trail.
 
     Stage k+1's prompt embeds stage k's validated payload. The stage-6 XML is
-    parsed and validated; a non-compliant model enters the correction loop,
-    and DI layout is appended only after compliance. Raises
+    parsed and handed to the correction loop, which validates it and repairs
+    it when non-compliant; DI layout is appended only after compliance. Raises
     ReconstructionNonCompliant (artifacts attached) when correction fails.
     ``run_dir`` receives ``stage1.json``-``stage5.json``, ``stage6.bpmn`` and
     one line per correction iteration appended to ``correction.log.jsonl``.
@@ -574,23 +573,23 @@ def reconstruct(description: str, client, run_dir: str | Path | None = None,
         run_path.mkdir(parents=True, exist_ok=True)
 
     artifacts: list[StageArtifact] = []
-    payloads: dict[str, Any] = {}
+    rendered: dict[str, str] = {}  # stage -> its payload's canonical_json
 
     for index, stage in enumerate(STAGES[:-1], start=1):
-        prompt = _stage_prompt(stage, description, payloads)
+        prompt = _stage_prompt(stage, description, rendered)
         messages = [system(_STAGE_SYSTEM_PROMPTS[stage]), user(prompt)]
         response = complete(client, messages)
         payload, raw = parse_json_with_retry(client, messages, response, STAGE_SCHEMAS[stage],
                                              stage=stage)
         artifact = StageArtifact(stage, payload, raw)
         artifacts.append(artifact)
-        payloads[stage] = payload
+        rendered[stage] = canonical_json(payload)
         if run_path is not None:
             (run_path / f"stage{index}.json").write_text(
                 json.dumps(artifact.to_dict(), indent=2, ensure_ascii=False),
                 encoding="utf-8")
 
-    xml_prompt = _stage_prompt(STAGE_BPMN_XML, description, payloads)
+    xml_prompt = _stage_prompt(STAGE_BPMN_XML, description, rendered)
     messages = [system(_STAGE_SYSTEM_PROMPTS[STAGE_BPMN_XML]), user(xml_prompt)]
     response = complete(client, messages)
     doc, raw = parse_with_retry(client, messages, response,
@@ -601,15 +600,14 @@ def reconstruct(description: str, client, run_dir: str | Path | None = None,
     if run_path is not None:
         (run_path / "stage6.bpmn").write_text(xml_artifact.payload, encoding="utf-8")
 
-    report = validate(doc)
-    if not report.compliant:
-        result = correct_model(doc, client, correction_limit, simple_threshold)
-        doc, report = result.document, result.report
+    result = correct_model(doc, client, correction_limit, simple_threshold)
+    if result.log or not result.report.compliant:  # the stage-6 model was not compliant
+        doc = result.document
         if run_path is not None:
             with (run_path / "correction.log.jsonl").open("a", encoding="utf-8") as handle:
                 handle.writelines(json.dumps(entry) + "\n" for entry in result.log)
-    if not report.compliant:
-        raise ReconstructionNonCompliant(report, artifacts, doc)
+    if not result.report.compliant:
+        raise ReconstructionNonCompliant(result.report, artifacts, doc)
 
     try:
         doc.root.extend(auto_layout(doc))
@@ -618,17 +616,17 @@ def reconstruct(description: str, client, run_dir: str | Path | None = None,
     return doc, artifacts
 
 
-def _stage_prompt(stage: str, description: str, payloads: dict[str, Any]) -> str:
+def _stage_prompt(stage: str, description: str, rendered: dict[str, str]) -> str:
     parts = ["Process description:", "---", description.strip(), "---"]
     if stage == STAGE_BPMN_XML:
         for previous in STAGES[:-1]:
-            if previous in payloads:
+            if previous in rendered:
                 parts.append(f"Validated {previous.replace('_', ' ')}:")
-                parts.append(canonical_json(payloads[previous]))
+                parts.append(rendered[previous])
     else:
         position = STAGES.index(stage)
         if position > 0:
             previous = STAGES[position - 1]
             parts.append(f"Validated {previous.replace('_', ' ')} from the previous stage:")
-            parts.append(canonical_json(payloads[previous]))
+            parts.append(rendered[previous])
     return "\n\n".join(parts)

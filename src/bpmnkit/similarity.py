@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -356,14 +356,7 @@ class SimilarityBreakdown:
     overall: float
 
     def to_dict(self) -> dict[str, float]:
-        return {
-            "structural": self.structural,
-            "type_distribution": self.type_distribution,
-            "semantic_name": self.semantic_name,
-            "semantic_type": self.semantic_type,
-            "semantic_name_type": self.semantic_name_type,
-            "overall": self.overall,
-        }
+        return asdict(self)
 
 
 def _semantic_nodes(graph: BpmnGraph):

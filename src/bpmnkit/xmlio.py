@@ -349,18 +349,16 @@ def unique_values(entries: Iterable[TranslatableString]) -> list[str]:
     return list(seen)
 
 
-def levenshtein(a: str, b: str, cutoff: int | None = None) -> int:
-    """Edit distance between ``a`` and ``b``.
+def levenshtein(a: str, b: str, cutoff: int) -> int:
+    """Edit distance between ``a`` and ``b``, up to ``cutoff``.
 
-    With ``cutoff`` only the diagonal band ``|i - j| <= cutoff`` is computed
-    and the scan stops once a whole row exceeds it (Ukkonen, Information and
-    Control 64, 1985): a distance of at most ``cutoff`` is exact, a larger one
-    is reported as ``cutoff + 1``."""
+    Only the diagonal band ``|i - j| <= cutoff`` is computed and the scan
+    stops once a whole row exceeds it (Ukkonen, Information and Control 64,
+    1985): a distance of at most ``cutoff`` is exact, a larger one is
+    reported as ``cutoff + 1``."""
     if a == b:
         return 0
     la, lb = len(a), len(b)
-    if cutoff is None:
-        cutoff = max(la, lb)
     over = cutoff + 1
     if abs(la - lb) > cutoff:
         return over
@@ -390,23 +388,12 @@ def _nfc_strip(text: str) -> str:
     return unicodedata.normalize("NFC", text).strip()
 
 
-def normalized_similarity(a: str, b: str) -> float:
-    """1 - normalized edit distance, after NFC normalization and trimming.
-    Two empty strings are fully similar."""
-    na, nb = _nfc_strip(a), _nfc_strip(b)
-    if na == nb:
-        return 1.0
-    if not na or not nb:
-        return 0.0
-    return 1.0 - levenshtein(na, nb) / max(len(na), len(nb))
-
-
 def _closest(target: str, candidates: Sequence[tuple[str, Counter, str]],
              threshold: float) -> str | None:
     """The translation of the first (normalized key, key's character counts,
-    translation) candidate with the highest ``normalized_similarity`` to the
-    normalized ``target``, or None unless that similarity is above 0 and at
-    least ``threshold``.
+    translation) candidate with the highest similarity ``1 - distance /
+    longer length`` to the normalized ``target``, or None unless that
+    similarity is above 0 and at least ``threshold``.
 
     A similarity never exceeds ``1 - |la - lb| / max(la, lb)``, so a key
     whose bound cannot win is skipped, and the other distances are cut off
@@ -458,7 +445,8 @@ def reinsert_strings(doc: BpmnDocument, mapping: dict[str, str], threshold: floa
     """Apply a {original: translated} mapping to the extracted locations.
 
     Exact key hits are applied directly; otherwise the highest-similarity key
-    (``normalized_similarity``) is used when it clears ``threshold``. Locations
+    (1 - normalized edit distance, after NFC normalization and trimming) is
+    used when it clears ``threshold``. Locations
     without an acceptable match are left unchanged and reported as warnings,
     one per location. Each distinct value is matched once per call. Content
     outside the configured locations is never touched.

@@ -58,6 +58,16 @@ def embedder() -> HashingEmbedder:
     return HashingEmbedder()
 
 
+def narrow_embedder(dimension: int) -> HashingEmbedder:
+    """The hashing embedder with ``dimension`` buckets in place of its fixed
+    width, so tokens collide (``embed_batch`` reads the width from the
+    ``dimension`` attribute)."""
+    if dimension == HashingEmbedder.dimension:
+        return HashingEmbedder()
+    return type("NarrowHashingEmbedder", (HashingEmbedder,),
+                {"dimension": dimension, "cache_key": f"hashing-fallback:{dimension}"})()
+
+
 class Reply(NamedTuple):
     """One answer of the loopback server. ``length``, when given, is the
     Content-Length sent in place of ``len(body)`` (a larger one cuts the

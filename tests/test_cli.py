@@ -559,11 +559,13 @@ _NO_NUMPY = """
 import sys
 from bpmnkit import cli
 
-chain3, script, description, reconstruct_script, out = sys.argv[1:]
+chain3, script, description, reconstruct_script, out, manifest, results = sys.argv[1:]
 assert cli.main(["validate", chain3]) == 0
 assert cli.main(["translate", chain3, "-o", out, "--llm-mock-script", script]) == 0
 assert cli.main(["reconstruct", description, "-o", out,
                  "--llm-mock-script", reconstruct_script]) == 0
+assert cli.main(["batch", manifest, "--stage", "translate", "--llm-mock-script", script]) == 0
+assert cli.main(["report", results, "-o", "json"]) == 0
 assert "numpy" not in sys.modules, "numpy was loaded"
 import bpmnkit
 from bpmnkit import HashingEmbedder, batch, compare
@@ -578,15 +580,28 @@ else:
 
 
 def test_commands_that_embed_nothing_do_not_load_numpy(tmp_path):
-    """In a fresh interpreter, validate and a mock translate and reconstruct
-    leave numpy unloaded; the package's lazy names still import."""
+    """In a fresh interpreter, validate, a mock translate and reconstruct, a
+    mock batch translate and a report leave numpy unloaded; the package's
+    lazy names still import."""
     script = tmp_path / "script.json"
     script.write_text(json.dumps(["{}"]))
     description = tmp_path / "description.txt"
     description.write_text("A clerk checks the order.", encoding="utf-8")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"entries": [
+        {"model_path": str(fixture_path("chain3.bpmn")), "status": "raw"}]}))
+    results = tmp_path / "results"
+    results.mkdir()
+    breakdown = dict.fromkeys(("structural", "type_distribution", "semantic_name",
+                               "semantic_type", "semantic_name_type", "overall"), 0.5)
+    (results / "chain3.json").write_text(json.dumps({"model_id": "chain3",
+                                                     "breakdown": breakdown}))
     env = dict(os.environ, PYTHONPATH=str(Path(bpmnkit.__file__).parents[1]))
     done = subprocess.run(
         [sys.executable, "-c", _NO_NUMPY, str(fixture_path("chain3.bpmn")), str(script),
          str(description), str(fixture_path("mock_reconstruct_ok.json")),
-         str(tmp_path / "out.bpmn")], env=env, capture_output=True, text=True, timeout=60)
+         str(tmp_path / "out.bpmn"), str(manifest), str(results)],
+        env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+    assert json.loads(manifest.read_text())["entries"][0]["status"] == "translated"
+    assert '"reconstructed": 1' in done.stdout

@@ -26,7 +26,7 @@ from bpmnkit.embeddings import (
     make_provider,
 )
 
-from conftest import Reply, scripted
+from conftest import Reply, narrow_embedder, scripted
 
 
 def _reference_vector(text, dimension):
@@ -67,7 +67,7 @@ class TestHashingEmbedder:
 
     @pytest.mark.parametrize("dimension", [DEFAULT_DIMENSION, 7])
     def test_batch_matches_singleton_calls(self, dimension):
-        embedder = HashingEmbedder(dimension)
+        embedder = narrow_embedder(dimension)
         texts = ["alpha", "beta gamma", "", "审批", "beta beta beta gamma", "alpha"]
         batch = embedder.embed_batch(texts)
         for i, text in enumerate(texts):
@@ -75,7 +75,7 @@ class TestHashingEmbedder:
 
     @pytest.mark.parametrize("dimension", [DEFAULT_DIMENSION, 7])
     def test_empty_batch_has_no_rows(self, dimension):
-        out = HashingEmbedder(dimension).embed_batch([])
+        out = narrow_embedder(dimension).embed_batch([])
         assert out.shape == (0, dimension)
         assert out.dtype == np.float64
 
@@ -100,7 +100,7 @@ class TestHashingEmbedder:
     def test_vectors_equal_an_inline_md5_reference(self, dimension):
         texts = ["Approve order", "Check-Stock 2", "审批贷款", "审批 loan 贷款", "Заявка x",
                  "", "   ", "order order order", "a b a", "x1 y2 x1 x1"]
-        embedder = HashingEmbedder(dimension)
+        embedder = narrow_embedder(dimension)
         for _ in range(2):  # the second pass reads every token from the memo
             for text, vec in zip(texts, embedder.embed_batch(texts)):
                 assert np.array_equal(vec, _reference_vector(text, dimension)), text
@@ -112,7 +112,7 @@ class TestHashingEmbedder:
     ), max_size=12), st.sampled_from([7, DEFAULT_DIMENSION]))
     @settings(max_examples=200, deadline=None)
     def test_batch_equals_a_per_token_reference_loop(self, texts, dimension):
-        embedder = HashingEmbedder(dimension)
+        embedder = narrow_embedder(dimension)
         batch = embedder.embed_batch(texts)
         assert batch.shape == (len(texts), dimension)
         assert batch.dtype == np.float64
@@ -121,11 +121,12 @@ class TestHashingEmbedder:
             # a row does not depend on the rest of its batch
             assert row.tobytes() == embedder.embed_batch([text])[0].tobytes()
 
-    def test_dimension_is_configurable(self):
-        small = HashingEmbedder(dimension=16)
-        assert small.embed_batch(["text"]).shape == (1, 16)
-        with pytest.raises(ValueError):
-            HashingEmbedder(dimension=0)
+    def test_width_and_cache_key_are_fixed(self):
+        embedder = HashingEmbedder()
+        assert embedder.dimension == DEFAULT_DIMENSION == 384
+        # the key of every stored cache entry
+        assert embedder.cache_key == "hashing-fallback:384"
+        assert embedder.embed_batch(["text"]).shape == (1, 384)
 
 
 def _fake_vectors(n):

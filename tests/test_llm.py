@@ -14,6 +14,7 @@ from bpmnkit.llm import (
     LlmTimeout,
     LlmUnavailable,
     MockChatClient,
+    SCHEMA_RETRIES,
     SchemaFailureAfterRetries,
     complete,
     extract_json,
@@ -156,8 +157,7 @@ class TestParseJsonWithRetry:
 
     def test_reprompts_on_schema_violation(self):
         client = MockChatClient(['{"name": "fixed"}'])
-        payload, _ = parse_json_with_retry(client, MESSAGES, '{"wrong": 1}', SCHEMA,
-                                           max_retries=2)
+        payload, _ = parse_json_with_retry(client, MESSAGES, '{"wrong": 1}', SCHEMA)
         assert payload == {"name": "fixed"}
         assert client.call_count == 1
         retry_prompt = client.calls[0][-1].content
@@ -183,9 +183,9 @@ class TestParseJsonWithRetry:
                 continue
             except jsonschema.ValidationError as exc:
                 expected = exc.message
+            client = MockChatClient([json.dumps(payload)] * SCHEMA_RETRIES)
             with pytest.raises(SchemaFailureAfterRetries) as failure:
-                parse_json_with_retry(MockChatClient([]), MESSAGES, json.dumps(payload),
-                                      schema, max_retries=0)
+                parse_json_with_retry(client, MESSAGES, json.dumps(payload), schema)
             assert failure.value.last_error == expected
             checked += 1
         assert checked >= 3
@@ -213,9 +213,10 @@ class TestParseJsonWithRetry:
         assert checked == [schema]
 
     def test_persistent_garbage_fails_after_attempts(self):
-        client = MockChatClient(["still bad", "also bad"])
+        client = MockChatClient(["still bad", "also bad", "bad again"])
         with pytest.raises(SchemaFailureAfterRetries) as exc:
-            parse_json_with_retry(client, MESSAGES, "bad", SCHEMA, max_retries=2)
-        assert exc.value.attempts == 3
-        assert client.call_count == 2
-        assert exc.value.raw == "also bad"
+            parse_json_with_retry(client, MESSAGES, "bad", SCHEMA)
+        assert SCHEMA_RETRIES == 3
+        assert exc.value.attempts == 4
+        assert client.call_count == 3
+        assert exc.value.raw == "bad again"

@@ -7,6 +7,7 @@ from bpmnkit.model import (
     BpmnEdge,
     BpmnGraph,
     BpmnNode,
+    DocumentIndex,
     ElementCategory,
     UnknownNode,
     build_graph,
@@ -91,12 +92,14 @@ class TestBuildGraph:
         assert attached[0].source == "task_pay"
         assert attached[0].target == "boundary_timeout"
 
-    def test_default_flow_marked(self):
-        graph, _ = build_graph(load_doc("diamond.bpmn"))
-        by_id = {e.id: e for e in graph.edges}
-        assert by_id["flow_reject"].is_default
-        assert not by_id["flow_approve"].is_default
+    def test_flow_conditions_are_indexed(self):
+        # compliance reads a flow's condition from the index, and the default
+        # flow from its gateway's own ``default`` attribute
+        index = DocumentIndex(load_doc("diamond.bpmn"))
+        by_id = {link.id: link for link in index.links}
         assert by_id["flow_approve"].condition == "${claimValid}"
+        assert by_id["flow_reject"].condition is None
+        assert index.elements["gw_split"].get("default") == "flow_reject"
 
     def test_no_process_raises(self):
         doc = parse(b'<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL"/>')

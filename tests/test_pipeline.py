@@ -322,6 +322,10 @@ class TestExtractXml:
         with pytest.raises(ValueError):
             extract_xml("no xml at all")
 
+    def test_fence_with_another_info_string(self):
+        text = "Model:\n```bpmn\n<definitions xmlns=\"x\"><process/></definitions>\n```\nDone."
+        assert extract_xml(text) == '<definitions xmlns="x"><process/></definitions>'
+
 
 class TestReconstruct:
     def test_clean_script_runs_six_calls(self, tmp_path):
@@ -342,6 +346,42 @@ class TestReconstruct:
             lines = (tmp_path / "correction.log.jsonl").read_text().splitlines()
             assert len(lines) == run  # one JSON line per iteration, one iteration a run
             assert [json.loads(line)["iteration"] for line in lines] == [1] * run
+
+    def test_correction_log_written_only_for_a_non_compliant_stage6(self, tmp_path):
+        client = MockChatClient.from_json(fixture_path("mock_reconstruct_ok.json"))
+        reconstruct(DESCRIPTION, client, run_dir=tmp_path / "clean")
+        assert not (tmp_path / "clean" / "correction.log.jsonl").exists()
+        client = MockChatClient.from_json(fixture_path("mock_reconstruct_fixup.json"))
+        with pytest.raises(ReconstructionNonCompliant):
+            reconstruct(DESCRIPTION, client, run_dir=tmp_path / "cut", correction_limit=0)
+        assert (tmp_path / "cut" / "correction.log.jsonl").read_text() == ""
+
+    @pytest.mark.parametrize("script, validations", [
+        ("mock_reconstruct_ok.json", 1),  # the stage-6 model
+        ("mock_reconstruct_fixup.json", 2),  # the stage-6 model and its one repair
+    ])
+    def test_stage6_model_is_validated_once(self, monkeypatch, script, validations):
+        seen = []
+
+        def spy(doc):
+            seen.append(doc)
+            return validate(doc)
+
+        monkeypatch.setattr(pipeline, "validate", spy)
+        reconstruct(DESCRIPTION, MockChatClient.from_json(fixture_path(script)))
+        assert len(seen) == validations
+
+    def test_each_stage_payload_is_rendered_once(self, monkeypatch):
+        rendered = []
+
+        def spy(payload):
+            rendered.append(payload)
+            return canonical_json(payload)
+
+        monkeypatch.setattr(pipeline, "canonical_json", spy)
+        client = MockChatClient.from_json(fixture_path("mock_reconstruct_ok.json"))
+        _, artifacts = reconstruct(DESCRIPTION, client)
+        assert rendered == [artifact.payload for artifact in artifacts[:5]]
 
     def test_layout_added_after_compliance(self):
         client = MockChatClient.from_json(fixture_path("mock_reconstruct_ok.json"))

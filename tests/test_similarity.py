@@ -26,7 +26,7 @@ from bpmnkit.similarity import (
     type_distribution_similarity,
 )
 
-from conftest import ALL_FIXTURES, CLEAN_FIXTURES, load_doc
+from conftest import ALL_FIXTURES, CLEAN_FIXTURES, load_doc, narrow_embedder
 
 
 def _graph(name):
@@ -415,7 +415,7 @@ class _RecordingProvider:
     cache_key = "recording"
 
     def __init__(self):
-        self.inner = HashingEmbedder(dimension=self.dimension)
+        self.inner = narrow_embedder(self.dimension)
         self.calls = []
 
     def embed_batch(self, texts):

@@ -14,7 +14,6 @@ from bpmnkit.xmlio import (
     XmlSyntaxError,
     extract_strings,
     levenshtein,
-    normalized_similarity,
     parse,
     reattach_di,
     reinsert_strings,
@@ -281,6 +280,13 @@ class TestReinsertStrings:
         assert element_by_id(doc, "task_check").get("name") == "Prüfen"
 
 
+def _reinserted_name(label: str, mapping: dict[str, str], threshold: float) -> str:
+    """The name a task labelled ``label`` gets from ``reinsert_strings``."""
+    doc = parse(MINIMAL)
+    ET.SubElement(doc.processes()[0], f"{{{BPMN_NS}}}task", id="t", name=label)
+    return element_by_id(reinsert_strings(doc, mapping, threshold)[0], "t").get("name")
+
+
 class TestFuzzySimilarity:
     @pytest.mark.parametrize("a,b,expected", [
         ("kitten", "sitting", 3),
@@ -288,18 +294,20 @@ class TestFuzzySimilarity:
         ("same", "same", 0),
     ])
     def test_levenshtein(self, a, b, expected):
-        assert levenshtein(a, b) == expected
+        assert levenshtein(a, b, max(len(a), len(b))) == expected
 
     def test_trimming_and_nfc(self):
-        assert normalized_similarity("Prüfen", "Prüfen  ") == 1.0
+        assert _reinserted_name("Pr\u00fcfen", {"Pr\u00fcfen  ": "Check"}, 1.0) == "Check"
         # NFC vs NFD spelling of u-umlaut
-        assert normalized_similarity("Prüfen", "Prüfen") == 1.0
+        assert _reinserted_name("Pr\u00fcfen", {"Pru\u0308fen": "Check"}, 1.0) == "Check"
 
     def test_both_empty_fully_similar(self):
-        assert normalized_similarity("", "  ") == 1.0
+        assert _reinserted_name("  ", {"": "Blank"}, 1.0) == "Blank"
 
     def test_distance_scales(self):
-        assert normalized_similarity("abcd", "abxd") == pytest.approx(0.75)
+        # one edit in four characters: similarity 0.75
+        assert _reinserted_name("abcd", {"abxd": "T"}, 0.75) == "T"
+        assert _reinserted_name("abcd", {"abxd": "T"}, 0.76) == "abcd"
 
 
 def _full_distance(a: str, b: str) -> int:
@@ -409,7 +417,7 @@ def test_pruned_reinsertion_matches_brute_force(case):
 @settings(max_examples=500, deadline=None, derandomize=True)
 def test_cutoff_levenshtein_is_exact_up_to_the_cutoff(a, b, cutoff):
     distance = _full_distance(a, b)
-    assert levenshtein(a, b) == distance
+    assert levenshtein(a, b, max(len(a), len(b))) == distance
     if distance <= cutoff:
         assert levenshtein(a, b, cutoff) == distance
     else:
