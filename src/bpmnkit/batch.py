@@ -32,6 +32,8 @@ HISTOGRAM_BINS = 20
 DIMENSIONS = ("structural", "type_distribution", "semantic_name",
               "semantic_type", "semantic_name_type", "overall")
 
+STATUSES = ("raw", "translated", "compliant", "described", "reconstructed")  # in stage order
+
 DIMENSION_LABELS = {
     "structural": "Structural Similarity",
     "type_distribution": "Type Distribution Similarity",
@@ -81,6 +83,9 @@ class CorpusManifest:
             for key in ("description_path", "reconstruction_path"):
                 if not isinstance(e.get(key), (str, type(None))):
                     raise ValueError(f"manifest entry {index}: {key} must be a string or null")
+            if e.get("status", "raw") not in STATUSES:
+                raise ValueError(f"manifest entry {index}: status must be one of "
+                                 f"{', '.join(STATUSES)}, got {e['status']!r}")
         manifest = cls([
             ManifestEntry(
                 model_path=e["model_path"],
@@ -144,7 +149,7 @@ def _empty_histogram() -> list[dict]:
 def build_report(records: list[dict], total_pairs: int) -> EvaluationReport:
     """Aggregate per-pair records (sorted by model_id so the result does not
     depend on completion order) into the full report."""
-    ordered = sorted(records, key=lambda r: r.get("model_id", ""))
+    ordered = sorted(records, key=lambda r: r["model_id"])
     per_model = [r for r in ordered if "breakdown" in r]
     errors = [r for r in ordered if "breakdown" not in r]
 
@@ -206,17 +211,25 @@ def _evaluate_pair(model_id: str, truth: _Truth, recon_path: Path) -> dict:
 
 
 def _read_record(path: Path) -> dict | None:
-    """A stored per-pair result, or None when the file is missing, does not
-    parse (an interrupted write, say) or has no ``model_id``: that pair is
-    then not done."""
+    """A stored per-pair result, or None when the file is missing or holds
+    no result: it does not parse (an interrupted write, say), its
+    ``model_id`` is not a string, or its ``breakdown`` lacks a number in
+    [0, 1] for some dimension. That pair is then not done."""
     try:
         record = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         return None
     except (OSError, ValueError):
-        logger.warning("ignoring unreadable result file %s", path)
-        return None
-    return record if isinstance(record, dict) and "model_id" in record else None
+        record = None
+    if isinstance(record, dict) and isinstance(record.get("model_id"), str):
+        if "breakdown" not in record:  # an error record
+            return record
+        scores = record["breakdown"]
+        if isinstance(scores, dict) and all(type(scores.get(dim)) in (int, float)
+                                            and 0 <= scores[dim] <= 1 for dim in DIMENSIONS):
+            return record
+    logger.warning("ignoring unreadable result file %s", path)
+    return None
 
 
 def _unique_stems(paths: list[str | Path]) -> list[str]:
@@ -291,14 +304,9 @@ def batch_evaluate(pairs: list[tuple[str | Path, str | Path]],
 
 def load_report(results_dir: str | Path) -> EvaluationReport:
     """Rebuild a report from the per-pair JSON files in a results directory."""
-    out_dir = Path(results_dir)
-    records = []
-    for path in sorted(out_dir.glob("*.json")):
-        if path.name.startswith("summary"):
-            continue
-        record = _read_record(path)
-        if record is not None:
-            records.append(record)
+    paths = [p for p in sorted(Path(results_dir).glob("*.json"))
+             if not p.name.startswith("summary")]
+    records = [record for record in map(_read_record, paths) if record is not None]
     return build_report(records, total_pairs=len(records))
 
 

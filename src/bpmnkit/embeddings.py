@@ -53,14 +53,12 @@ class EmbeddingProvider(Protocol):
 
 
 def make_provider(cfg: ProviderConfig) -> "EmbeddingProvider":
-    provider: EmbeddingProvider
-    if cfg.endpoint:
-        provider = RemoteEmbedder(cfg.endpoint, cfg.model_name)
-    else:
-        provider = HashingEmbedder()
-    if cfg.cache_dir:
-        provider = CachingEmbedder(provider, cfg.cache_dir)
-    return provider
+    """The remote embedder, behind the disk cache when ``cache_dir`` is set, or
+    the hashing embedder, never cached: it is faster than a cache lookup."""
+    if not cfg.endpoint:
+        return HashingEmbedder()
+    remote = RemoteEmbedder(cfg.endpoint, cfg.model_name)
+    return CachingEmbedder(remote, cfg.cache_dir) if cfg.cache_dir else remote
 
 
 def _tokens(text: str) -> list[str]:

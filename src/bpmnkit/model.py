@@ -47,12 +47,6 @@ for _tag in ("sequenceFlow", "messageFlow", "association",
     _CATEGORY_BY_TAG[_tag] = ElementCategory.FLOW
 
 
-def categorize_element(tag: str) -> ElementCategory:
-    """Total, pure mapping from a (namespace-stripped) element tag to its
-    category. Unknown tags map to ``OTHER``."""
-    return _CATEGORY_BY_TAG.get(tag, ElementCategory.OTHER)
-
-
 class UnknownNode(KeyError):
     pass
 

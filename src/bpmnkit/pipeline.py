@@ -377,8 +377,8 @@ def correct_model(doc: BpmnDocument, client, limit: int = 5,
     receive localized JSON repair actions. Each prompt quotes the last
     ``HISTORY_WINDOW`` attempts. A repair that increases the error count is
     rolled back and the iteration counts as failed, so the returned document
-    never validates worse than the input. The returned document shares no
-    element with ``doc``, which is left unchanged.
+    never validates worse than the input. ``doc`` is left unchanged: the
+    result is a fresh tree when a repair was accepted, else ``doc`` itself.
     """
     working, di = strip_di(doc)  # shares doc's elements until a candidate replaces it
     report = validate(working)
@@ -388,8 +388,7 @@ def correct_model(doc: BpmnDocument, client, limit: int = 5,
 
     while not report.compliant and len(log) < limit:
         if state is None:
-            graph, _ = build_graph(working) if working.processes() else (None, [])
-            node_count = graph.node_count if graph is not None else 0
+            node_count = build_graph(working)[0].node_count if working.processes() else 0
             state = ("regenerate" if node_count <= simple_threshold else "local_repair",
                      _truncate(serialize(working).decode("utf-8"), MODEL_EXCERPT_LIMIT))
         mode, model_excerpt = state
@@ -413,10 +412,9 @@ def correct_model(doc: BpmnDocument, client, limit: int = 5,
                 entry["warnings"].append("repair increased error count; rolled back")
         log.append(entry)
 
-    if not any(entry["accepted"] for entry in log):
-        working = working.copy()  # accepted candidates are fresh trees already
-    result_doc, _dropped = reattach_di(working, di)
-    return CorrectionResult(result_doc, report, len(log), log)
+    if any(entry["accepted"] for entry in log):  # then working is a fresh tree
+        doc, _dropped = reattach_di(working, di)
+    return CorrectionResult(doc, report, len(log), log)
 
 
 def _correction_prompt(model_excerpt: str, report: ComplianceReport, mode: str,
@@ -601,11 +599,11 @@ def reconstruct(description: str, client, run_dir: str | Path | None = None,
         (run_path / "stage6.bpmn").write_text(xml_artifact.payload, encoding="utf-8")
 
     result = correct_model(doc, client, correction_limit, simple_threshold)
-    if result.log or not result.report.compliant:  # the stage-6 model was not compliant
-        doc = result.document
-        if run_path is not None:
-            with (run_path / "correction.log.jsonl").open("a", encoding="utf-8") as handle:
-                handle.writelines(json.dumps(entry) + "\n" for entry in result.log)
+    doc = result.document
+    # written when the stage-6 model was not compliant
+    if run_path is not None and (result.log or not result.report.compliant):
+        with (run_path / "correction.log.jsonl").open("a", encoding="utf-8") as handle:
+            handle.writelines(json.dumps(entry) + "\n" for entry in result.log)
     if not result.report.compliant:
         raise ReconstructionNonCompliant(result.report, artifacts, doc)
 

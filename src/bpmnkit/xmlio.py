@@ -290,10 +290,9 @@ def reattach_di(doc: BpmnDocument,
 
 @dataclass(frozen=True)
 class TranslatableString:
-    """One occurrence of translatable text: element path plus attribute name,
-    or attribute=None for ``documentation`` text content."""
+    """One occurrence of translatable text: the attribute it sits in, or
+    None for ``documentation`` text content."""
 
-    path: str
     attribute: str | None
     value: str
 
@@ -314,19 +313,25 @@ def _effective_attrs(attrs: Sequence[str] | None) -> tuple[str, ...]:
 
 def _walk_translatable(doc: BpmnDocument, attrs: tuple[str, ...],
                        include_documentation: bool):
-    """Yield (element, path, attribute-or-None) in document order."""
-
-    def walk(elem: ET.Element, path: str):
+    """Yield (element, attribute-or-None, text) in document order."""
+    for elem in doc.root.iter():
         for attr in attrs:
-            if elem.get(attr):
-                yield elem, path, attr
-        if include_documentation and local_name(elem.tag) == "documentation" \
-                and elem.text and elem.text.strip():
-            yield elem, path, None
-        for idx, child in enumerate(elem):
-            yield from walk(child, f"{path}/{local_name(child.tag)}[{idx}]")
+            if value := elem.get(attr):
+                yield elem, attr, value
+        if include_documentation and elem.text and elem.text.strip() \
+                and local_name(elem.tag) == "documentation":
+            yield elem, None, elem.text
 
-    yield from walk(doc.root, f"/{local_name(doc.root.tag)}")
+
+def _element_path(elem: ET.Element, parents: dict[ET.Element, ET.Element]) -> str:
+    """``/definitions/process[0]/task[2]``: the local names from the root
+    down, each below it with its position among its parent's children."""
+    steps = []
+    while elem in parents:
+        parent = parents[elem]
+        steps.append(f"/{local_name(elem.tag)}[{list(parent).index(elem)}]")
+        elem = parent
+    return f"/{local_name(elem.tag)}" + "".join(reversed(steps))
 
 
 def extract_strings(doc: BpmnDocument, attrs: Sequence[str] | None = None,
@@ -334,11 +339,8 @@ def extract_strings(doc: BpmnDocument, attrs: Sequence[str] | None = None,
     """Collect translatable text occurrences (``name`` attributes by default,
     plus ``documentation`` text). Identifiers are never extracted."""
     effective = _effective_attrs(attrs)
-    found = []
-    for elem, path, attr in _walk_translatable(doc, effective, include_documentation):
-        value = elem.get(attr) if attr is not None else elem.text
-        found.append(TranslatableString(path, attr, value))
-    return found
+    return [TranslatableString(attr, value)
+            for _, attr, value in _walk_translatable(doc, effective, include_documentation)]
 
 
 def unique_values(entries: Iterable[TranslatableString]) -> list[str]:
@@ -453,22 +455,21 @@ def reinsert_strings(doc: BpmnDocument, mapping: dict[str, str], threshold: floa
     """
     effective = _effective_attrs(attrs)
     new_doc = doc.copy()
-    warnings: list[str] = []
     usable = {k: v for k, v in mapping.items() if v}
-    for k in mapping:
-        if not mapping[k]:
-            warnings.append(f"empty translation for {k!r} ignored")
+    warnings = [f"empty translation for {k!r} ignored" for k, v in mapping.items() if not v]
     keys = [(_nfc_strip(key), translation) for key, translation in usable.items()]
     candidates = [(key, Counter(key), translation) for key, translation in keys]
     matches: dict[str, str | None] = dict(usable)  # value -> replacement; None: no match
+    parents: dict[ET.Element, ET.Element] = {}  # child -> parent, built for the first warning
 
-    for elem, path, attr in _walk_translatable(new_doc, effective, include_documentation):
-        value = elem.get(attr) if attr is not None else elem.text
+    for elem, attr, value in _walk_translatable(new_doc, effective, include_documentation):
         if value not in matches:
             matches[value] = _closest(_nfc_strip(value), candidates, threshold)
         replacement = matches[value]
         if replacement is None:
-            warnings.append(f"no translation matched {value!r} at {path}")
+            parents = parents or {child: parent for parent in new_doc.root.iter()
+                                  for child in parent}
+            warnings.append(f"no translation matched {value!r} at {_element_path(elem, parents)}")
             continue
         if attr is not None:
             elem.set(attr, replacement)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 
 import pytest
 
@@ -21,6 +22,24 @@ from conftest import fixture_path
 
 def _pairs(*names):
     return [(fixture_path(a), fixture_path(b)) for a, b in names]
+
+
+def _damaged(whole: str, damage: str) -> str:
+    """A stored result file's text, damaged; all but the first two kinds
+    still name the pair's own paths, so only a check of the record itself
+    keeps resume from reusing it."""
+    record = json.loads(whole)
+    if damage == "truncated":
+        return whole[:len(whole) // 2]
+    if damage == "no_model_id":
+        return json.dumps({"breakdown": {}})
+    if damage == "model_id_not_a_string":
+        record["model_id"] = 5
+    elif damage == "missing_dimension":
+        del record["breakdown"]["overall"]
+    else:
+        record["breakdown"] = None
+    return json.dumps(record)
 
 
 class TestBatchEvaluate:
@@ -93,19 +112,19 @@ class TestBatchEvaluate:
         stored = json.loads((results / "x.json").read_text())
         assert (stored["truth"], stored["reconstruction"]) == tuple(map(str, a_pair))
 
-    @pytest.mark.parametrize("damage", ["truncated", "no_model_id"])
-    def test_resume_recomputes_a_damaged_result(self, embedder, tmp_path, damage):
+    @pytest.mark.parametrize("damage", ["truncated", "no_model_id", "model_id_not_a_string",
+                                        "missing_dimension", "null_breakdown"])
+    def test_resume_recomputes_a_damaged_result(self, embedder, tmp_path, damage, caplog):
         pairs = _pairs(("chain3.bpmn", "chain4.bpmn"), ("diamond.bpmn", "parallel.bpmn"))
         first = batch_evaluate(pairs, embedder, results_dir=tmp_path)
         damaged = tmp_path / "diamond.json"
         intact = tmp_path / "chain3.json"
         whole = damaged.read_text()
-        if damage == "truncated":
-            damaged.write_text(whole[:len(whole) // 2])
-        else:
-            damaged.write_text(json.dumps({"breakdown": {}}))
+        damaged.write_text(_damaged(whole, damage))
         intact_mtime = intact.stat().st_mtime_ns
-        resumed = batch_evaluate(pairs, embedder, results_dir=tmp_path)
+        with caplog.at_level(logging.WARNING):
+            resumed = batch_evaluate(pairs, embedder, results_dir=tmp_path)
+        assert f"ignoring unreadable result file {damaged}" in caplog.text
         assert resumed.to_dict() == first.to_dict()
         assert damaged.read_text() == whole
         assert intact.stat().st_mtime_ns == intact_mtime

@@ -191,6 +191,22 @@ class TestBatchAndReport:
         assert code == EXIT_OK
         assert "averages" in json.loads(out)
 
+    def test_report_skips_malformed_records(self, capsys, tmp_path):
+        breakdown = dict.fromkeys(("structural", "type_distribution", "semantic_name",
+                                   "semantic_type", "semantic_name_type", "overall"), 0.5)
+        records = {"good": {"model_id": "good", "breakdown": breakdown},
+                   "id_not_a_string": {"model_id": 5, "breakdown": breakdown},
+                   "missing_dimension": {"model_id": "m", "breakdown": {"overall": 0.5}},
+                   "null_breakdown": {"model_id": "n", "breakdown": None}}
+        for name, record in records.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(record))
+        out = tmp_path / "report.json"
+        code, _, err = _run(capsys, "report", str(tmp_path), "-o", str(out))
+        assert code == EXIT_OK
+        report = json.loads(out.read_text())
+        assert [r["model_id"] for r in report["per_model"]] == ["good"]
+        assert report["averages"]["overall"] == 0.5
+
     def test_batch_translate_stage_advances_manifest(self, capsys, tmp_path):
         mapping = {
             "Bestellung erhalten": "Order received",
@@ -328,6 +344,17 @@ class TestMalformedInputs:
                             "--embed-fallback")
         assert code == EXIT_FAILURE
         assert err == f"error: manifest entry 1: {key} must be a string or null\n"
+
+    @pytest.mark.parametrize("status", [5, "Raw"])
+    def test_manifest_status_outside_the_five_fails_cleanly(self, capsys, tmp_path, status):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"entries": [
+            {"model_path": str(fixture_path("chain3.bpmn")), "status": status}]}))
+        code, _, err = _run(capsys, "batch", str(manifest), "--stage", "translate",
+                            "--llm-mock-script", str(fixture_path("mock_translate_drift.json")))
+        assert code == EXIT_FAILURE
+        assert err == ("error: manifest entry 0: status must be one of raw, translated, "
+                       f"compliant, described, reconstructed, got {status!r}\n")
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("value", ["-1", "1.5", "nan", "inf"])

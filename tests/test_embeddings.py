@@ -390,5 +390,14 @@ class TestMakeProvider:
         assert isinstance(make_provider(ProviderConfig()), HashingEmbedder)
 
     def test_cache_dir_wraps_provider(self, tmp_path):
-        provider = make_provider(ProviderConfig(cache_dir=tmp_path))
+        provider = make_provider(ProviderConfig(endpoint="http://embed.invalid/v1",
+                                                cache_dir=tmp_path))
         assert isinstance(provider, CachingEmbedder)
+        assert isinstance(provider.inner, RemoteEmbedder)
+        assert provider.cache_dir == tmp_path
+
+    def test_cache_dir_leaves_the_hashing_embedder_uncached(self, tmp_path):
+        provider = make_provider(ProviderConfig(cache_dir=tmp_path))
+        assert isinstance(provider, HashingEmbedder)
+        provider.embed_batch(["Check order", "Ship order"])
+        assert list(tmp_path.iterdir()) == []

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bpmnkit.layout import NODE_WIDTH, STEP_X, _longest_path_layers, auto_layout
-from bpmnkit.model import ElementCategory, categorize_element
+from bpmnkit.model import ElementCategory, build_graph
 from bpmnkit.xmlio import (
     BPMNDI_NS,
     DocumentWithoutProcess,
@@ -63,9 +63,8 @@ def test_every_flow_node_gets_exactly_one_shape(name):
             if local_name(elem.tag) == "BPMNShape":
                 shape_refs.append(elem.get("bpmnElement"))
     flow_nodes = [
-        e.get("id") for e in stripped.root.iter()
-        if e.get("id") and categorize_element(local_name(e.tag)) in
-        (ElementCategory.TASK, ElementCategory.GATEWAY, ElementCategory.EVENT)
+        node.id for node in build_graph(stripped)[0].nodes
+        if node.category in (ElementCategory.TASK, ElementCategory.GATEWAY, ElementCategory.EVENT)
     ]
     assert sorted(shape_refs) == sorted(flow_nodes)
     assert len(set(shape_refs)) == len(shape_refs)

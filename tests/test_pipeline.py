@@ -19,7 +19,7 @@ from bpmnkit.pipeline import (
     reconstruct,
     translate_model,
 )
-from bpmnkit.xmlio import BPMN_NS, parse, qname, serialize, tree_equal
+from bpmnkit.xmlio import BPMN_NS, BpmnDocument, parse, qname, serialize, tree_equal
 
 from conftest import element_by_id, fixture_path, load_doc
 
@@ -226,12 +226,35 @@ class TestCorrectModel:
         (_repair_script([{"action": "delete", "target_id": "end_1"}]) * 2, [False, False]),
     ], ids=["accepted", "compliant", "rolled_back"])
     def test_result_shares_nothing_with_the_input(self, script, accepted):
+        """A repaired result is a fresh tree; without an accepted repair the
+        result is the input itself. Either way the input is left unchanged."""
         doc = load_doc("diamond.bpmn" if not script else "r1_missing_default.bpmn")
         before = serialize(doc)
         result = correct_model(doc, MockChatClient(script), limit=2, simple_threshold=0)
         assert [entry["accepted"] for entry in result.log] == accepted
-        _mutate(result.document)
         assert serialize(doc) == before
+        if any(accepted):
+            _mutate(result.document)
+            assert serialize(doc) == before
+        else:
+            assert result.document is doc
+
+    @pytest.mark.parametrize("name, script", [
+        ("diamond.bpmn", []),
+        # a regenerated model with two R6 errors against the input's one R1 error
+        ("r1_missing_default.bpmn", [f'<definitions xmlns="{BPMN_NS}"><process id="a"/>'
+                                     '<process id="b"/></definitions>']),
+    ], ids=["compliant", "rolled_back"])
+    def test_an_unrepaired_input_is_returned_without_a_copy(self, monkeypatch, name, script):
+        copies = []
+        real_copy = BpmnDocument.copy
+        monkeypatch.setattr(BpmnDocument, "copy",
+                            lambda doc: copies.append(doc) or real_copy(doc))
+        doc = load_doc(name)
+        result = correct_model(doc, MockChatClient(script), limit=1, simple_threshold=100)
+        assert [entry["accepted"] for entry in result.log] == [False] * len(script)
+        assert result.document is doc
+        assert copies == []
 
     def test_each_working_state_is_built_and_serialized_once(self, monkeypatch):
         calls = {"build_graph": [], "serialize": []}

@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bpmnkit import xmlio
 from bpmnkit.xmlio import (
     BPMN_NS,
     BPMNDI_NS,
@@ -250,6 +251,20 @@ class TestExtractStrings:
 
 
 class TestReinsertStrings:
+    def test_paths_are_built_only_for_warnings(self, monkeypatch):
+        doc = parse(f'<definitions xmlns="{BPMN_NS}"><process id="p"><startEvent id="s" '
+                    'name="Start"/><task id="t" name="Pack"/></process></definitions>')
+        calls = []
+        monkeypatch.setattr(xmlio, "local_name", lambda tag: calls.append(tag) or
+                            tag.rsplit("}", 1)[-1])
+        translated, warnings = reinsert_strings(doc, {"Start": "Begin", "Pack": "Check"})
+        assert warnings == [] and calls == []
+        assert element_by_id(translated, "t").get("name") == "Check"
+        translated, warnings = reinsert_strings(doc, {"Start": "Begin"})
+        assert warnings == [
+            "no translation matched 'Pack' at /definitions/process[0]/task[1]"]
+        assert element_by_id(translated, "s").get("name") == "Begin"
+
     def test_exact_replacement(self):
         doc = load_doc("unicode.bpmn")
         translated, warnings = reinsert_strings(doc, {"Prüfen": "Check"})
@@ -332,18 +347,21 @@ def _reference_reinsert(doc, mapping, threshold):
             return 0.0
         return 1.0 - _full_distance(na, nb) / max(len(na), len(nb))
 
-    paths = [entry.path for entry in extract_strings(doc)]
     new_doc = doc.copy()
     usable = {k: v for k, v in mapping.items() if v}
     warnings = [f"empty translation for {k!r} ignored" for k, v in mapping.items() if not v]
     locations = []
-    for elem in new_doc.root.iter():
+
+    def visit(elem, path):
         if elem.get("name"):
-            locations.append((elem, "name"))
+            locations.append((elem, "name", path))
         if elem.tag == f"{{{BPMN_NS}}}documentation" and elem.text and elem.text.strip():
-            locations.append((elem, None))
-    assert len(locations) == len(paths)
-    for (elem, attr), path in zip(locations, paths):
+            locations.append((elem, None, path))
+        for index, child in enumerate(elem):
+            visit(child, f"{path}/{child.tag.rsplit('}', 1)[-1]}[{index}]")
+
+    visit(new_doc.root, "/definitions")
+    for elem, attr, path in locations:
         value = elem.get(attr) if attr else elem.text
         replacement = usable.get(value)
         if replacement is None:
