@@ -253,9 +253,13 @@ def batch_evaluate(pairs: list[tuple[str | Path, str | Path]],
                    results_dir: str | Path | None = None) -> EvaluationReport:
     """Compare all (ground truth, reconstruction) pairs. The pairs of one
     truth form one task, which parses, builds and embeds the truth once;
-    up to ``jobs`` tasks run at a time. With ``results_dir``, each pair result
-    is written to ``<pair-id>.json``, and a stored result is reused (resume)
-    when it names the same truth and reconstruction paths."""
+    up to ``jobs`` tasks run at a time, on threads, except with the hashing
+    embedder, whose tasks run one after another on the calling thread. With
+    ``results_dir``, each pair result is written to ``<pair-id>.json``, and a
+    stored result is reused (resume) when it names the same truth and
+    reconstruction paths."""
+    from .embeddings import HashingEmbedder  # numpy, for the stage that embeds
+
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     ids = _unique_stems([truth for truth, _ in pairs])
@@ -287,7 +291,8 @@ def batch_evaluate(pairs: list[tuple[str | Path, str | Path]],
             done.append(record)
         return done
 
-    if jobs == 1 or len(tasks) <= 1:
+    # hashing compares are CPU-bound under the GIL: threads would only take turns
+    if jobs == 1 or len(tasks) <= 1 or isinstance(provider, HashingEmbedder):
         for done in map(work, tasks.items()):
             records.extend(done)
     else:

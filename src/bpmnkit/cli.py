@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 from pathlib import Path
@@ -133,6 +134,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
             settings[key] = value
     if not 0.0 <= settings["threshold"] <= 1.0:  # also rejects nan
         raise ValueError(f"threshold must be a number in [0, 1], got {settings['threshold']}")
+    if settings["jobs"] < 1:
+        raise ValueError(f"jobs must be >= 1, got {settings['jobs']}")
     return settings
 
 
@@ -178,7 +181,24 @@ def _make_provider(settings: dict):
         model_name=settings["embed_model"], cache_dir=settings["embed_cache_dir"]))
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes to ``sys.stderr`` as it is when a record arrives, as ``print``
+    does, so the package's warnings go where the CLI's own do."""
+
+    def __init__(self):
+        logging.Handler.__init__(self, logging.WARNING)
+        self.setFormatter(logging.Formatter("warning: %(message)s"))
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
+_WARNINGS = _StderrHandler()
+
+
 def main(argv: list[str] | None = None) -> int:
+    logging.getLogger("bpmnkit").addHandler(_WARNINGS)  # a no-op once it is there
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import threading
 
 import pytest
 
@@ -22,6 +23,24 @@ from conftest import fixture_path
 
 def _pairs(*names):
     return [(fixture_path(a), fixture_path(b)) for a, b in names]
+
+
+class _Delegating:
+    """A provider that is not a ``HashingEmbedder`` and embeds with one, so
+    ``batch_evaluate`` runs its tasks on threads, as for a remote provider."""
+
+    def __init__(self):
+        self.inner = HashingEmbedder()
+        self.dimension = self.inner.dimension
+        self.cache_key = self.inner.cache_key
+
+    def embed_batch(self, texts):
+        return self.inner.embed_batch(texts)
+
+
+# the tasks run one after another with the first, on threads with the second
+PROVIDERS = pytest.mark.parametrize("provider", [HashingEmbedder(), _Delegating()],
+                                    ids=["hashing", "delegating"])
 
 
 def _damaged(whole: str, damage: str) -> str:
@@ -73,14 +92,15 @@ class TestBatchEvaluate:
         assert sum(b["count"] for b in report.histogram) == 3
         assert len(report.histogram) == 20
 
-    def test_jobs_do_not_change_the_report(self, embedder):
+    @PROVIDERS
+    def test_jobs_do_not_change_the_report(self, provider):
         pairs = _pairs(
             ("chain3.bpmn", "chain4.bpmn"), ("diamond.bpmn", "parallel.bpmn"),
             ("order-v1.bpmn", "order-v2.bpmn"), ("boundary.bpmn", "chain4.bpmn"),
             ("loan-approval.bpmn", "order-v1.bpmn"), ("inclusive.bpmn", "diamond.bpmn"),
         )
-        serial = batch_evaluate(pairs, embedder, jobs=1)
-        parallel = batch_evaluate(pairs, embedder, jobs=8)
+        serial = batch_evaluate(pairs, provider, jobs=1)
+        parallel = batch_evaluate(pairs, provider, jobs=8)
         assert serial.to_dict() == parallel.to_dict()
 
     def test_results_dir_resume_skips_existing(self, embedder, tmp_path):
@@ -200,9 +220,11 @@ def parsed(monkeypatch):
 
 
 class TestSharedTruths:
-    @pytest.mark.parametrize("jobs", [1, 3])
-    def test_each_truth_is_parsed_once(self, embedder, parsed, jobs):
-        batch_evaluate(_pairs(*SHARED_TRUTHS), embedder, jobs=jobs)
+    @pytest.mark.parametrize("jobs,provider", [(1, HashingEmbedder()), (3, HashingEmbedder()),
+                                               (3, _Delegating())],
+                             ids=["1", "3", "3-delegating"])
+    def test_each_truth_is_parsed_once(self, provider, parsed, jobs):
+        batch_evaluate(_pairs(*SHARED_TRUTHS), provider, jobs=jobs)
         assert sorted(parsed) == sorted(["chain3.bpmn", "loan-approval.bpmn", "boundary.bpmn"]
                                         + [recon for _, recon in SHARED_TRUTHS])
 
@@ -218,15 +240,54 @@ class TestSharedTruths:
         batch_evaluate(_pairs(*pairs), _RecordingEmbedder())
         assert len(texts) == len(set(texts))
 
-    def test_jobs_do_not_change_the_report_or_the_results(self, embedder, tmp_path):
+    @PROVIDERS
+    def test_jobs_do_not_change_the_report_or_the_results(self, provider, tmp_path):
         pairs = _pairs(*SHARED_TRUTHS)
-        serial = batch_evaluate(pairs, embedder, jobs=1, results_dir=tmp_path / "serial")
-        parallel = batch_evaluate(pairs, embedder, jobs=3, results_dir=tmp_path / "parallel")
+        serial = batch_evaluate(pairs, provider, jobs=1, results_dir=tmp_path / "serial")
+        parallel = batch_evaluate(pairs, provider, jobs=3, results_dir=tmp_path / "parallel")
         assert serial.to_dict() == parallel.to_dict()
         assert len(serial.per_model) == len(pairs)
         for name in ("summary.json", "chain3_1.json", "loan-approval_1.json"):
             assert ((tmp_path / "serial" / name).read_bytes()
                     == (tmp_path / "parallel" / name).read_bytes())
+
+    def test_hashing_tasks_run_on_the_calling_thread(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker thread pool was started")
+
+        threads = []
+        evaluate_pair = batch._evaluate_pair
+
+        def recording(*args):
+            threads.append(threading.get_ident())
+            return evaluate_pair(*args)
+
+        monkeypatch.setattr(batch, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(batch, "_evaluate_pair", recording)
+        report = batch_evaluate(_pairs(*SHARED_TRUTHS), HashingEmbedder(), jobs=4)
+        assert threads == [threading.get_ident()] * len(SHARED_TRUTHS)
+        assert len(report.per_model) == len(SHARED_TRUTHS)
+
+    def test_other_providers_run_tasks_at_once(self):
+        class _Rendezvous(_Delegating):
+            """The first embedding call on each thread waits until a second
+            thread makes one too; alone, it fails after 10 s."""
+
+            def __init__(self):
+                super().__init__()
+                self.barrier = threading.Barrier(2, timeout=10)
+                self.local = threading.local()
+
+            def embed_batch(self, texts):
+                if not getattr(self.local, "met", False):
+                    self.barrier.wait()
+                    self.local.met = True
+                return super().embed_batch(texts)
+
+        pairs = _pairs(("chain3.bpmn", "chain4.bpmn"), ("diamond.bpmn", "parallel.bpmn"))
+        report = batch_evaluate(pairs, _Rendezvous(), jobs=2)
+        assert report.errors == []
+        assert len(report.per_model) == 2
 
     def test_resume_with_one_pair_of_a_truth_done(self, embedder, parsed, tmp_path):
         pairs = _pairs(*SHARED_TRUTHS)

@@ -207,6 +207,14 @@ class TestBatchAndReport:
         assert [r["model_id"] for r in report["per_model"]] == ["good"]
         assert report["averages"]["overall"] == 0.5
 
+    def test_report_warnings_carry_the_prefix_once_per_run(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"model_id": 5, "breakdown": None}))
+        for _ in range(2):  # the second run adds no second handler
+            code, _, err = _run(capsys, "report", str(tmp_path), "-o", "json")
+            assert code == EXIT_OK
+            assert err == f"warning: ignoring unreadable result file {bad}\n"
+
     def test_batch_translate_stage_advances_manifest(self, capsys, tmp_path):
         mapping = {
             "Bestellung erhalten": "Order received",
@@ -375,6 +383,26 @@ class TestMalformedInputs:
         assert code == EXIT_FAILURE
         assert err == f"error: threshold must be a number in [0, 1], got {float(value)}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["validate", "batch"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_jobs_below_one_fails_cleanly(self, capsys, tmp_path, source, command, value):
+        if command == "validate":
+            argv = ["validate", str(fixture_path("chain3.bpmn"))]
+        else:  # a manifest with nothing to evaluate never reaches batch_evaluate
+            manifest = tmp_path / "manifest.json"
+            manifest.write_text(json.dumps({"entries": []}))
+            argv = ["batch", str(manifest), "--stage", "evaluate", "--embed-fallback"]
+        if source == "flag":
+            argv += ["--jobs", str(value)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"jobs": value}))
+            argv += ["--config", str(config)]
+        code, out, err = _run(capsys, *argv)
+        assert code == EXIT_FAILURE
+        assert (out, err) == ("", f"error: jobs must be >= 1, got {value}\n")
 
     @pytest.mark.parametrize("data", [[{"model_path": "chain3.bpmn"}], {"entries": 5}])
     def test_manifest_that_is_not_an_object_with_entries_fails_cleanly(self, capsys, tmp_path,
