@@ -10,13 +10,14 @@ individual JSON files so interrupted runs resume by skipping finished pairs.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .atomic import write_atomic
 from .model import BpmnGraph, build_graph
@@ -86,17 +87,8 @@ class CorpusManifest:
             if e.get("status", "raw") not in STATUSES:
                 raise ValueError(f"manifest entry {index}: status must be one of "
                                  f"{', '.join(STATUSES)}, got {e['status']!r}")
-        manifest = cls([
-            ManifestEntry(
-                model_path=e["model_path"],
-                status=e.get("status", "raw"),
-                description_path=e.get("description_path"),
-                reconstruction_path=e.get("reconstruction_path"),
-                last_report=e.get("last_report"),
-                error=e.get("error"),
-            )
-            for e in entries
-        ])
+        manifest = cls([ManifestEntry(**{f.name: e[f.name] for f in fields(ManifestEntry)
+                                         if f.name in e}) for e in entries])
         manifest.flag_stale(path.parent)
         return manifest
 
@@ -176,33 +168,19 @@ def build_report(records: list[dict], total_pairs: int) -> EvaluationReport:
     )
 
 
-class _Truth:
-    """A ground truth shared by the pairs of one task: its graph and warnings,
-    built by the first pair that asks, and the vectors embedded for them."""
-
-    def __init__(self, path: Path, provider: EmbeddingProvider):
-        from .embeddings import MemoEmbedder  # numpy, for the stage that embeds
-
-        self.path = path
-        self.vectors = MemoEmbedder(provider)
-        self._built: tuple[BpmnGraph, list[str]] | None = None
-
-    def build(self) -> tuple[BpmnGraph, list[str]]:
-        if self._built is None:  # a failure is not kept: each pair meets it anew
-            self._built = build_graph(parse(self.path.read_bytes()))
-        return self._built
-
-
-def _evaluate_pair(model_id: str, truth: _Truth, recon_path: Path) -> dict:
+def _evaluate_pair(model_id: str, truth: Path, recon_path: Path,
+                   build_truth: Callable[[], tuple[BpmnGraph, list[str]]],
+                   vectors: EmbeddingProvider) -> dict:
     """The pair's breakdown, with its graph-build warnings when there are
-    some, or its error; either way with the two paths compared."""
+    some, or its error; either way with the two paths compared. ``build_truth``
+    and ``vectors`` are shared by the pairs of one truth."""
     from .similarity import compare  # numpy, for the stage that embeds
 
-    record = {"model_id": model_id, "truth": str(truth.path), "reconstruction": str(recon_path)}
+    record = {"model_id": model_id, "truth": str(truth), "reconstruction": str(recon_path)}
     try:
-        g1, w1 = truth.build()
+        g1, w1 = build_truth()
         g2, w2 = build_graph(parse(recon_path.read_bytes()))
-        record["breakdown"] = compare(g1, g2, truth.vectors).to_dict()
+        record["breakdown"] = compare(g1, g2, vectors).to_dict()
         if w1 or w2:
             record["warnings"] = [f"truth: {w}" for w in w1] + [f"reconstruction: {w}" for w in w2]
     except Exception as exc:  # per-pair failures are recorded, not fatal
@@ -258,7 +236,7 @@ def batch_evaluate(pairs: list[tuple[str | Path, str | Path]],
     ``results_dir``, each pair result is written to ``<pair-id>.json``, and a
     stored result is reused (resume) when it names the same truth and
     reconstruction paths."""
-    from .embeddings import HashingEmbedder  # numpy, for the stage that embeds
+    from .embeddings import HashingEmbedder, MemoEmbedder  # numpy, for the stage that embeds
 
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -280,11 +258,13 @@ def batch_evaluate(pairs: list[tuple[str | Path, str | Path]],
             tasks.setdefault(truth, []).append((model_id, recon))
 
     def work(task: tuple[Path, list[tuple[str, Path]]]) -> list[dict]:
-        truth_path, todo = task
-        truth = _Truth(truth_path, provider)
+        truth, todo = task
+        # built by the first pair that asks; a failure is not kept: each pair meets it anew
+        build_truth = functools.cache(lambda: build_graph(parse(truth.read_bytes())))
+        vectors = MemoEmbedder(provider)
         done = []
         for model_id, recon_path in todo:
-            record = _evaluate_pair(model_id, truth, recon_path)
+            record = _evaluate_pair(model_id, truth, recon_path, build_truth, vectors)
             if out_dir is not None:
                 write_atomic(out_dir / f"{model_id}.json",
                              (json.dumps(record, indent=2) + "\n").encode("utf-8"))

@@ -24,7 +24,6 @@ from .xmlio import parse, serialize
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
-EXIT_USAGE = 2
 EXIT_NONCOMPLIANT = 3
 
 # The only settings read from the environment, and the only reader.
@@ -112,7 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("results_dir")
     p.add_argument("-o", "--output", required=True,
                    help="output path (.csv/.json), or literal 'csv'/'json' for stdout")
-    p.add_argument("--format", choices=("csv", "json"))
 
     return parser
 
@@ -145,11 +143,12 @@ def _read_config(path: str) -> dict:
         raise ValueError(f"{path}: expected a JSON object")
     settings = {}
     for key, value in file_settings.items():
-        if key in _DEFAULTS:
-            try:
-                settings[key] = _from_config(key, value)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"{path}: {key}: {exc}") from None
+        if key not in _DEFAULTS:
+            raise ValueError(f"{path}: unknown key {key!r}")
+        try:
+            settings[key] = _from_config(key, value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: {key}: {exc}") from None
     return settings
 
 
@@ -355,17 +354,11 @@ def _cmd_report(args, settings) -> int:
     from . import batch as batch_mod
 
     report = batch_mod.load_report(args.results_dir)
-    fmt = args.format
-    if fmt is None:
-        if args.output in ("csv", "json"):
-            fmt = args.output
-        else:
-            fmt = "json" if args.output.endswith(".json") else "csv"
-    rendered = batch_mod.render_report(report, fmt)
     if args.output in ("csv", "json"):
-        sys.stdout.buffer.write(rendered)
+        sys.stdout.buffer.write(batch_mod.render_report(report, args.output))
     else:
-        Path(args.output).write_bytes(rendered)
+        fmt = "json" if args.output.endswith(".json") else "csv"
+        Path(args.output).write_bytes(batch_mod.render_report(report, fmt))
     return EXIT_OK
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Iterator
 
 from .model import ATTACHMENT_TAG, DocumentIndex, IndexedLink
 from .xmlio import BpmnDocument, MissingBpmnNamespace, XmlSyntaxError, local_name, parse
@@ -81,150 +82,129 @@ def validate_bytes(data: bytes) -> ComplianceReport:
 
 def validate(doc: BpmnDocument) -> ComplianceReport:
     """Run all rules and return diagnostics ordered by document position."""
-    checker = _Checker(doc)
-    return checker.run()
+    index = DocumentIndex(doc)
+    findings = [*_r5_unique_ids(index), *_r1_r2_gateways(index),
+                *_r3_data_references(index), *_r4_connectivity(index),
+                *_r6_start_end(doc, index)]
+    findings.sort(key=lambda item: (item[0], item[1].code.value))
+    return ComplianceReport([diag for _, diag in findings])
 
 
-class _Checker:
-    def __init__(self, doc: BpmnDocument):
-        self.doc = doc
-        self.index = DocumentIndex(doc)
-        self.findings: list[tuple[int, Diagnostic]] = []
+def _finding(index: DocumentIndex, code: RuleCode, element_id: str | None,
+             message: str) -> tuple[int, Diagnostic]:
+    """At ``element_id``'s position: -1 without an id, last for an undeclared one."""
+    position = -1 if element_id is None else index.positions.get(element_id, 1 << 30)
+    return position, Diagnostic(code, element_id, message)
 
-    def run(self) -> ComplianceReport:
-        self._check_unique_ids()
-        self._check_gateways()
-        self._check_data_references()
-        self._check_connectivity()
-        self._check_start_end()
-        self.findings.sort(key=lambda item: (item[0], item[1].code.value))
-        return ComplianceReport([diag for _, diag in self.findings])
 
-    def _add(self, position: int, code: RuleCode, element_id: str | None, message: str) -> None:
-        self.findings.append((position, Diagnostic(code, element_id, message)))
+def _r5_unique_ids(index: DocumentIndex) -> Iterator[tuple[int, Diagnostic]]:
+    for eid, idx in index.repeats:
+        yield idx, Diagnostic(RuleCode.R5_WELLFORMED, eid,
+                              f"id {eid!r} is declared more than once")
 
-    def _position(self, element_id: str | None) -> int:
-        if element_id is None:
-            return -1
-        return self.index.positions.get(element_id, 1 << 30)
 
-    # R5 ------------------------------------------------------------------
+def _r1_r2_gateways(index: DocumentIndex) -> Iterator[tuple[int, Diagnostic]]:
+    outgoing: dict[str, list[IndexedLink]] = {}
+    for flow in index.links:
+        if flow.tag == "sequenceFlow" and flow.source:
+            outgoing.setdefault(flow.source, []).append(flow)
 
-    def _check_unique_ids(self) -> None:
-        for eid, idx in self.index.repeats:
-            self._add(idx, RuleCode.R5_WELLFORMED, eid, f"id {eid!r} is declared more than once")
-
-    # R1 / R2 ---------------------------------------------------------------
-
-    def _check_gateways(self) -> None:
-        outgoing: dict[str, list[IndexedLink]] = {}
-        for flow in self.index.links:
-            if flow.tag == "sequenceFlow" and flow.source:
-                outgoing.setdefault(flow.source, []).append(flow)
-
-        for tag in ("exclusiveGateway", "inclusiveGateway"):
-            for gateway in self.index.nodes:
-                if gateway.tag != tag:
-                    continue
-                gid = gateway.id or ""
-                exits = outgoing.get(gid, [])
-                if len(exits) < 2:
-                    continue  # no branching decision exists
-                default = gateway.element.get("default")
-                exit_ids = [f.element.get("id") for f in exits]
-                if tag == "exclusiveGateway":
-                    if not default:
-                        self._add(self._position(gid), RuleCode.R1_DEFAULT_FLOW, gid,
-                                  f"exclusive gateway {gid!r} with {len(exits)} outgoing flows "
-                                  "declares no default flow")
-                    elif default not in exit_ids:
-                        self._add(self._position(gid), RuleCode.R1_DEFAULT_FLOW, gid,
-                                  f"default flow {default!r} of gateway {gid!r} is not one of "
-                                  "its outgoing flows")
-                for flow in exits:
-                    fid = flow.element.get("id", "")
-                    if fid == default:
-                        continue
-                    if flow.condition is None:
-                        self._add(self._position(fid), RuleCode.R2_CONDITION_EXPR, fid,
-                                  f"non-default flow {fid!r} out of gateway {gid!r} has no "
-                                  "condition expression")
-
-    # R3 ------------------------------------------------------------------
-
-    def _check_data_references(self) -> None:
-        for ref in self.index.nodes:
-            if ref.tag != "dataObjectReference":
+    for tag in ("exclusiveGateway", "inclusiveGateway"):
+        for gateway in index.nodes:
+            if gateway.tag != tag:
                 continue
-            rid = ref.id or ""
-            target = ref.element.get("dataObjectRef")
-            if not target:
-                self._add(self._position(rid), RuleCode.R3_DATA_REF_ORDER, rid,
-                          f"dataObjectReference {rid!r} declares no dataObjectRef")
+            gid = gateway.id or ""
+            exits = outgoing.get(gid, [])
+            if len(exits) < 2:
+                continue  # no branching decision exists
+            default = gateway.element.get("default")
+            if tag == "exclusiveGateway":
+                if not default:
+                    yield _finding(index, RuleCode.R1_DEFAULT_FLOW, gid,
+                                   f"exclusive gateway {gid!r} with {len(exits)} outgoing "
+                                   "flows declares no default flow")
+                elif default not in [f.element.get("id") for f in exits]:
+                    yield _finding(index, RuleCode.R1_DEFAULT_FLOW, gid,
+                                   f"default flow {default!r} of gateway {gid!r} is not one "
+                                   "of its outgoing flows")
+            for flow in exits:
+                fid = flow.element.get("id", "")
+                if fid != default and flow.condition is None:
+                    yield _finding(index, RuleCode.R2_CONDITION_EXPR, fid,
+                                   f"non-default flow {fid!r} out of gateway {gid!r} has no "
+                                   "condition expression")
+
+
+def _r3_data_references(index: DocumentIndex) -> Iterator[tuple[int, Diagnostic]]:
+    for ref in index.nodes:
+        if ref.tag != "dataObjectReference":
+            continue
+        rid = ref.id or ""
+        target = ref.element.get("dataObjectRef")
+        if not target:
+            yield _finding(index, RuleCode.R3_DATA_REF_ORDER, rid,
+                           f"dataObjectReference {rid!r} declares no dataObjectRef")
+            continue
+        declaration = index.elements.get(target)
+        if declaration is None or local_name(declaration.tag) != "dataObject":
+            yield _finding(index, RuleCode.R3_DATA_REF_ORDER, rid,
+                           f"dataObjectReference {rid!r} targets undeclared data object "
+                           f"{target!r}")
+        elif rid and index.positions[target] > index.positions[rid]:
+            yield _finding(index, RuleCode.R3_DATA_REF_ORDER, rid,
+                           f"data object {target!r} is declared after its first reference "
+                           f"{rid!r}")
+
+
+def _r4_connectivity(index: DocumentIndex) -> Iterator[tuple[int, Diagnostic]]:
+    flow_nodes = {node.id: node.tag for node in index.flow_nodes()}
+    forward: dict[str, list[str]] = {nid: [] for nid in flow_nodes}
+    backward: dict[str, list[str]] = {nid: [] for nid in flow_nodes}
+
+    for link in index.links:
+        source, target = link.source, link.target
+        if link.tag == "sequenceFlow":
+            unresolved = [r for r in (source, target) if not r or r not in index.elements]
+            if unresolved:
+                fid = link.element.get("id", "")
+                yield _finding(index, RuleCode.R4_CONNECTIVITY, fid,
+                               f"sequence flow {fid!r} references unknown element(s) "
+                               f"{', '.join(repr(r) for r in unresolved)}")
                 continue
-            declaration = self.index.elements.get(target)
-            if declaration is None or local_name(declaration.tag) != "dataObject":
-                self._add(self._position(rid), RuleCode.R3_DATA_REF_ORDER, rid,
-                          f"dataObjectReference {rid!r} targets undeclared data object "
-                          f"{target!r}")
-            elif self.index.positions[target] > self._position(rid):
-                self._add(self._position(rid), RuleCode.R3_DATA_REF_ORDER, rid,
-                          f"data object {target!r} is declared after its first reference "
-                          f"{rid!r}")
+        elif link.tag != ATTACHMENT_TAG:
+            continue
+        if source in flow_nodes and target in flow_nodes:
+            forward[source].append(target)
+            backward[target].append(source)
 
-    # R4 ------------------------------------------------------------------
+    starts = [nid for nid, tag in flow_nodes.items() if tag == "startEvent"]
+    ends = [nid for nid, tag in flow_nodes.items() if tag == "endEvent"]
+    reaches_from_start = _closure(starts, forward)
+    reaches_an_end = _closure(ends, backward)
 
-    def _check_connectivity(self) -> None:
-        flow_nodes = {node.id: node.tag for node in self.index.flow_nodes()}
-        forward: dict[str, list[str]] = {nid: [] for nid in flow_nodes}
-        backward: dict[str, list[str]] = {nid: [] for nid in flow_nodes}
+    for nid in flow_nodes:
+        problems = []
+        if nid not in reaches_from_start:
+            problems.append("is not reachable from any start event")
+        if nid not in reaches_an_end:
+            problems.append("cannot reach any end event")
+        if problems:
+            yield _finding(index, RuleCode.R4_CONNECTIVITY, nid,
+                           f"flow node {nid!r} " + " and ".join(problems))
 
-        for link in self.index.links:
-            source, target = link.source, link.target
-            if link.tag == "sequenceFlow":
-                unresolved = [r for r in (source, target)
-                              if not r or r not in self.index.elements]
-                if unresolved:
-                    fid = link.element.get("id", "")
-                    self._add(self._position(fid), RuleCode.R4_CONNECTIVITY, fid,
-                              f"sequence flow {fid!r} references unknown element(s) "
-                              f"{', '.join(repr(r) for r in unresolved)}")
-                    continue
-            elif link.tag != ATTACHMENT_TAG:
-                continue
-            if source in flow_nodes and target in flow_nodes:
-                forward[source].append(target)
-                backward[target].append(source)
 
-        starts = [nid for nid, tag in flow_nodes.items() if tag == "startEvent"]
-        ends = [nid for nid, tag in flow_nodes.items() if tag == "endEvent"]
-        reaches_from_start = _closure(starts, forward)
-        reaches_an_end = _closure(ends, backward)
-
-        for nid in flow_nodes:
-            problems = []
-            if nid not in reaches_from_start:
-                problems.append("is not reachable from any start event")
-            if nid not in reaches_an_end:
-                problems.append("cannot reach any end event")
-            if problems:
-                self._add(self._position(nid), RuleCode.R4_CONNECTIVITY, nid,
-                          f"flow node {nid!r} " + " and ".join(problems))
-
-    # R6 ------------------------------------------------------------------
-
-    def _check_start_end(self) -> None:
-        for process in self.doc.processes():
-            pid = process.get("id", "")
-            child_tags = {local_name(child.tag) for child in process}
-            missing = []
-            if "startEvent" not in child_tags:
-                missing.append("start event")
-            if "endEvent" not in child_tags:
-                missing.append("end event")
-            if missing:
-                self._add(self._position(pid), RuleCode.R6_START_END, pid,
-                          f"process {pid!r} has no " + " and no ".join(missing))
+def _r6_start_end(doc: BpmnDocument, index: DocumentIndex) -> Iterator[tuple[int, Diagnostic]]:
+    for process in doc.processes():
+        pid = process.get("id", "")
+        child_tags = {local_name(child.tag) for child in process}
+        missing = []
+        if "startEvent" not in child_tags:
+            missing.append("start event")
+        if "endEvent" not in child_tags:
+            missing.append("end event")
+        if missing:
+            yield _finding(index, RuleCode.R6_START_END, pid,
+                           f"process {pid!r} has no " + " and no ".join(missing))
 
 
 def _closure(seeds: list[str], adjacency: dict[str, list[str]]) -> set[str]:

@@ -26,17 +26,8 @@ class LlmUnavailable(RuntimeError):
     pass
 
 
-class LlmTimeout(LlmUnavailable):
-    pass
-
-
 class SchemaFailureAfterRetries(RuntimeError):
-    def __init__(self, last_error: str, raw: str, attempts: int, stage: str | None = None):
-        super().__init__(f"no schema-valid response after {attempts} attempt(s): {last_error}")
-        self.last_error = last_error
-        self.raw = raw
-        self.attempts = attempts
-        self.stage = stage
+    pass
 
 
 @dataclass(frozen=True)
@@ -133,7 +124,7 @@ class HttpChatClient:
             if not isinstance(content, str):
                 raise TypeError(f"reply content is {type(content).__name__}, not a string")
         except TimeoutError as exc:
-            raise LlmTimeout(f"chat completion timed out: {exc}") from exc
+            raise LlmUnavailable(f"chat completion timed out: {exc}") from exc
         except (OSError, LookupError, TypeError) as exc:
             raise LlmUnavailable(f"chat completion failed: {exc}") from exc
         return content
@@ -161,8 +152,8 @@ class MockChatClient:
                 script.append(entry)
             elif isinstance(entry, dict) and "error" in entry:
                 kind = entry["error"]
-                script.append(LlmTimeout("scripted timeout") if kind == "timeout"
-                              else LlmUnavailable(f"scripted failure: {kind}"))
+                script.append(LlmUnavailable("scripted timeout" if kind == "timeout"
+                                             else f"scripted failure: {kind}"))
             elif isinstance(entry, dict) and isinstance(entry.get("content"), str):
                 script.append(entry["content"])
             else:
@@ -223,10 +214,10 @@ SCHEMA_RETRIES = 3  # re-prompts after a response that does not parse
 
 
 def parse_with_retry(client, messages: Sequence[ChatMessage], response: str, parse,
-                     complaint: str, stage: str | None = None):
+                     complaint: str, stage: str):
     """Parse a response with ``parse``, re-prompting the model up to
     ``SCHEMA_RETRIES`` times with ``complaint`` (its ``{error}`` field filled
-    from the parser's ValueError). The final failure is tagged with ``stage``.
+    from the parser's ValueError). The final failure's message names ``stage``.
 
     Returns (parsed value, raw response text).
     """
@@ -245,7 +236,8 @@ def parse_with_retry(client, messages: Sequence[ChatMessage], response: str, par
             user(complaint.format(error=last_error)),
         ]
         raw = complete(client, conversation)
-    raise SchemaFailureAfterRetries(last_error, raw, SCHEMA_RETRIES + 1, stage)
+    raise SchemaFailureAfterRetries(f"{stage}: no schema-valid response after "
+                                    f"{SCHEMA_RETRIES + 1} attempt(s): {last_error}")
 
 
 # id(schema) -> (schema, its validator). Holding the schema keeps its id from
@@ -269,7 +261,7 @@ def _validator(schema: dict) -> jsonschema.protocols.Validator:
 
 
 def parse_json_with_retry(client, messages: Sequence[ChatMessage], response: str,
-                          schema: dict, stage: str | None = None):
+                          schema: dict, stage: str):
     """Validate a response against a JSON schema, re-prompting the model with
     the validation error, as ``parse_with_retry`` does.
 

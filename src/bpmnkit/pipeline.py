@@ -361,7 +361,8 @@ def translate_model(doc: BpmnDocument, client,
         user(json.dumps(uniques, ensure_ascii=False, indent=2)),
     ]
     response = complete(client, messages)
-    mapping, _ = parse_json_with_retry(client, messages, response, _TRANSLATION_SCHEMA)
+    mapping, _ = parse_json_with_retry(client, messages, response, _TRANSLATION_SCHEMA,
+                                       stage="translation")
     return reinsert_strings(doc, mapping, threshold)
 
 

@@ -109,6 +109,17 @@ class TestTranslateCommand:
         assert "no LLM configured" in err
 
 
+    def test_failed_translation_names_its_stage(self, capsys, tmp_path):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(["not json"] * 4))
+        out_file = tmp_path / "translated.bpmn"
+        code, _, err = _run(capsys, "translate", str(fixture_path("unicode.bpmn")),
+                            "-o", str(out_file), "--llm-mock-script", str(script))
+        assert code == EXIT_FAILURE
+        assert err == ("error: translation: no schema-valid response after 4 attempt(s): "
+                       "response contains no parseable JSON value\n")
+        assert not out_file.exists()
+
 class TestCorrectCommand:
     def test_correct_fixes_seeded_defect(self, capsys, tmp_path):
         fixed_xml = fixture_path("r1_missing_default.bpmn").read_text(encoding="utf-8")
@@ -149,6 +160,22 @@ class TestReconstructCommand:
         assert out_file.exists()
         assert (run_dir / "stage3.json").exists()
 
+
+    @pytest.mark.parametrize("stage, replies_kept, complaint", [
+        ("decision_analysis", 1, "response contains no parseable JSON value"),  # stage 2
+        ("bpmn_xml", 5, "response contains no XML document"),  # stage 6
+    ], ids=["stage2", "stage6"])
+    def test_failed_stage_is_named(self, capsys, tmp_path, stage, replies_kept, complaint):
+        desc = tmp_path / "description.txt"
+        desc.write_text("Orders are registered, checked, and confirmed.")
+        replies = json.loads(fixture_path("mock_reconstruct_ok.json").read_text())
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(replies[:replies_kept] + ["garbage"] * 4))
+        code, _, err = _run(capsys, "reconstruct", str(desc), "-o", str(tmp_path / "out.bpmn"),
+                            "--llm-mock-script", str(script))
+        assert code == EXIT_FAILURE
+        assert err == (f"error: {stage}: no schema-valid response after 4 attempt(s): "
+                       f"{complaint}\n")
 
 class TestBatchAndReport:
     def _manifest(self, tmp_path):
@@ -414,6 +441,15 @@ class TestMalformedInputs:
         assert code == EXIT_FAILURE
         assert err == f"error: manifest {manifest}: expected an object with an entries list\n"
 
+    def test_unknown_config_key_fails_cleanly(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"job": 4, "embed_fallbak": True}))
+        code, out, err = _run(capsys, "validate", str(fixture_path("chain3.bpmn")),
+                              "--config", str(config))
+        assert code == EXIT_FAILURE
+        assert out == ""
+        assert err == f"error: cannot read config: {config}: unknown key 'job'\n"
+
     @pytest.mark.parametrize("key,value", [
         ("limit", None), ("jobs", "x"), ("jobs", 1e400), ("threshold", [1]),
         ("embed_fallback", "no"), ("embed_cache_dir", 5), ("llm_model", ["m"]),
@@ -567,6 +603,15 @@ class TestBatchStages:
         assert entries[0]["reconstruction_path"] == str(target)
         assert "last_report" not in entries[0]
         assert b"BPMNDiagram" in target.read_bytes()
+
+    def test_failed_stage_is_named_in_the_entry_error(self, capsys, tmp_path):
+        replies = json.loads(fixture_path("mock_reconstruct_ok.json").read_text())
+        code, entries = self._reconstruct(capsys, tmp_path, replies[:1] + ["garbage"] * 4)
+        assert code == EXIT_FAILURE
+        assert entries[0]["status"] == "described"
+        assert entries[0]["error"] == (
+            "SchemaFailureAfterRetries: decision_analysis: no schema-valid response after "
+            "4 attempt(s): response contains no parseable JSON value")
 
     def test_noncompliant_reconstruct_is_written_but_not_advanced(self, capsys, tmp_path):
         script = json.loads(fixture_path("mock_reconstruct_fixup.json").read_text())

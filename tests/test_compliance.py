@@ -137,6 +137,33 @@ def test_diagnostics_ordered_by_document_position():
     assert gateway.get("id") == report.diagnostics[0].element_id
 
 
+
+def test_anonymous_flows_keep_gateway_kind_order():
+    # unnamed flows share the position after every element, so their R2
+    # findings keep the rule's order: exclusive gateways before inclusive
+    # ones, whatever the document order
+    xml = b"""<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL" id="defs">
+  <process id="proc">
+    <startEvent id="start"/>
+    <sequenceFlow id="flow_in" sourceRef="start" targetRef="gw_or"/>
+    <inclusiveGateway id="gw_or" default="flow_or_default"/>
+    <sequenceFlow id="flow_or_default" sourceRef="gw_or" targetRef="gw_xor"/>
+    <sequenceFlow sourceRef="gw_or" targetRef="gw_xor"/>
+    <sequenceFlow sourceRef="gw_or" targetRef="end"/>
+    <exclusiveGateway id="gw_xor"/>
+    <sequenceFlow sourceRef="gw_xor" targetRef="end"/>
+    <sequenceFlow sourceRef="gw_xor" targetRef="end"/>
+    <endEvent id="end"/>
+  </process>
+</definitions>"""
+    unconditioned = "non-default flow '' out of gateway {!r} has no condition expression"
+    assert [(d.code, d.element_id, d.message) for d in validate_bytes(xml).diagnostics] == [
+        (RuleCode.R1_DEFAULT_FLOW, "gw_xor",
+         "exclusive gateway 'gw_xor' with 2 outgoing flows declares no default flow"),
+        *[(RuleCode.R2_CONDITION_EXPR, "", unconditioned.format("gw_xor"))] * 2,
+        *[(RuleCode.R2_CONDITION_EXPR, "", unconditioned.format("gw_or"))] * 2,
+    ]
+
 def test_report_json_shape():
     report = validate(load_doc("r1_missing_default.bpmn"))
     data = json.loads(report.to_json())

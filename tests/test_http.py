@@ -10,7 +10,7 @@ import pytest
 
 from bpmnkit import embeddings, llm
 from bpmnkit.embeddings import DEFAULT_DIMENSION, RemoteEmbedder, RemoteUnavailable
-from bpmnkit.llm import HttpChatClient, LlmTimeout, LlmUnavailable, system, user
+from bpmnkit.llm import HttpChatClient, LlmUnavailable, system, user
 
 from conftest import Reply
 
@@ -32,7 +32,7 @@ CLIENTS = {
     "chat": Client(
         lambda url: HttpChatClient(url, "test-model").complete([system("Test."), user("Ping.")]),
         llm, {"choices": [{"message": {"content": "pong"}}]}, "pong",
-        LlmUnavailable, "chat completion failed: ", LlmTimeout, "chat completion timed out: "),
+        LlmUnavailable, "chat completion failed: ", LlmUnavailable, "chat completion timed out: "),
     "embeddings": Client(
         lambda url: RemoteEmbedder(url, "test-model").embed_batch(["ping"]).tolist(),
         embeddings, {"embeddings": [UNIT]}, [UNIT],

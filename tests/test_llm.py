@@ -11,7 +11,6 @@ from bpmnkit import pipeline
 from bpmnkit.llm import (
     ChatMessage,
     HttpChatClient,
-    LlmTimeout,
     LlmUnavailable,
     MockChatClient,
     SCHEMA_RETRIES,
@@ -60,7 +59,7 @@ class TestMockClient:
         client = MockChatClient.from_json(path)
         assert complete(client, MESSAGES) == "plain string"
         assert complete(client, MESSAGES) == "wrapped"
-        with pytest.raises(LlmTimeout):
+        with pytest.raises(LlmUnavailable, match="^scripted timeout$"):
             complete(client, MESSAGES)
 
 
@@ -83,7 +82,7 @@ class TestHttpChatClient:
 
         # a connect timeout comes wrapped in a URLError
         monkeypatch.setattr(urllib.request, "urlopen", urlopen)
-        with pytest.raises(LlmTimeout, match="^chat completion timed out: timed out$"):
+        with pytest.raises(LlmUnavailable, match="^chat completion timed out: timed out$"):
             HttpChatClient("http://127.0.0.1:9/v1/chat", "test-model").complete_once(MESSAGES)
 
     def test_malformed_reply_maps_to_unavailable(self, loopback):
@@ -146,18 +145,19 @@ class TestExtractJson:
 
 SCHEMA = {"type": "object", "required": ["name"],
           "properties": {"name": {"type": "string"}}}
+STAGE = "greeting"  # the stage a schema failure names
 
 
 class TestParseJsonWithRetry:
     def test_valid_first_response(self):
         client = MockChatClient([])
-        payload, raw = parse_json_with_retry(client, MESSAGES, '{"name": "x"}', SCHEMA)
+        payload, raw = parse_json_with_retry(client, MESSAGES, '{"name": "x"}', SCHEMA, STAGE)
         assert payload == {"name": "x"}
         assert client.call_count == 0
 
     def test_reprompts_on_schema_violation(self):
         client = MockChatClient(['{"name": "fixed"}'])
-        payload, _ = parse_json_with_retry(client, MESSAGES, '{"wrong": 1}', SCHEMA)
+        payload, _ = parse_json_with_retry(client, MESSAGES, '{"wrong": 1}', SCHEMA, STAGE)
         assert payload == {"name": "fixed"}
         assert client.call_count == 1
         retry_prompt = client.calls[0][-1].content
@@ -165,7 +165,7 @@ class TestParseJsonWithRetry:
 
     def test_retry_conversation_carries_bad_response(self):
         client = MockChatClient(['{"name": "ok"}'])
-        parse_json_with_retry(client, MESSAGES, "garbage", SCHEMA)
+        parse_json_with_retry(client, MESSAGES, "garbage", SCHEMA, STAGE)
         roles = [m.role for m in client.calls[0]]
         assert roles == ["system", "user", "assistant", "user"]
         assert client.calls[0][2].content == "garbage"
@@ -185,15 +185,16 @@ class TestParseJsonWithRetry:
                 expected = exc.message
             client = MockChatClient([json.dumps(payload)] * SCHEMA_RETRIES)
             with pytest.raises(SchemaFailureAfterRetries) as failure:
-                parse_json_with_retry(client, MESSAGES, json.dumps(payload), schema)
-            assert failure.value.last_error == expected
+                parse_json_with_retry(client, MESSAGES, json.dumps(payload), schema, STAGE)
+            assert str(failure.value) == (f"{STAGE}: no schema-valid response after "
+                                          f"{SCHEMA_RETRIES + 1} attempt(s): {expected}")
             checked += 1
         assert checked >= 3
 
     def test_invalid_schema_raises_schema_error(self):
         with pytest.raises(jsonschema.SchemaError):
             parse_json_with_retry(MockChatClient([]), MESSAGES, '{"name": "x"}',
-                                  {"type": "no-such-type"})
+                                  {"type": "no-such-type"}, STAGE)
 
     def test_schema_is_checked_once(self, monkeypatch):
         schema = {"type": "object", "required": ["id"]}
@@ -206,17 +207,17 @@ class TestParseJsonWithRetry:
             return original(candidate, *args, **kwargs)
 
         monkeypatch.setattr(cls, "check_schema", check_schema)
-        parse_json_with_retry(MockChatClient([]), MESSAGES, '{"id": 1}', schema)
+        parse_json_with_retry(MockChatClient([]), MESSAGES, '{"id": 1}', schema, STAGE)
         client = MockChatClient(['{"id": 2}'])
-        payload, _ = parse_json_with_retry(client, MESSAGES, '{"no_id": 1}', schema)
+        payload, _ = parse_json_with_retry(client, MESSAGES, '{"no_id": 1}', schema, STAGE)
         assert payload == {"id": 2}
         assert checked == [schema]
 
     def test_persistent_garbage_fails_after_attempts(self):
         client = MockChatClient(["still bad", "also bad", "bad again"])
         with pytest.raises(SchemaFailureAfterRetries) as exc:
-            parse_json_with_retry(client, MESSAGES, "bad", SCHEMA)
+            parse_json_with_retry(client, MESSAGES, "bad", SCHEMA, STAGE)
         assert SCHEMA_RETRIES == 3
-        assert exc.value.attempts == 4
-        assert client.call_count == 3
-        assert exc.value.raw == "bad again"
+        assert str(exc.value) == ("greeting: no schema-valid response after 4 attempt(s): "
+                                  "response contains no parseable JSON value")
+        assert client.call_count == 3  # the last failure is the last reply, "bad again"
