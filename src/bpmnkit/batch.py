@@ -288,7 +288,10 @@ def batch_evaluate(pairs: list[tuple[str | Path, str | Path]],
 
 
 def load_report(results_dir: str | Path) -> EvaluationReport:
-    """Rebuild a report from the per-pair JSON files in a results directory."""
+    """Rebuild a report from the per-pair JSON files in a results directory,
+    which must exist (NotADirectoryError otherwise)."""
+    if not Path(results_dir).is_dir():
+        raise NotADirectoryError(f"not a results directory: {results_dir}")
     paths = [p for p in sorted(Path(results_dir).glob("*.json"))
              if not p.name.startswith("summary")]
     records = [record for record in map(_read_record, paths) if record is not None]

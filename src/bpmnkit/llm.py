@@ -16,10 +16,7 @@ import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
-
-if TYPE_CHECKING:
-    import jsonschema
+from typing import Sequence
 
 
 class LlmUnavailable(RuntimeError):
@@ -240,41 +237,68 @@ def parse_with_retry(client, messages: Sequence[ChatMessage], response: str, par
                                     f"{SCHEMA_RETRIES + 1} attempt(s): {last_error}")
 
 
-# id(schema) -> (schema, its validator). Holding the schema keeps its id from
-# being reused by another object. Two threads that miss at once both build
-# the same validator, and either one is kept.
-_VALIDATORS: dict[int, tuple[dict, jsonschema.protocols.Validator]] = {}
+_TYPES = {"object": dict, "array": list, "string": str}
 
 
-def _validator(schema: dict) -> jsonschema.protocols.Validator:
-    """The validator for ``schema``, built and its schema checked on first use
-    (a bad schema raises ``jsonschema.SchemaError``). Schemas are treated as
-    immutable: one is never checked again."""
-    cached = _VALIDATORS.get(id(schema))
-    if cached is None:
-        from jsonschema.validators import validator_for
+def _schema_errors(value, schema: dict, path: tuple):
+    """Yield (path, message) for each way ``value`` breaks ``schema``, in the
+    reference JSON Schema validator's order and wording. The keywords are
+    ``type`` (object, array or string), ``required``, ``properties``, ``items``,
+    ``enum`` (compared with ``==``) and ``additionalProperties`` (a schema); a
+    node the walk reaches with another keyword or type raises TypeError."""
+    for keyword, arg in schema.items():
+        if keyword == "type":
+            if arg not in _TYPES:
+                raise TypeError(f"unsupported schema type {arg!r}")
+            if not isinstance(value, _TYPES[arg]):
+                yield path, f"{value!r} is not of type {arg!r}"
+        elif keyword == "enum":
+            if value not in arg:
+                yield path, f"{value!r} is not one of {arg!r}"
+        elif keyword == "items":
+            if isinstance(value, list):
+                for index, item in enumerate(value):
+                    yield from _schema_errors(item, arg, path + (index,))
+        elif keyword not in ("required", "properties", "additionalProperties"):
+            raise TypeError(f"unsupported schema keyword {keyword!r}")
+        elif not isinstance(value, dict):
+            continue
+        elif keyword == "required":
+            yield from ((path, f"{name!r} is a required property")
+                        for name in arg if name not in value)
+        elif keyword == "properties":
+            for name, subschema in arg.items():
+                if name in value:
+                    yield from _schema_errors(value[name], subschema, path + (name,))
+        else:
+            known = schema.get("properties", {})
+            for name, item in value.items():
+                if name not in known:
+                    yield from _schema_errors(item, arg, path + (name,))
 
-        cls = validator_for(schema)
-        cls.check_schema(schema)
-        cached = _VALIDATORS[id(schema)] = (schema, cls(schema))
-    return cached[1]
+
+def schema_error(payload, schema: dict) -> str | None:
+    """The complaint about ``payload``, or None when it is valid: like the
+    reference validator's ``best_match``, the shallowest error, then the one
+    with the greatest path, then the first."""
+    worst = max(_schema_errors(payload, schema, ()), key=lambda e: (-len(e[0]), e[0]),
+                default=None)
+    return None if worst is None else worst[1]
 
 
 def parse_json_with_retry(client, messages: Sequence[ChatMessage], response: str,
                           schema: dict, stage: str):
     """Validate a response against a JSON schema, re-prompting the model with
-    the validation error, as ``parse_with_retry`` does.
+    the validation error, as ``parse_with_retry`` does. A schema that
+    ``schema_error`` cannot check raises TypeError.
 
     Returns (validated payload, raw response text).
     """
     def parse(raw: str):
-        from jsonschema.exceptions import best_match
-
         payload = extract_json(raw)
-        # the error jsonschema.validate(payload, schema) would raise
-        error = best_match(_validator(schema).iter_errors(payload))
+        error = schema_error(payload, schema)
         if error is not None:
-            raise ValueError(error.message) from error
+            raise ValueError(error)
         return payload
 
     return parse_with_retry(client, messages, response, parse, JSON_COMPLAINT, stage)

@@ -234,6 +234,23 @@ class TestBatchAndReport:
         assert [r["model_id"] for r in report["per_model"]] == ["good"]
         assert report["averages"]["overall"] == 0.5
 
+    def test_report_needs_an_existing_results_dir(self, capsys, tmp_path):
+        a_file = tmp_path / "results.json"
+        a_file.write_text("{}")
+        for path in (tmp_path / "missing", a_file):
+            code, out, err = _run(capsys, "report", str(path), "-o", "json")
+            assert (code, out) == (EXIT_FAILURE, "")
+            assert err == f"error: not a results directory: {path}\n"
+        code, out, _ = _run(capsys, "report", str(tmp_path / "missing"), "-o",
+                            str(tmp_path / "report.json"))
+        assert code == EXIT_FAILURE
+        assert not (tmp_path / "report.json").exists()
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        code, out, _ = _run(capsys, "report", str(empty), "-o", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["per_model"] == []
+
     def test_report_warnings_carry_the_prefix_once_per_run(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"model_id": 5, "breakdown": None}))

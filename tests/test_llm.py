@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import copy
 import json
 import urllib.error
 import urllib.request
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
+from jsonschema.exceptions import best_match
 
 from bpmnkit import pipeline
 from bpmnkit.llm import (
@@ -18,6 +21,7 @@ from bpmnkit.llm import (
     complete,
     extract_json,
     parse_json_with_retry,
+    schema_error,
     system,
     user,
 )
@@ -143,9 +147,20 @@ class TestExtractJson:
             extract_json("nothing to see here")
 
 
+SHIPPED_SCHEMAS = [*pipeline.STAGE_SCHEMAS.values(), pipeline._TRANSLATION_SCHEMA]
 SCHEMA = {"type": "object", "required": ["name"],
           "properties": {"name": {"type": "string"}}}
 STAGE = "greeting"  # the stage a schema failure names
+
+
+def _schema_nodes(schema):
+    """``schema`` and every schema nested in it."""
+    yield schema
+    for keyword in ("items", "additionalProperties"):
+        if keyword in schema:
+            yield from _schema_nodes(schema[keyword])
+    for subschema in schema.get("properties", {}).values():
+        yield from _schema_nodes(subschema)
 
 
 class TestParseJsonWithRetry:
@@ -170,8 +185,7 @@ class TestParseJsonWithRetry:
         assert roles == ["system", "user", "assistant", "user"]
         assert client.calls[0][2].content == "garbage"
 
-    @pytest.mark.parametrize("schema", [*pipeline.STAGE_SCHEMAS.values(),
-                                        pipeline._TRANSLATION_SCHEMA])
+    @pytest.mark.parametrize("schema", SHIPPED_SCHEMAS)
     def test_complaint_is_the_message_of_jsonschema_validate(self, schema):
         payloads = [[], [5], [{}], {}, {"a": 5}, [{"name": 5, "class": "x", "decision": 1,
                                                   "outcomes": [{}]}],
@@ -192,26 +206,25 @@ class TestParseJsonWithRetry:
         assert checked >= 3
 
     def test_invalid_schema_raises_schema_error(self):
-        with pytest.raises(jsonschema.SchemaError):
-            parse_json_with_retry(MockChatClient([]), MESSAGES, '{"name": "x"}',
-                                  {"type": "no-such-type"}, STAGE)
+        client = MockChatClient([])
+        with pytest.raises(TypeError, match="unsupported schema type 'no-such-type'"):
+            parse_json_with_retry(client, MESSAGES, '{"name": "x"}',
+                                  {**SCHEMA, "type": "no-such-type"}, STAGE)
+        with pytest.raises(TypeError, match="unsupported schema keyword 'minProperties'"):
+            parse_json_with_retry(client, MESSAGES, '{"name": "x"}',
+                                  {**SCHEMA, "minProperties": 1}, STAGE)
+        assert client.call_count == 0
 
-    def test_schema_is_checked_once(self, monkeypatch):
-        schema = {"type": "object", "required": ["id"]}
-        cls = jsonschema.validators.validator_for(schema)
-        original = cls.check_schema
-        checked = []
-
-        def check_schema(candidate, *args, **kwargs):
-            checked.append(candidate)
-            return original(candidate, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "check_schema", check_schema)
-        parse_json_with_retry(MockChatClient([]), MESSAGES, '{"id": 1}', schema, STAGE)
-        client = MockChatClient(['{"id": 2}'])
-        payload, _ = parse_json_with_retry(client, MESSAGES, '{"no_id": 1}', schema, STAGE)
-        assert payload == {"id": 2}
-        assert checked == [schema]
+    def test_shipped_schemas_use_only_checked_keywords(self):
+        # schema_error raises on a bad node only when a payload reaches it, so
+        # every node of every shipped schema is checked here instead
+        nodes = [node for schema in SHIPPED_SCHEMAS for node in _schema_nodes(schema)]
+        assert len(nodes) > len(SHIPPED_SCHEMAS)
+        for node in nodes:
+            assert isinstance(node, dict)
+            assert set(node) <= {"type", "required", "properties", "items", "enum",
+                                 "additionalProperties"}, node
+            assert node.get("type", "object") in ("object", "array", "string"), node
 
     def test_persistent_garbage_fails_after_attempts(self):
         client = MockChatClient(["still bad", "also bad", "bad again"])
@@ -221,3 +234,100 @@ class TestParseJsonWithRetry:
         assert str(exc.value) == ("greeting: no schema-valid response after 4 attempt(s): "
                                   "response contains no parseable JSON value")
         assert client.call_count == 3  # the last failure is the last reply, "bad again"
+
+
+# keys and strings the shipped schemas name, so that generated payloads hit
+# their properties, required names and enums as well as missing them
+_NAMES = sorted({name for schema in SHIPPED_SCHEMAS for node in _schema_nodes(schema)
+                 for name in [*node.get("properties", {}), *node.get("required", []),
+                              *node.get("enum", [])]})
+_TEXT = st.sampled_from(_NAMES) | st.text(max_size=4)
+
+
+def _json(max_leaves):
+    return st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=5),
+        max_leaves=max_leaves)
+
+
+_JSON = _json(10)
+_SMALL_JSON = _json(3)  # what a valid payload holds where its schema allows anything
+
+
+def _valid(schema):
+    """Payloads that satisfy ``schema``, a shipped schema or one of its nodes."""
+    if "enum" in schema:
+        return st.sampled_from(schema["enum"])
+    kind = schema.get("type")
+    if kind == "string":
+        return _TEXT
+    if kind == "array":
+        return st.lists(_valid(schema.get("items", {})), max_size=3)
+    if kind != "object":
+        return _SMALL_JSON
+    properties = schema.get("properties", {})
+    required = schema.get("required", [])
+    extras = st.dictionaries(_TEXT.filter(lambda name: name not in properties),
+                             _valid(schema.get("additionalProperties", {})), max_size=2)
+    named = st.fixed_dictionaries(
+        {name: _valid(properties.get(name, {})) for name in required},
+        optional={name: _valid(sub) for name, sub in properties.items() if name not in required})
+    return st.tuples(named, extras).map(lambda parts: {**parts[0], **parts[1]})
+
+
+def _containers(value):
+    """``value`` and every list or dict nested in it."""
+    if isinstance(value, (list, dict)):
+        yield value
+        for child in value.values() if isinstance(value, dict) else value:
+            yield from _containers(child)
+
+
+def _damage(data, payload):
+    """A copy of ``payload`` damaged in one to four places: in a list or dict
+    inside it, an item replaced by arbitrary JSON, dropped or added."""
+    payload = copy.deepcopy(payload)
+    for _ in range(data.draw(st.integers(1, 4))):
+        target = data.draw(st.sampled_from(list(_containers(payload))))
+        keys = list(target) if isinstance(target, dict) else range(len(target))
+        action = data.draw(st.sampled_from(["replace", "drop", "add"]) if keys
+                           else st.just("add"))
+        if action == "add" and isinstance(target, dict):
+            target[data.draw(_TEXT)] = data.draw(_JSON)
+        elif action == "add":
+            target.insert(data.draw(st.integers(0, len(target))), data.draw(_JSON))
+        elif action == "drop":
+            del target[data.draw(st.sampled_from(keys))]
+        else:
+            target[data.draw(st.sampled_from(keys))] = data.draw(_JSON)
+    return payload
+
+
+def _oracle(payload, schema):
+    """The message jsonschema.validate(payload, schema) raises, or None."""
+    validator = jsonschema.validators.validator_for(schema)(schema)
+    error = best_match(validator.iter_errors(payload))
+    return None if error is None else error.message
+
+
+# schema_error is valid exactly when jsonschema is, and otherwise gives
+# best_match's message, payloads with several errors included
+
+@pytest.mark.parametrize("schema", SHIPPED_SCHEMAS)
+@given(payload=_JSON)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_schema_error_matches_jsonschema_on_any_json(schema, payload):
+    assert schema_error(payload, schema) == _oracle(payload, schema)
+
+
+@pytest.mark.parametrize("schema, valid", [(schema, _valid(schema))
+                                           for schema in SHIPPED_SCHEMAS])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_schema_error_matches_jsonschema_on_damaged_payloads(schema, valid, data):
+    payload = data.draw(valid)
+    assert schema_error(payload, schema) is None
+    assert _oracle(payload, schema) is None
+    damaged = _damage(data, payload)
+    assert schema_error(damaged, schema) == _oracle(damaged, schema)
