@@ -14,10 +14,11 @@ import functools
 import io
 import json
 import logging
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .atomic import write_atomic
 from .model import BpmnGraph, build_graph
@@ -52,66 +53,69 @@ class ManifestEntry:
     reconstruction_path: str | None = None
     last_report: dict | None = None
     error: str | None = None
+    name: str | None = None  # every stage output of the entry is named after it
     stale: bool = False
 
     def to_dict(self) -> dict:
-        data = {"model_path": self.model_path, "status": self.status}
-        if self.description_path:
-            data["description_path"] = self.description_path
-        if self.reconstruction_path:
-            data["reconstruction_path"] = self.reconstruction_path
-        if self.last_report is not None:
-            data["last_report"] = self.last_report
-        if self.error:
-            data["error"] = self.error
-        return data
+        return {key: value for key, value in vars(self).items()
+                if key != "stale" and value not in (None, "")}
+
+
+_ENTRY_KEYS = tuple(f.name for f in fields(ManifestEntry) if f.name != "stale")
 
 
 @dataclass
 class CorpusManifest:
+    """A corpus manifest. A relative path in it is relative to ``directory``,
+    whatever the working directory: ``path`` reads one, ``relative`` writes one."""
+
     entries: list[ManifestEntry] = field(default_factory=list)
+    directory: Path = Path()
 
     @classmethod
     def load(cls, path: str | Path) -> "CorpusManifest":
+        """The manifest at ``path``: each unnamed entry named by ``_unique_stems``
+        after the names held, and the entries with missing files flagged stale."""
         path = Path(path)
         data = json.loads(path.read_text(encoding="utf-8"))
         entries = data.get("entries", []) if isinstance(data, dict) else None
         if not isinstance(entries, list):
             raise ValueError(f"manifest {path}: expected an object with an entries list")
+        held: dict[str, int] = {}
         for index, e in enumerate(entries):
             if not isinstance(e, dict) or not isinstance(e.get("model_path"), str):
                 raise ValueError(f"manifest entry {index} has no model_path")
-            for key in ("description_path", "reconstruction_path"):
+            for key in e:
+                if key not in _ENTRY_KEYS:
+                    raise ValueError(f"manifest entry {index}: unknown key {key!r}")
+            for key in ("description_path", "reconstruction_path", "name"):
                 if not isinstance(e.get(key), (str, type(None))):
                     raise ValueError(f"manifest entry {index}: {key} must be a string or null")
             if e.get("status", "raw") not in STATUSES:
                 raise ValueError(f"manifest entry {index}: status must be one of "
                                  f"{', '.join(STATUSES)}, got {e['status']!r}")
-        manifest = cls([ManifestEntry(**{f.name: e[f.name] for f in fields(ManifestEntry)
-                                         if f.name in e}) for e in entries])
-        manifest.flag_stale(path.parent)
-        return manifest
-
-    @staticmethod
-    def locate(path: str, base_dir: Path) -> Path:
-        """A manifest path as written when it exists from the working
-        directory, else relative to the manifest's directory ``base_dir``."""
-        candidate = Path(path)
-        return candidate if candidate.exists() else base_dir / path
-
-    def flag_stale(self, base_dir: Path) -> None:
-        """Entries whose referenced files are missing on disk are flagged."""
-        for entry in self.entries:
+            name = e.get("name")
+            if name and Path(name).name != name:  # a/b, ../b, /b
+                raise ValueError(f"manifest entry {index}: name {name!r} is not a file name")
+            if name and held.setdefault(name, index) != index:
+                raise ValueError(f"manifest entry {index}: duplicate name {name!r}")
+        manifest = cls([ManifestEntry(**e) for e in entries], path.parent.resolve())
+        unnamed = [entry for entry in manifest.entries if not entry.name]
+        for entry, name in zip(unnamed, _unique_stems([e.model_path for e in unnamed], held)):
+            entry.name = name
+        for entry in manifest.entries:
             paths = [entry.model_path, entry.description_path, entry.reconstruction_path]
-            entry.stale = any(p is not None and not self.locate(p, base_dir).exists()
-                              for p in paths)
+            entry.stale = any(p is not None and not manifest.path(p).exists() for p in paths)
             if entry.stale:
                 logger.warning("manifest entry %s has missing files; flagged stale",
                                entry.model_path)
+        return manifest
 
-    def stems(self) -> list[str]:
-        """One artifact name per entry, see ``_unique_stems``."""
-        return _unique_stems([entry.model_path for entry in self.entries])
+    def path(self, path: str) -> Path:
+        return self.directory / path
+
+    def relative(self, path: Path) -> str:
+        return os.path.relpath(path.resolve(), self.directory)
 
     def save(self, path: str | Path) -> None:
         payload = {"entries": [entry.to_dict() for entry in self.entries]}
@@ -210,11 +214,12 @@ def _read_record(path: Path) -> dict | None:
     return None
 
 
-def _unique_stems(paths: list[str | Path]) -> list[str]:
-    """Each path's file stem; the repeats of a stem become ``<stem>_1``,
-    ``<stem>_2``, ..., skipping names that are some path's own stem."""
+def _unique_stems(paths: list[str | Path], used: Iterable[str] = ()) -> list[str]:
+    """Each path's file stem; the repeats of a stem, and a stem in ``used``,
+    become ``<stem>_1``, ``<stem>_2``, ..., skipping names that are some
+    path's own stem or in ``used``."""
     stems = [Path(p).stem for p in paths]
-    taken, used = set(stems), set()
+    taken, used = set(stems), set(used)
     names = []
     for stem in stems:
         name, n = stem, 0

@@ -302,15 +302,12 @@ def _cmd_stage(args, settings) -> int:
 def _cmd_batch(args, settings) -> int:
     from . import batch as batch_mod
 
-    manifest_path = Path(args.manifest)
-    manifest = batch_mod.CorpusManifest.load(manifest_path)
-    base = manifest_path.parent
-    out_dir = Path(args.out_dir) if args.out_dir else base
+    manifest = batch_mod.CorpusManifest.load(args.manifest)
+    out_dir = Path(args.out_dir) if args.out_dir else manifest.directory
 
     if args.stage == "evaluate":
         provider = _make_provider(settings)
-        pairs = [(manifest.locate(e.model_path, base),
-                  manifest.locate(e.reconstruction_path, base))
+        pairs = [(manifest.path(e.model_path), manifest.path(e.reconstruction_path))
                  for e in manifest.entries
                  if e.status == "reconstructed" and e.reconstruction_path and not e.stale]
         if not pairs:
@@ -326,17 +323,17 @@ def _cmd_batch(args, settings) -> int:
     stage_dir = out_dir / args.stage
     stage_dir.mkdir(parents=True, exist_ok=True)
     failed = False
-    for entry, stem in zip(manifest.entries, manifest.stems()):
+    for entry in manifest.entries:
         if entry.stale or entry.status != stage.takes:
             continue
         try:
             source = getattr(entry, stage.reads)
             if source is None:
                 raise ValueError(f"entry has no {stage.reads}")
-            output, report = stage.run(manifest.locate(source, base), client, settings)
-            target = stage_dir / f"{stem}{stage.suffix}"
+            output, report = stage.run(manifest.path(source), client, settings)
+            target = stage_dir / f"{entry.name}{stage.suffix}"
             target.write_bytes(output)
-            setattr(entry, stage.writes, str(target))
+            setattr(entry, stage.writes, manifest.relative(target))
             if report is not None:
                 entry.last_report = report.to_dict()
             if report is None or report.compliant:
@@ -346,7 +343,7 @@ def _cmd_batch(args, settings) -> int:
             entry.error = f"{type(exc).__name__}: {exc}"
             print(f"error: {entry.model_path}: {entry.error}", file=sys.stderr)
             failed = True
-        manifest.save(manifest_path)
+        manifest.save(args.manifest)
     return EXIT_FAILURE if failed else EXIT_OK
 
 

@@ -3,8 +3,9 @@
 Six rules cover what an execution engine needs before a model can run:
 gateway default paths (R1), branch conditions (R2), data-object reference
 ordering (R3), sequence-flow connectivity (R4), well-formedness and unique
-ids (R5), and process start/end boundaries (R6). Violations are errors;
-a report with zero errors is compliant.
+ids (R5), and process start/end boundaries in a document that declares at
+least one process (R6). Violations are errors; a report with zero errors is
+compliant.
 """
 
 from __future__ import annotations
@@ -194,7 +195,10 @@ def _r4_connectivity(index: DocumentIndex) -> Iterator[tuple[int, Diagnostic]]:
 
 
 def _r6_start_end(doc: BpmnDocument, index: DocumentIndex) -> Iterator[tuple[int, Diagnostic]]:
-    for process in doc.processes():
+    processes = doc.processes()
+    if not processes:
+        yield _finding(index, RuleCode.R6_START_END, None, "document declares no process")
+    for process in processes:
         pid = process.get("id", "")
         child_tags = {local_name(child.tag) for child in process}
         missing = []

@@ -11,7 +11,6 @@ needed; diagram interchange is added only after the model is compliant.
 from __future__ import annotations
 
 import json
-import logging
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import asdict, dataclass, field
@@ -32,7 +31,6 @@ from .llm import (
 from .model import build_graph
 from .xmlio import (
     BpmnDocument,
-    DocumentWithoutProcess,
     extract_strings,
     parse,
     reattach_di,
@@ -41,8 +39,6 @@ from .xmlio import (
     strip_di,
     unique_values,
 )
-
-logger = logging.getLogger(__name__)
 
 MODEL_EXCERPT_LIMIT = 24000
 HISTORY_EXCERPT_LIMIT = 4000
@@ -608,10 +604,7 @@ def reconstruct(description: str, client, run_dir: str | Path | None = None,
     if not result.report.compliant:
         raise ReconstructionNonCompliant(result.report, artifacts, doc)
 
-    try:
-        doc.root.extend(auto_layout(doc))
-    except DocumentWithoutProcess:
-        logger.warning("reconstructed document has no process; skipping layout")
+    doc.root.extend(auto_layout(doc))
     return doc, artifacts
 
 

@@ -14,6 +14,10 @@ from bpmnkit.cli import EXIT_FAILURE, EXIT_NONCOMPLIANT, EXIT_OK, main
 
 from conftest import fixture_path, flaky_chat
 
+NO_PROCESS = '<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL" id="d"/>'
+NO_PROCESS_FINDING = {"code": "R6_START_END", "element_id": None, "severity": "Error",
+                      "message": "document declares no process"}
+
 
 def _run(capsys, *argv):
     code = main(list(argv))
@@ -44,6 +48,13 @@ class TestValidate:
         code, _, err = _run(capsys, "validate", str(tmp_path / "nope.bpmn"))
         assert code == EXIT_FAILURE
         assert "error" in err
+
+    def test_document_without_a_process_is_not_compliant(self, capsys, tmp_path):
+        model = tmp_path / "empty.bpmn"
+        model.write_text(NO_PROCESS)
+        code, out, _ = _run(capsys, "validate", str(model))
+        assert code == EXIT_NONCOMPLIANT
+        assert json.loads(out) == {"compliant": False, "diagnostics": [NO_PROCESS_FINDING]}
 
 
 class TestCompare:
@@ -159,6 +170,19 @@ class TestReconstructCommand:
         assert code == EXIT_OK
         assert out_file.exists()
         assert (run_dir / "stage3.json").exists()
+
+    def test_reconstruction_without_a_process_is_not_compliant(self, capsys, tmp_path):
+        desc = tmp_path / "description.txt"
+        desc.write_text("Orders are registered, checked, and confirmed.")
+        replies = json.loads(fixture_path("mock_reconstruct_ok.json").read_text())
+        script = tmp_path / "script.json"  # stage 6, then the one regeneration
+        script.write_text(json.dumps(replies[:5] + [NO_PROCESS] * 2))
+        out_file = tmp_path / "out.bpmn"
+        code, out, err = _run(capsys, "reconstruct", str(desc), "-o", str(out_file),
+                              "--llm-mock-script", str(script), "--limit", "1")
+        assert (code, err) == (EXIT_NONCOMPLIANT, "")
+        assert json.loads(out)["diagnostics"] == [NO_PROCESS_FINDING]
+        assert out_file.exists()
 
 
     @pytest.mark.parametrize("stage, replies_kept, complaint", [
@@ -385,7 +409,8 @@ class TestMalformedInputs:
         assert err == "error: manifest entry 1 has no model_path\n"
 
     @pytest.mark.parametrize("key,value", [("description_path", 5),
-                                           ("reconstruction_path", ["r.bpmn"])])
+                                           ("reconstruction_path", ["r.bpmn"]),
+                                           ("name", 5)])
     def test_manifest_path_that_is_not_a_string_fails_cleanly(self, capsys, tmp_path,
                                                               key, value):
         manifest = tmp_path / "manifest.json"
@@ -396,6 +421,31 @@ class TestMalformedInputs:
                             "--embed-fallback")
         assert code == EXIT_FAILURE
         assert err == f"error: manifest entry 1: {key} must be a string or null\n"
+
+    def test_manifest_key_that_names_no_field_fails_cleanly(self, capsys, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"entries": [
+            {"model_path": str(fixture_path("chain3.bpmn")),
+             "reconstruction_pth": str(fixture_path("chain4.bpmn")),
+             "status": "reconstructed"}]}))
+        code, out, err = _run(capsys, "batch", str(manifest), "--stage", "evaluate",
+                              "--embed-fallback")
+        assert (code, out) == (EXIT_FAILURE, "")
+        assert err == "error: manifest entry 0: unknown key 'reconstruction_pth'\n"
+
+    @pytest.mark.parametrize("name,complaint", [("x", "duplicate name 'x'"),
+                                                ("../x", "name '../x' is not a file name")])
+    def test_manifest_name_held_twice_or_not_a_file_name_fails_cleanly(self, capsys, tmp_path,
+                                                                        name, complaint):
+        manifest = tmp_path / "manifest.json"
+        entries = [{"model_path": str(fixture_path("chain3.bpmn")), "name": "x"},
+                   {"model_path": str(fixture_path("diamond.bpmn")), "name": name}]
+        manifest.write_text(json.dumps({"entries": entries}))
+        code, _, err = _run(capsys, "batch", str(manifest), "--stage", "translate",
+                            "--llm-mock-script", str(fixture_path("mock_translate_drift.json")))
+        assert code == EXIT_FAILURE
+        assert err == f"error: manifest entry 1: {complaint}\n"
+        assert json.loads(manifest.read_text())["entries"] == entries
 
     @pytest.mark.parametrize("status", [5, "Raw"])
     def test_manifest_status_outside_the_five_fails_cleanly(self, capsys, tmp_path, status):
@@ -599,7 +649,7 @@ class TestBatchStages:
         assert code == EXIT_OK
         target = tmp_path / "correct" / "r1_missing_default.bpmn"
         assert entries[0]["status"] == "compliant"
-        assert entries[0]["model_path"] == str(target)
+        assert entries[0]["model_path"] == "correct/r1_missing_default.bpmn"
         assert entries[0]["last_report"]["compliant"] is True
         assert 'default="flow_fast"' in target.read_text(encoding="utf-8")
 
@@ -608,7 +658,8 @@ class TestBatchStages:
         code, entries = self._correct(capsys, tmp_path, broken_xml)
         assert code == EXIT_OK
         assert entries[0]["status"] == "translated"
-        assert entries[0]["model_path"] == str(tmp_path / "correct" / "r1_missing_default.bpmn")
+        assert entries[0]["model_path"] == "correct/r1_missing_default.bpmn"
+        assert (tmp_path / "correct" / "r1_missing_default.bpmn").exists()
         assert entries[0]["last_report"]["compliant"] is False
 
     def test_reconstruct_advances_to_reconstructed(self, capsys, tmp_path):
@@ -617,7 +668,7 @@ class TestBatchStages:
         assert code == EXIT_OK
         target = tmp_path / "reconstruct" / "chain3.bpmn"
         assert entries[0]["status"] == "reconstructed"
-        assert entries[0]["reconstruction_path"] == str(target)
+        assert entries[0]["reconstruction_path"] == "reconstruct/chain3.bpmn"
         assert "last_report" not in entries[0]
         assert b"BPMNDiagram" in target.read_bytes()
 
@@ -637,7 +688,7 @@ class TestBatchStages:
         target = tmp_path / "reconstruct" / "chain3.bpmn"
         assert entries[0]["status"] == "described"
         assert entries[0]["last_report"]["compliant"] is False
-        assert entries[0]["reconstruction_path"] == str(target)
+        assert entries[0]["reconstruction_path"] == "reconstruct/chain3.bpmn"
         assert target.exists()
 
     def test_entry_without_its_input_field_fails_alone(self, capsys, tmp_path):
@@ -653,7 +704,7 @@ class TestBatchStages:
         assert [e["status"] for e in entries] == ["reconstructed", "described", "reconstructed"]
         assert entries[1]["error"] == "ValueError: entry has no description_path"
         assert "error" not in entries[0] and "error" not in entries[2]
-        assert entries[2]["reconstruction_path"] == str(tmp_path / "reconstruct" / "parallel.bpmn")
+        assert entries[2]["reconstruction_path"] == "reconstruct/parallel.bpmn"
 
     def test_models_with_the_same_file_name_get_their_own_outputs(self, capsys, tmp_path):
         entries = []
@@ -667,9 +718,103 @@ class TestBatchStages:
         assert code == EXIT_OK
         assert [e["status"] for e in entries] == ["described"] * 2
         paths = [e["description_path"] for e in entries]
-        assert paths == [str(tmp_path / "describe" / "x.txt"),
-                         str(tmp_path / "describe" / "x_1.txt")]
-        assert [Path(p).read_text() for p in paths] == ["desc of a", "desc of b"]
+        assert paths == ["describe/x.txt", "describe/x_1.txt"]
+        assert [(tmp_path / p).read_text() for p in paths] == ["desc of a", "desc of b"]
+
+
+class TestManifestPaths:
+    """A relative manifest path is relative to the manifest's directory,
+    whatever the working directory."""
+
+    def _corpus(self, tmp_path, entries, **models):
+        corpus = tmp_path / "corpus"
+        for name, fixture in models.items():
+            (corpus / name).parent.mkdir(parents=True, exist_ok=True)
+            (corpus / name).write_bytes(fixture_path(fixture).read_bytes())
+        (corpus / "manifest.json").write_text(json.dumps({"entries": entries}))
+        return corpus
+
+    def _script(self, tmp_path, replies):
+        script = tmp_path / f"script{len(replies)}.json"
+        script.write_text(json.dumps(replies))
+        return str(script)
+
+    def test_evaluate_reads_the_manifests_own_files(self, capsys, tmp_path, monkeypatch):
+        pair = {"model_path": "chain3.bpmn", "reconstruction_path": "chain4.bpmn",
+                "status": "reconstructed"}
+        corpus = self._corpus(tmp_path, [pair], **{"chain3.bpmn": "chain3.bpmn",
+                                                   "chain4.bpmn": "chain4.bpmn"})
+        other = tmp_path / "other"
+        other.mkdir()
+        (other / "chain3.bpmn").write_bytes(fixture_path("chain4.bpmn").read_bytes())
+        summaries = []
+        for cwd, manifest in ((corpus, "manifest.json"), (other, "../corpus/manifest.json")):
+            monkeypatch.chdir(cwd)
+            out_dir = tmp_path / f"from-{cwd.name}"
+            code, _, _ = _run(capsys, "batch", manifest, "--stage", "evaluate",
+                              "--embed-fallback", "--out-dir", str(out_dir))
+            assert code == EXIT_OK
+            summaries.append((out_dir / "results" / "summary.json").read_bytes())
+        record = json.loads(summaries[1])["per_model"][0]
+        assert record["breakdown"]["overall"] < 1
+        assert record["truth"] == str(corpus / "chain3.bpmn")
+        assert summaries[0] == summaries[1]
+
+    def test_a_stage_resumes_from_the_manifests_directory(self, capsys, tmp_path, monkeypatch):
+        corpus = self._corpus(tmp_path, [{"model_path": "chain3.bpmn"}],
+                              **{"chain3.bpmn": "chain3.bpmn"})
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = _run(capsys, "batch", "corpus/manifest.json", "--stage", "translate",
+                          "--llm-mock-script", self._script(tmp_path, ["{}"]))
+        assert code == EXIT_OK
+        monkeypatch.chdir(corpus)
+        code, _, err = _run(capsys, "batch", "manifest.json", "--stage", "correct",
+                            "--llm-mock-script", self._script(tmp_path, []))
+        assert (code, err) == (EXIT_OK, "")
+        entry = json.loads((corpus / "manifest.json").read_text())["entries"][0]
+        assert entry["status"] == "compliant"
+        assert (entry["model_path"], entry["name"]) == ("correct/chain3.bpmn", "chain3")
+
+    def test_an_inserted_entry_gets_its_own_output(self, capsys, tmp_path, monkeypatch):
+        corpus = self._corpus(tmp_path, [{"model_path": "b/x.bpmn"}],
+                              **{"a/x.bpmn": "diamond.bpmn", "b/x.bpmn": "chain3.bpmn"})
+        monkeypatch.chdir(corpus)
+        script = self._script(tmp_path, ["{}"])
+        assert _run(capsys, "batch", "manifest.json", "--stage", "translate",
+                    "--llm-mock-script", script)[0] == EXIT_OK
+        translated_b = (corpus / "translate" / "x.bpmn").read_bytes()
+        manifest = json.loads((corpus / "manifest.json").read_text())
+        manifest["entries"].insert(0, {"model_path": "a/x.bpmn"})
+        (corpus / "manifest.json").write_text(json.dumps(manifest))
+        assert _run(capsys, "batch", "manifest.json", "--stage", "translate",
+                    "--llm-mock-script", script)[0] == EXIT_OK
+        assert (corpus / "translate" / "x.bpmn").read_bytes() == translated_b
+        assert b"gw_split" in (corpus / "translate" / "x_1.bpmn").read_bytes()
+        entries = json.loads((corpus / "manifest.json").read_text())["entries"]
+        assert [(e["name"], e["model_path"]) for e in entries] == [
+            ("x_1", "translate/x_1.bpmn"), ("x", "translate/x.bpmn")]
+
+    def test_evaluate_resumes_from_another_directory(self, capsys, tmp_path, monkeypatch):
+        pairs = [{"model_path": truth, "reconstruction_path": recon, "status": "reconstructed"}
+                 for truth, recon in (("chain3.bpmn", "chain4.bpmn"),
+                                      ("diamond.bpmn", "parallel.bpmn"))]
+        corpus = self._corpus(tmp_path, pairs, **{name: name for name in (
+            "chain3.bpmn", "chain4.bpmn", "diamond.bpmn", "parallel.bpmn")})
+        monkeypatch.chdir(tmp_path)
+        assert _run(capsys, "batch", "corpus/manifest.json", "--stage", "evaluate",
+                    "--embed-fallback")[0] == EXIT_OK
+        results = corpus / "results"
+        stored = {p.name: p.read_bytes() for p in results.iterdir()}
+        assert sorted(stored) == ["chain3.json", "diamond.json", "summary.csv", "summary.json"]
+
+        def recompute(*args):
+            raise AssertionError("a stored result was recomputed")
+
+        monkeypatch.setattr("bpmnkit.batch._evaluate_pair", recompute)
+        monkeypatch.chdir(corpus)
+        assert _run(capsys, "batch", "manifest.json", "--stage", "evaluate",
+                    "--embed-fallback")[0] == EXIT_OK
+        assert {p.name: p.read_bytes() for p in results.iterdir()} == stored
 
 
 _NO_NUMPY = """
