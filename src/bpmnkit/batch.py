@@ -142,7 +142,7 @@ def _empty_histogram() -> list[dict]:
     ]
 
 
-def build_report(records: list[dict], total_pairs: int) -> EvaluationReport:
+def build_report(records: list[dict], descriptions: int) -> EvaluationReport:
     """Aggregate per-pair records (sorted by model_id so the result does not
     depend on completion order) into the full report."""
     ordered = sorted(records, key=lambda r: r["model_id"])
@@ -156,7 +156,7 @@ def build_report(records: list[dict], total_pairs: int) -> EvaluationReport:
         for dim in DIMENSIONS:
             total = sum(r["breakdown"][dim] for r in per_model)
             averages[dim] = total / len(per_model)
-            averages_per_description[dim] = total / total_pairs if total_pairs else 0.0
+            averages_per_description[dim] = total / descriptions if descriptions else 0.0
         for record in per_model:
             overall = record["breakdown"]["overall"]
             index = min(int(overall * HISTOGRAM_BINS), HISTOGRAM_BINS - 1)
@@ -168,7 +168,7 @@ def build_report(records: list[dict], total_pairs: int) -> EvaluationReport:
         averages=averages,
         averages_per_description=averages_per_description,
         histogram=histogram,
-        counts={"descriptions": total_pairs, "reconstructed": len(per_model)},
+        counts={"descriptions": descriptions, "reconstructed": len(per_model)},
     )
 
 
@@ -233,14 +233,16 @@ def _unique_stems(paths: list[str | Path], used: Iterable[str] = ()) -> list[str
 
 def batch_evaluate(pairs: list[tuple[str | Path, str | Path]],
                    provider: EmbeddingProvider, jobs: int = 1,
-                   results_dir: str | Path | None = None) -> EvaluationReport:
+                   results_dir: str | Path | None = None,
+                   descriptions: int | None = None) -> EvaluationReport:
     """Compare all (ground truth, reconstruction) pairs. The pairs of one
     truth form one task, which parses, builds and embeds the truth once;
     up to ``jobs`` tasks run at a time, on threads, except with the hashing
     embedder, whose tasks run one after another on the calling thread. With
     ``results_dir``, each pair result is written to ``<pair-id>.json``, and a
     stored result is reused (resume) when it names the same truth and
-    reconstruction paths."""
+    reconstruction paths. The report counts ``descriptions`` descriptions,
+    one per pair by default."""
     from .embeddings import HashingEmbedder, MemoEmbedder  # numpy, for the stage that embeds
 
     if jobs < 1:
@@ -285,7 +287,7 @@ def batch_evaluate(pairs: list[tuple[str | Path, str | Path]],
             for done in pool.map(work, tasks.items()):
                 records.extend(done)
 
-    report = build_report(records, total_pairs=len(pairs))
+    report = build_report(records, len(pairs) if descriptions is None else descriptions)
     if out_dir is not None:
         write_atomic(out_dir / "summary.json", render_report(report, "json"))
         write_atomic(out_dir / "summary.csv", render_report(report, "csv"))
@@ -300,7 +302,7 @@ def load_report(results_dir: str | Path) -> EvaluationReport:
     paths = [p for p in sorted(Path(results_dir).glob("*.json"))
              if not p.name.startswith("summary")]
     records = [record for record in map(_read_record, paths) if record is not None]
-    return build_report(records, total_pairs=len(records))
+    return build_report(records, len(records))
 
 
 def render_report(report: EvaluationReport, fmt: str) -> bytes:

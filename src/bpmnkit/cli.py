@@ -2,7 +2,8 @@
 
 Subcommands: validate, translate, correct, describe, reconstruct, compare,
 batch, report. Settings resolve in precedence order: built-in defaults, then
-the --config JSON file, then BPMNKIT_* environment variables, then flags.
+the --config JSON file, then BPMNKIT_* environment variables, then flags. A
+command takes the flags of the settings it reads, and --config.
 Exit codes: 0 success, 1 operational failure, 2 usage error, 3 non-compliance.
 """
 
@@ -53,32 +54,30 @@ _CONVERTERS = {"jobs": int, "limit": int, "simple_threshold": int, "llm_retry_co
                "threshold": float}
 
 
-def _global_flags() -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    group = parent.add_argument_group("global options")
-    group.add_argument("--config", help="JSON config file mirroring these flags")
-    group.add_argument("--llm-endpoint", dest="llm_endpoint")
-    group.add_argument("--llm-model", dest="llm_model")
-    group.add_argument("--llm-mock-script", dest="llm_mock_script",
-                       help="JSON response script; enables the offline mock client")
-    group.add_argument("--embed-endpoint", dest="embed_endpoint")
-    group.add_argument("--embed-model", dest="embed_model")
-    group.add_argument("--embed-fallback", action="store_true", default=None,
-                       dest="embed_fallback",
-                       help="use the deterministic offline embedder")
-    group.add_argument("--jobs", type=int, dest="jobs")
-    return parent
+def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
+    """``--config``, and the settings flags that ``command`` reads."""
+    parser.add_argument("--config", help="JSON config file mirroring these flags")
+    if command in (*_STAGES, "batch"):
+        parser.add_argument("--llm-endpoint", dest="llm_endpoint")
+        parser.add_argument("--llm-model", dest="llm_model")
+        parser.add_argument("--llm-mock-script", dest="llm_mock_script",
+                            help="JSON response script; enables the offline mock client")
+    if command in ("compare", "batch"):
+        parser.add_argument("--embed-endpoint", dest="embed_endpoint")
+        parser.add_argument("--embed-model", dest="embed_model")
+        parser.add_argument("--embed-fallback", action="store_true", default=None,
+                            dest="embed_fallback", help="use the deterministic offline embedder")
+    if command == "batch":
+        parser.add_argument("--jobs", type=int, dest="jobs")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parent = _global_flags()
     parser = argparse.ArgumentParser(prog="bpmnkit",
                                      description="BPMN 2.0 validation, repair, "
                                                  "reconstruction and comparison")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[parent],
-                       help="run compliance checks; exit 3 when non-compliant")
+    p = sub.add_parser("validate", help="run compliance checks; exit 3 when non-compliant")
     p.add_argument("file")
 
     stages = {}
@@ -86,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
                        ("correct", "run the correction loop"),
                        ("describe", "generate a process description"),
                        ("reconstruct", "rebuild a BPMN model from a description")):
-        p = stages[name] = sub.add_parser(name, parents=[parent], help=text)
+        p = stages[name] = sub.add_parser(name, help=text)
         p.add_argument("file", metavar="description" if name == "reconstruct" else None)
         p.add_argument("-o", "--output", required=True)
     stages["translate"].add_argument("--threshold", type=float)
@@ -96,22 +95,24 @@ def build_parser() -> argparse.ArgumentParser:
                                        help="directory for stage artifacts")
     stages["reconstruct"].add_argument("--limit", type=int)
 
-    p = sub.add_parser("compare", parents=[parent], help="five-dimension similarity")
+    p = sub.add_parser("compare", help="five-dimension similarity")
     p.add_argument("model_a")
     p.add_argument("model_b")
     p.add_argument("--no-context", action="store_true",
                    help="disable neighborhood context in name embeddings")
 
-    p = sub.add_parser("batch", parents=[parent], help="run a pipeline stage over a corpus")
+    p = sub.add_parser("batch", help="run a pipeline stage over a corpus")
     p.add_argument("manifest")
     p.add_argument("--stage", required=True, choices=(*_STAGES, "evaluate"))
     p.add_argument("--out-dir", dest="out_dir")
 
-    p = sub.add_parser("report", parents=[parent], help="aggregate evaluation results")
+    p = sub.add_parser("report", help="aggregate evaluation results")
     p.add_argument("results_dir")
     p.add_argument("-o", "--output", required=True,
                    help="output path (.csv/.json), or literal 'csv'/'json' for stdout")
 
+    for command, p in sub.choices.items():
+        _add_options(p, command)
     return parser
 
 
@@ -313,8 +314,11 @@ def _cmd_batch(args, settings) -> int:
         if not pairs:
             print("nothing to evaluate", file=sys.stderr)
             return EXIT_OK
+        descriptions = sum(e.status in ("described", "reconstructed") and not e.stale
+                           for e in manifest.entries)
         report = batch_mod.batch_evaluate(pairs, provider, jobs=settings["jobs"],
-                                          results_dir=out_dir / "results")
+                                          results_dir=out_dir / "results",
+                                          descriptions=descriptions)
         sys.stdout.buffer.write(batch_mod.render_report(report, "csv"))
         return EXIT_OK
 

@@ -137,21 +137,10 @@ def type_distribution_similarity(g1: BpmnGraph, g2: BpmnGraph) -> float:
 
 def _groups(lines: np.ndarray) -> list[list[int]]:
     """The indices of each distinct row of `lines` in first-seen order, rows
-    told apart by their bytes. A group is keyed by the hash of its first
-    row's bytes, so no copy of the matrix is kept, nor made for a transposed
-    view; a row whose hash is taken by other bytes is keyed by its bytes."""
-    members: dict[int | bytes, list[int]] = {}
+    told apart by their bytes."""
+    members: dict[bytes, list[int]] = {}
     for index, line in enumerate(lines):
-        data = line.tobytes()
-        key: int | bytes = hash(data)
-        group = members.get(key)
-        if group is not None and lines[group[0]].tobytes() != data:
-            key = data
-            group = members.get(key)
-        if group is None:
-            members[key] = [index]
-        else:
-            group.append(index)
+        members.setdefault(line.tobytes(), []).append(index)
     return list(members.values())
 
 

@@ -406,8 +406,6 @@ def _closest(target: str, candidates: Sequence[tuple[str, Counter, str]],
     best, best_sim = None, 0.0
     target_counts = Counter(target)
     for key, key_counts, translation in candidates:
-        if key == target:  # similarity 1.0, which no later key can beat
-            return translation if threshold <= 1.0 else None
         if not key or not target:
             continue
         longest = max(len(key), len(target))
@@ -459,12 +457,17 @@ def reinsert_strings(doc: BpmnDocument, mapping: dict[str, str], threshold: floa
     warnings = [f"empty translation for {k!r} ignored" for k, v in mapping.items() if not v]
     keys = [(_nfc_strip(key), translation) for key, translation in usable.items()]
     candidates = [(key, Counter(key), translation) for key, translation in keys]
+    first = dict(reversed(keys))  # normalized key -> the translation of its first key
     matches: dict[str, str | None] = dict(usable)  # value -> replacement; None: no match
     parents: dict[ET.Element, ET.Element] = {}  # child -> parent, built for the first warning
 
     for elem, attr, value in _walk_translatable(new_doc, effective, include_documentation):
         if value not in matches:
-            matches[value] = _closest(_nfc_strip(value), candidates, threshold)
+            target = _nfc_strip(value)
+            if target in first:  # similarity 1.0, which no other key can beat
+                matches[value] = first[target] if threshold <= 1.0 else None
+            else:
+                matches[value] = _closest(target, candidates, threshold)
         replacement = matches[value]
         if replacement is None:
             parents = parents or {child: parent for parent in new_doc.root.iter()

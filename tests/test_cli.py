@@ -70,7 +70,7 @@ class TestCompare:
     def test_flags_accepted_after_subcommand(self, capsys):
         path = str(fixture_path("chain3.bpmn"))
         code, _, _ = _run(capsys, "compare", path, path, "--embed-fallback",
-                          "--jobs", "2")
+                          "--embed-model", "m")
         assert code == EXIT_OK
 
 
@@ -83,11 +83,77 @@ class TestCompare:
             f"warning: {path}: duplicate element id 'data_shared' skipped"] * 2
 
 
+_LLM_OPTIONS = ("--llm-endpoint", "--llm-model", "--llm-mock-script")
+_EMBED_OPTIONS = ("--embed-endpoint", "--embed-model", "--embed-fallback")
+_OPTIONS_READ = {  # beyond --config, which every command reads
+    "validate": (),
+    **dict.fromkeys(("translate", "correct", "describe", "reconstruct"), _LLM_OPTIONS),
+    "compare": _EMBED_OPTIONS,
+    "batch": (*_LLM_OPTIONS, *_EMBED_OPTIONS, "--jobs"),
+    "report": (),
+}
+_READ = [(command, option) for command, options in _OPTIONS_READ.items()
+         for option in ("--config", *options)]
+_IGNORED = [(command, option) for command, options in _OPTIONS_READ.items()
+            for option in (*_LLM_OPTIONS, *_EMBED_OPTIONS, "--jobs") if option not in options]
+
+
+def _command_argv(command: str, tmp_path: Path) -> list[str]:
+    """A command line for ``command`` that writes its output, if any, to
+    ``tmp_path / "out"``."""
+    model, out = str(fixture_path("chain3.bpmn")), str(tmp_path / "out")
+    return {"validate": ["validate", model],
+            "compare": ["compare", model, model],
+            "batch": ["batch", "manifest.json", "--stage", "evaluate"],
+            "report": ["report", str(tmp_path), "-o", out],
+            }.get(command, [command, model, "-o", out])
+
+
+def _option_argv(option: str) -> list[str]:
+    return {"--embed-fallback": [option], "--jobs": [option, "2"]}.get(option, [option, "x"])
+
+
 class TestUsage:
     def test_no_arguments_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(("command", "option"), _IGNORED)
+    def test_an_option_the_command_ignores_is_a_usage_error(self, capsys, tmp_path,
+                                                            command, option):
+        with pytest.raises(SystemExit) as exc:
+            main(_command_argv(command, tmp_path) + _option_argv(option))
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(("command", "option"), _READ)
+    def test_an_option_the_command_reads_parses_after_it(self, tmp_path, command, option):
+        from bpmnkit.cli import build_parser
+
+        args = build_parser().parse_args(_command_argv(command, tmp_path)
+                                         + _option_argv(option))
+        value = getattr(args, option[2:].replace("-", "_"))
+        assert value == {"--embed-fallback": True, "--jobs": 2}.get(option, "x")
+
+    @pytest.mark.parametrize("command", _OPTIONS_READ)
+    def test_one_config_file_serves_every_command(self, tmp_path, monkeypatch, command):
+        from bpmnkit.cli import build_parser, resolve_config
+
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"llm_model": "file-model", "embed_fallback": True,
+                                      "jobs": 3, "limit": 4, "threshold": 0.5}))
+        for name in ("BPMNKIT_LLM_ENDPOINT", "BPMNKIT_LLM_MODEL", "BPMNKIT_EMBED_ENDPOINT"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("BPMNKIT_EMBED_MODEL", "env-model")
+        settings = resolve_config(build_parser().parse_args(
+            _command_argv(command, tmp_path) + ["--config", str(config)]))
+        assert settings == {"llm_endpoint": None, "llm_model": "file-model",
+                            "llm_mock_script": None, "llm_retry_count": 2,
+                            "embed_endpoint": None, "embed_model": "env-model",
+                            "embed_fallback": True, "embed_cache_dir": None, "jobs": 3,
+                            "limit": 4, "simple_threshold": 10, "threshold": 0.5}
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -224,6 +290,26 @@ class TestBatchAndReport:
         assert (results / "summary.csv").exists()
         assert (results / "order-v1.json").exists()
         assert "metric,average_score" in out
+
+    def test_evaluate_counts_every_description(self, capsys, tmp_path):
+        """A described entry not yet reconstructed counts as a description, so
+        the per-description averages divide by 2 here, not by the 1 pair."""
+        (tmp_path / "diamond.txt").write_text("A diamond.")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"entries": [
+            {"model_path": str(fixture_path("chain3.bpmn")), "status": "reconstructed",
+             "reconstruction_path": str(fixture_path("chain4.bpmn"))},
+            {"model_path": str(fixture_path("diamond.bpmn")), "status": "described",
+             "description_path": "diamond.txt"},
+            {"model_path": str(tmp_path / "gone.bpmn"), "status": "described"},  # stale
+        ]}))
+        code, _, _ = _run(capsys, "batch", str(manifest), "--stage", "evaluate",
+                          "--embed-fallback", "--out-dir", str(tmp_path))
+        assert code == EXIT_OK
+        summary = json.loads((tmp_path / "results" / "summary.json").read_text())
+        assert summary["counts"] == {"descriptions": 2, "reconstructed": 1}
+        for dim, average in summary["averages"].items():
+            assert summary["averages_per_description"][dim] == average / 2
 
     def test_report_renders_results_dir(self, capsys, tmp_path):
         manifest = self._manifest(tmp_path)
@@ -478,8 +564,8 @@ class TestMalformedInputs:
         assert err == f"error: threshold must be a number in [0, 1], got {float(value)}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    @pytest.mark.parametrize("command", ["validate", "batch"])
+    @pytest.mark.parametrize(("command", "source"),  # only batch takes --jobs
+                             [("validate", "config"), ("batch", "config"), ("batch", "flag")])
     @pytest.mark.parametrize("value", [0, -3])
     def test_jobs_below_one_fails_cleanly(self, capsys, tmp_path, source, command, value):
         if command == "validate":
