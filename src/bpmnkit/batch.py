@@ -31,9 +31,6 @@ logger = logging.getLogger(__name__)
 
 HISTOGRAM_BINS = 20
 
-DIMENSIONS = ("structural", "type_distribution", "semantic_name",
-              "semantic_type", "semantic_name_type", "overall")
-
 STATUSES = ("raw", "translated", "compliant", "described", "reconstructed")  # in stage order
 
 DIMENSION_LABELS = {
@@ -44,6 +41,8 @@ DIMENSION_LABELS = {
     "semantic_name_type": "Name-Type Semantic Similarity",
     "overall": "Overall Similarity",
 }
+
+DIMENSIONS = tuple(DIMENSION_LABELS)
 
 @dataclass
 class ManifestEntry:
@@ -239,15 +238,16 @@ def batch_evaluate(pairs: list[tuple[str | Path, str | Path]],
     truth form one task, which parses, builds and embeds the truth once;
     up to ``jobs`` tasks run at a time, on threads, except with the hashing
     embedder, whose tasks run one after another on the calling thread. With
-    ``results_dir``, each pair result is written to ``<pair-id>.json``, and a
-    stored result is reused (resume) when it names the same truth and
+    ``results_dir``, each pair result is written to ``<pair-id>.json``, the
+    pair id being the truth's stem made unique (``summary`` is the summary's),
+    and a stored result is reused (resume) when it names the same truth and
     reconstruction paths. The report counts ``descriptions`` descriptions,
     one per pair by default."""
     from .embeddings import HashingEmbedder, MemoEmbedder  # numpy, for the stage that embeds
 
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    ids = _unique_stems([truth for truth, _ in pairs])
+    ids = _unique_stems([truth for truth, _ in pairs], used=("summary",))
     out_dir = Path(results_dir) if results_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -299,8 +299,7 @@ def load_report(results_dir: str | Path) -> EvaluationReport:
     which must exist (NotADirectoryError otherwise)."""
     if not Path(results_dir).is_dir():
         raise NotADirectoryError(f"not a results directory: {results_dir}")
-    paths = [p for p in sorted(Path(results_dir).glob("*.json"))
-             if not p.name.startswith("summary")]
+    paths = [p for p in sorted(Path(results_dir).glob("*.json")) if p.name != "summary.json"]
     records = [record for record in map(_read_record, paths) if record is not None]
     return build_report(records, len(records))
 

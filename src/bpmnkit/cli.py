@@ -27,50 +27,6 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_NONCOMPLIANT = 3
 
-# The only settings read from the environment, and the only reader.
-_ENV_KEYS = {
-    "llm_endpoint": "BPMNKIT_LLM_ENDPOINT",
-    "llm_model": "BPMNKIT_LLM_MODEL",
-    "embed_endpoint": "BPMNKIT_EMBED_ENDPOINT",
-    "embed_model": "BPMNKIT_EMBED_MODEL",
-}
-
-_DEFAULTS = {
-    "llm_endpoint": None,
-    "llm_model": None,
-    "llm_mock_script": None,
-    "llm_retry_count": 2,
-    "embed_endpoint": None,
-    "embed_model": None,
-    "embed_fallback": False,
-    "embed_cache_dir": None,
-    "jobs": 1,
-    "limit": 5,
-    "simple_threshold": 10,
-    "threshold": 0.8,
-}
-
-_CONVERTERS = {"jobs": int, "limit": int, "simple_threshold": int, "llm_retry_count": int,
-               "threshold": float}
-
-
-def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
-    """``--config``, and the settings flags that ``command`` reads."""
-    parser.add_argument("--config", help="JSON config file mirroring these flags")
-    if command in (*_STAGES, "batch"):
-        parser.add_argument("--llm-endpoint", dest="llm_endpoint")
-        parser.add_argument("--llm-model", dest="llm_model")
-        parser.add_argument("--llm-mock-script", dest="llm_mock_script",
-                            help="JSON response script; enables the offline mock client")
-    if command in ("compare", "batch"):
-        parser.add_argument("--embed-endpoint", dest="embed_endpoint")
-        parser.add_argument("--embed-model", dest="embed_model")
-        parser.add_argument("--embed-fallback", action="store_true", default=None,
-                            dest="embed_fallback", help="use the deterministic offline embedder")
-    if command == "batch":
-        parser.add_argument("--jobs", type=int, dest="jobs")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bpmnkit",
                                      description="BPMN 2.0 validation, repair, "
@@ -80,20 +36,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="run compliance checks; exit 3 when non-compliant")
     p.add_argument("file")
 
-    stages = {}
     for name, text in (("translate", "translate labels to English"),
                        ("correct", "run the correction loop"),
                        ("describe", "generate a process description"),
                        ("reconstruct", "rebuild a BPMN model from a description")):
-        p = stages[name] = sub.add_parser(name, help=text)
+        p = sub.add_parser(name, help=text)
         p.add_argument("file", metavar="description" if name == "reconstruct" else None)
         p.add_argument("-o", "--output", required=True)
-    stages["translate"].add_argument("--threshold", type=float)
-    stages["correct"].add_argument("--limit", type=int)
-    stages["correct"].add_argument("--simple-threshold", type=int, dest="simple_threshold")
-    stages["reconstruct"].add_argument("--run-dir", dest="run_dir",
-                                       help="directory for stage artifacts")
-    stages["reconstruct"].add_argument("--limit", type=int)
+    sub.choices["reconstruct"].add_argument("--run-dir", dest="run_dir",
+                                            help="directory for stage artifacts")
 
     p = sub.add_parser("compare", help="five-dimension similarity")
     p.add_argument("model_a")
@@ -112,21 +63,29 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output path (.csv/.json), or literal 'csv'/'json' for stdout")
 
     for command, p in sub.choices.items():
-        _add_options(p, command)
+        p.add_argument("--config", help="JSON config file mirroring these flags")
+        for key, setting in _SETTINGS.items():
+            if command not in setting.commands:
+                continue
+            flag = "--" + key.replace("_", "-")
+            if setting.type is bool:
+                p.add_argument(flag, action="store_true", default=None, help=setting.help)
+            else:
+                p.add_argument(flag, type=setting.type, help=setting.help)
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    settings = dict(_DEFAULTS)
+    settings = {key: setting.default for key, setting in _SETTINGS.items()}
     config_path = getattr(args, "config", None)
     if config_path:
         try:
             settings.update(_read_config(config_path))
         except (OSError, ValueError) as exc:
             raise ValueError(f"cannot read config: {exc}") from None
-    for key, env_name in _ENV_KEYS.items():
-        if os.environ.get(env_name):
-            settings[key] = os.environ[env_name]
+    for key, setting in _SETTINGS.items():
+        if setting.env and os.environ.get(setting.env):
+            settings[key] = os.environ[setting.env]
     for key in settings:
         value = getattr(args, key, None)
         if value is not None:
@@ -144,7 +103,7 @@ def _read_config(path: str) -> dict:
         raise ValueError(f"{path}: expected a JSON object")
     settings = {}
     for key, value in file_settings.items():
-        if key not in _DEFAULTS:
+        if key not in _SETTINGS:
             raise ValueError(f"{path}: unknown key {key!r}")
         try:
             settings[key] = _from_config(key, value)
@@ -156,9 +115,10 @@ def _read_config(path: str) -> dict:
 def _from_config(key: str, value):
     """A config-file value, converted as its flag converts it. A JSON boolean
     is not a number, although `int` and `float` would take it for one."""
-    if key in _CONVERTERS and not isinstance(value, bool):
-        return _CONVERTERS[key](value)
-    if isinstance(value, bool if key == "embed_fallback" else (str, type(None))):
+    kind = _SETTINGS[key].type
+    if kind in (int, float) and not isinstance(value, bool):
+        return kind(value)
+    if isinstance(value, bool if kind is bool else (str, type(None))):
         return value
     raise ValueError(f"unexpected value {json.dumps(value)}")
 
@@ -266,26 +226,48 @@ def _reconstruct(path: Path, client, settings: dict):
 class _Stage(NamedTuple):
     """An LLM stage as run by its single-file command and by `batch --stage`.
     ``run(input path, client, settings)`` gives the output bytes and a
-    compliance report, or None when the stage does not validate. A batch entry
-    at status ``takes`` is run on its ``reads`` path; its ``writes`` field gets
-    the output path, and its status becomes ``gives`` unless the report is
-    non-compliant."""
+    compliance report, or None when the stage does not validate. The k-th
+    stage runs a batch entry at status ``batch.STATUSES[k]`` on its ``reads``
+    path; its ``writes`` field gets the output path, and its status becomes
+    ``STATUSES[k + 1]`` unless the report is non-compliant."""
 
     run: Callable[[Path, object, dict], tuple[bytes, ComplianceReport | None]]
-    takes: str
-    gives: str
     reads: str
     writes: str
     suffix: str
 
 
 _STAGES = {
-    "translate": _Stage(_translate, "raw", "translated", "model_path", "model_path", ".bpmn"),
-    "correct": _Stage(_correct, "translated", "compliant", "model_path", "model_path", ".bpmn"),
-    "describe": _Stage(_describe, "compliant", "described",
-                       "model_path", "description_path", ".txt"),
-    "reconstruct": _Stage(_reconstruct, "described", "reconstructed",
-                          "description_path", "reconstruction_path", ".bpmn"),
+    "translate": _Stage(_translate, "model_path", "model_path", ".bpmn"),
+    "correct": _Stage(_correct, "model_path", "model_path", ".bpmn"),
+    "describe": _Stage(_describe, "model_path", "description_path", ".txt"),
+    "reconstruct": _Stage(_reconstruct, "description_path", "reconstruction_path", ".bpmn"),
+}
+
+
+class _Setting(NamedTuple):
+    default: object
+    type: type  # the flag's type and the config file's; bool: a switch
+    commands: tuple[str, ...] = ()  # the commands whose flag sets it
+    env: str | None = None  # the environment variable that sets it
+    help: str | None = None
+
+
+_SETTINGS = {
+    "llm_endpoint": _Setting(None, str, (*_STAGES, "batch"), "BPMNKIT_LLM_ENDPOINT"),
+    "llm_model": _Setting(None, str, (*_STAGES, "batch"), "BPMNKIT_LLM_MODEL"),
+    "llm_mock_script": _Setting(None, str, (*_STAGES, "batch"),
+                                help="JSON response script; enables the offline mock client"),
+    "llm_retry_count": _Setting(2, int),
+    "embed_endpoint": _Setting(None, str, ("compare", "batch"), "BPMNKIT_EMBED_ENDPOINT"),
+    "embed_model": _Setting(None, str, ("compare", "batch"), "BPMNKIT_EMBED_MODEL"),
+    "embed_fallback": _Setting(False, bool, ("compare", "batch"),
+                               help="use the deterministic offline embedder"),
+    "embed_cache_dir": _Setting(None, str),
+    "jobs": _Setting(1, int, ("batch",)),
+    "limit": _Setting(5, int, ("correct", "reconstruct")),
+    "simple_threshold": _Setting(10, int, ("correct",)),
+    "threshold": _Setting(0.8, float, ("translate",)),
 }
 
 
@@ -323,12 +305,14 @@ def _cmd_batch(args, settings) -> int:
         return EXIT_OK
 
     stage = _STAGES[args.stage]
+    index = list(_STAGES).index(args.stage)
+    takes, gives = batch_mod.STATUSES[index:index + 2]
     client = _make_client(settings)
     stage_dir = out_dir / args.stage
     stage_dir.mkdir(parents=True, exist_ok=True)
     failed = False
     for entry in manifest.entries:
-        if entry.stale or entry.status != stage.takes:
+        if entry.stale or entry.status != takes:
             continue
         try:
             source = getattr(entry, stage.reads)
@@ -341,7 +325,7 @@ def _cmd_batch(args, settings) -> int:
             if report is not None:
                 entry.last_report = report.to_dict()
             if report is None or report.compliant:
-                entry.status = stage.gives
+                entry.status = gives
             entry.error = None
         except (OSError, ValueError, RuntimeError) as exc:
             entry.error = f"{type(exc).__name__}: {exc}"

@@ -44,24 +44,8 @@ MODEL_EXCERPT_LIMIT = 24000
 HISTORY_EXCERPT_LIMIT = 4000
 HISTORY_WINDOW = 2  # previous correction attempts quoted in each prompt
 
-STAGE_PROCESS_ELEMENTS = "process_elements"
-STAGE_DECISION_ANALYSIS = "decision_analysis"
-STAGE_DATA_OBJECT_CATALOG = "data_object_catalog"
-STAGE_DATA_MODEL = "data_model"
-STAGE_ACTIVITY_DATA_MAP = "activity_data_map"
-STAGE_BPMN_XML = "bpmn_xml"
-
-STAGES = (
-    STAGE_PROCESS_ELEMENTS,
-    STAGE_DECISION_ANALYSIS,
-    STAGE_DATA_OBJECT_CATALOG,
-    STAGE_DATA_MODEL,
-    STAGE_ACTIVITY_DATA_MAP,
-    STAGE_BPMN_XML,
-)
-
 STAGE_SCHEMAS: dict[str, dict] = {
-    STAGE_PROCESS_ELEMENTS: {
+    "process_elements": {
         "type": "object",
         "required": ["boundaries", "activities"],
         "properties": {
@@ -93,7 +77,7 @@ STAGE_SCHEMAS: dict[str, dict] = {
             "dependencies": {"type": "array"},
         },
     },
-    STAGE_DECISION_ANALYSIS: {
+    "decision_analysis": {
         "type": "array",
         "items": {
             "type": "object",
@@ -113,7 +97,7 @@ STAGE_SCHEMAS: dict[str, dict] = {
             },
         },
     },
-    STAGE_DATA_OBJECT_CATALOG: {
+    "data_object_catalog": {
         "type": "array",
         "items": {
             "type": "object",
@@ -127,7 +111,7 @@ STAGE_SCHEMAS: dict[str, dict] = {
             },
         },
     },
-    STAGE_DATA_MODEL: {
+    "data_model": {
         "type": "object",
         "required": ["entities"],
         "properties": {
@@ -161,7 +145,7 @@ STAGE_SCHEMAS: dict[str, dict] = {
             },
         },
     },
-    STAGE_ACTIVITY_DATA_MAP: {
+    "activity_data_map": {
         "type": "array",
         "items": {
             "type": "object",
@@ -182,7 +166,7 @@ STAGE_SCHEMAS: dict[str, dict] = {
 }
 
 _STAGE_SYSTEM_PROMPTS = {
-    STAGE_PROCESS_ELEMENTS: (
+    "process_elements": (
         "You are an expert process modeler. From the process documentation the user "
         "provides, extract the structured building blocks of the process:\n"
         "- boundaries: the event that triggers the process and what marks its end\n"
@@ -199,7 +183,7 @@ _STAGE_SYSTEM_PROMPTS = {
         'participants [{"name", "responsibilities"}], decisions [{"name"}], '
         "inputs [], outputs [], data_flows [], dependencies []."
     ),
-    STAGE_DECISION_ANALYSIS: (
+    "decision_analysis": (
         "You are an expert process modeler. Analyze every decision point of the "
         "process. For each decision determine the inputs it needs (data to check, "
         "information that must be available, states to assess, results of earlier "
@@ -208,7 +192,7 @@ _STAGE_SYSTEM_PROMPTS = {
         '[{"decision", "inputs": [], "outcomes": [{"label", "condition"}]}]. '
         "Conditions must be concrete enough to configure gateway branches."
     ),
-    STAGE_DATA_OBJECT_CATALOG: (
+    "data_object_catalog": (
         "You are an expert in process and data modeling. Identify the data objects "
         "the process uses. Classify each one as primary (a core entity), derived "
         "(created while processing) or temporary (used transiently); give it a clear "
@@ -217,7 +201,7 @@ _STAGE_SYSTEM_PROMPTS = {
         'a single JSON array: [{"name", "class": "primary"|"derived"|"temporary", '
         '"attributes": [], "usage", "relationships": []}].'
     ),
-    STAGE_DATA_MODEL: (
+    "data_model": (
         "You are an expert in process modeling and data architecture. Build a "
         "structured data model from the identified data objects: the main entities "
         "with their attributes (name, type, constraints), the keys that enforce "
@@ -227,7 +211,7 @@ _STAGE_SYSTEM_PROMPTS = {
         '"constraints"}], "keys"}], "relationships": [{"from", "to", "cardinality", '
         '"kind"}]}.'
     ),
-    STAGE_ACTIVITY_DATA_MAP: (
+    "activity_data_map": (
         "You are an expert process modeler. For every activity and decision in the "
         "process, determine which data it consumes and which data it produces. Use "
         "only activities and decisions that appear in the process description, and "
@@ -235,7 +219,7 @@ _STAGE_SYSTEM_PROMPTS = {
         'single JSON array: [{"activity", "inputs": [{"object", "attributes"}], '
         '"outputs": [{"object", "attributes"}]}].'
     ),
-    STAGE_BPMN_XML: (
+    "bpmn_xml": (
         "You are a BPMN 2.0 modeling expert with deep knowledge of execution engine "
         "requirements. Generate a syntactically correct BPMN 2.0 XML model from the "
         "structured input provided by the user. Requirements:\n"
@@ -251,6 +235,8 @@ _STAGE_SYSTEM_PROMPTS = {
         "Respond with only the XML document."
     ),
 }
+
+STAGES = tuple(_STAGE_SYSTEM_PROMPTS)  # in order; the last one writes the XML
 
 CORRECTION_SYSTEM_PROMPT = (
     "You are a BPMN 2.0 modeling expert. You repair models so they satisfy "
@@ -570,30 +556,26 @@ def reconstruct(description: str, client, run_dir: str | Path | None = None,
     artifacts: list[StageArtifact] = []
     rendered: dict[str, str] = {}  # stage -> its payload's canonical_json
 
-    for index, stage in enumerate(STAGES[:-1], start=1):
+    for index, stage in enumerate(STAGES, start=1):
         prompt = _stage_prompt(stage, description, rendered)
         messages = [system(_STAGE_SYSTEM_PROMPTS[stage]), user(prompt)]
         response = complete(client, messages)
-        payload, raw = parse_json_with_retry(client, messages, response, STAGE_SCHEMAS[stage],
-                                             stage=stage)
+        if stage in STAGE_SCHEMAS:
+            payload, raw = parse_json_with_retry(client, messages, response,
+                                                 STAGE_SCHEMAS[stage], stage=stage)
+            rendered[stage] = canonical_json(payload)
+        else:
+            doc, raw = parse_with_retry(client, messages, response,
+                                        lambda text: parse(extract_xml(text)), _XML_COMPLAINT,
+                                        stage=stage)
+            payload = serialize(doc).decode("utf-8")
         artifact = StageArtifact(stage, payload, raw)
         artifacts.append(artifact)
-        rendered[stage] = canonical_json(payload)
-        if run_path is not None:
+        if run_path is not None and stage in STAGE_SCHEMAS:
             (run_path / f"stage{index}.json").write_text(
-                json.dumps(artifact.to_dict(), indent=2, ensure_ascii=False),
-                encoding="utf-8")
-
-    xml_prompt = _stage_prompt(STAGE_BPMN_XML, description, rendered)
-    messages = [system(_STAGE_SYSTEM_PROMPTS[STAGE_BPMN_XML]), user(xml_prompt)]
-    response = complete(client, messages)
-    doc, raw = parse_with_retry(client, messages, response,
-                                lambda text: parse(extract_xml(text)), _XML_COMPLAINT,
-                                stage=STAGE_BPMN_XML)
-    xml_artifact = StageArtifact(STAGE_BPMN_XML, serialize(doc).decode("utf-8"), raw)
-    artifacts.append(xml_artifact)
-    if run_path is not None:
-        (run_path / "stage6.bpmn").write_text(xml_artifact.payload, encoding="utf-8")
+                json.dumps(artifact.to_dict(), indent=2, ensure_ascii=False), encoding="utf-8")
+        elif run_path is not None:
+            (run_path / f"stage{index}.bpmn").write_text(payload, encoding="utf-8")
 
     result = correct_model(doc, client, correction_limit, simple_threshold)
     doc = result.document
@@ -610,7 +592,7 @@ def reconstruct(description: str, client, run_dir: str | Path | None = None,
 
 def _stage_prompt(stage: str, description: str, rendered: dict[str, str]) -> str:
     parts = ["Process description:", "---", description.strip(), "---"]
-    if stage == STAGE_BPMN_XML:
+    if stage == STAGES[-1]:
         for previous in STAGES[:-1]:
             if previous in rendered:
                 parts.append(f"Validated {previous.replace('_', ' ')}:")

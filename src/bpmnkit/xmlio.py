@@ -444,7 +444,8 @@ def reinsert_strings(doc: BpmnDocument, mapping: dict[str, str], threshold: floa
                      include_documentation: bool = True) -> tuple[BpmnDocument, list[str]]:
     """Apply a {original: translated} mapping to the extracted locations.
 
-    Exact key hits are applied directly; otherwise the highest-similarity key
+    Exact key hits are applied directly, and a value that is a key with an
+    empty translation keeps its text; otherwise the highest-similarity key
     (1 - normalized edit distance, after NFC normalization and trimming) is
     used when it clears ``threshold``. Locations
     without an acceptable match are left unchanged and reported as warnings,
@@ -458,7 +459,8 @@ def reinsert_strings(doc: BpmnDocument, mapping: dict[str, str], threshold: floa
     keys = [(_nfc_strip(key), translation) for key, translation in usable.items()]
     candidates = [(key, Counter(key), translation) for key, translation in keys]
     first = dict(reversed(keys))  # normalized key -> the translation of its first key
-    matches: dict[str, str | None] = dict(usable)  # value -> replacement; None: no match
+    # value -> replacement; None: no match. An empty translation keeps the key.
+    matches: dict[str, str | None] = {k: v or k for k, v in mapping.items()}
     parents: dict[ET.Element, ET.Element] = {}  # child -> parent, built for the first warning
 
     for elem, attr, value in _walk_translatable(new_doc, effective, include_documentation):

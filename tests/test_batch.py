@@ -175,6 +175,19 @@ class TestBatchEvaluate:
             "x.json", "x_1.json", "x_2.json"]
         assert len(load_report(results).per_model) == 3
 
+    def test_pair_ids_never_name_the_summary(self, embedder, tmp_path, caplog):
+        truths = [tmp_path / "summary.bpmn", tmp_path / "summary_of_claims.bpmn"]
+        for truth in truths:
+            truth.write_bytes(fixture_path("chain3.bpmn").read_bytes())
+        pairs = [(truth, fixture_path("chain4.bpmn")) for truth in truths]
+        results = tmp_path / "results"
+        report = batch_evaluate(pairs, embedder, results_dir=results)
+        assert [r["model_id"] for r in report.per_model] == ["summary_1", "summary_of_claims"]
+        assert load_report(results).per_model == report.per_model
+        with caplog.at_level(logging.WARNING):
+            assert batch_evaluate(pairs, embedder, results_dir=results) == report
+        assert caplog.records == []
+
     def test_graph_warnings_are_recorded_with_the_pair(self, embedder, tmp_path):
         dangling = tmp_path / "dangling.bpmn"
         dangling.write_text(fixture_path("chain3.bpmn").read_text().replace(

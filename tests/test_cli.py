@@ -94,6 +94,14 @@ _OPTIONS_READ = {  # beyond --config, which every command reads
 }
 _READ = [(command, option) for command, options in _OPTIONS_READ.items()
          for option in ("--config", *options)]
+_SETTING_FLAGS = [*((command, option) for command, option in _READ if option != "--config"),
+                  ("translate", "--threshold"), ("correct", "--limit"),
+                  ("correct", "--simple-threshold"), ("reconstruct", "--limit")]
+_TYPED = {  # a flag's argument, its config-file value, and the value both give; else "x"
+    **dict.fromkeys(("--jobs", "--limit", "--simple-threshold"), ("3", "3", 3)),
+    "--threshold": ("0.5", "0.5", 0.5),
+    "--embed-fallback": (None, True, True),
+}
 _IGNORED = [(command, option) for command, options in _OPTIONS_READ.items()
             for option in (*_LLM_OPTIONS, *_EMBED_OPTIONS, "--jobs") if option not in options]
 
@@ -419,6 +427,24 @@ class TestConfigPrecedence:
         assert (settings["jobs"], settings["limit"], settings["threshold"]) == (2, 3, 0.5)
         assert type(settings["jobs"]) is type(settings["limit"]) is int
         assert settings["embed_fallback"] is True and settings["llm_model"] is None
+
+    @pytest.mark.parametrize(("command", "option"), _SETTING_FLAGS)
+    def test_a_flag_and_its_config_key_give_the_same_value(self, tmp_path, monkeypatch,
+                                                           command, option):
+        from bpmnkit.cli import build_parser, resolve_config
+
+        for name in [name for name in os.environ if name.startswith("BPMNKIT_")]:
+            monkeypatch.delenv(name)
+        argument, config_value, want = _TYPED.get(option, ("x", "x", "x"))
+        key = option[2:].replace("-", "_")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: config_value}))
+        argv = _command_argv(command, tmp_path)
+        from_flag = resolve_config(build_parser().parse_args(
+            argv + [option] + ([argument] if argument else [])))
+        from_config = resolve_config(build_parser().parse_args(argv + ["--config", str(config)]))
+        for got in (from_flag[key], from_config[key]):
+            assert got == want and type(got) is type(want)
 
     def test_flag_overrides_env(self, monkeypatch):
         monkeypatch.setenv("BPMNKIT_LLM_ENDPOINT", "http://env.invalid")

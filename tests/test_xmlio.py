@@ -289,6 +289,16 @@ class TestReinsertStrings:
         element_by_id(translated, "task_check").set("name", "Prüfen")
         assert serialize(translated) == serialize(doc)
 
+    def test_a_key_with_an_empty_translation_keeps_its_label(self):
+        doc = parse(f'<definitions xmlns="{BPMN_NS}"><process id="p"><task id="a" '
+                    'name="Pruefe Antrag A"/><task id="b" name="Pruefe Antrag B"/>'
+                    '</process></definitions>')
+        translated, warnings = reinsert_strings(
+            doc, {"Pruefe Antrag A": "", "Pruefe Antrag B": "Check application B"})
+        assert element_by_id(translated, "a").get("name") == "Pruefe Antrag A"
+        assert element_by_id(translated, "b").get("name") == "Check application B"
+        assert warnings == ["empty translation for 'Pruefe Antrag A' ignored"]
+
     def test_original_document_not_mutated(self):
         doc = load_doc("unicode.bpmn")
         reinsert_strings(doc, {"Prüfen": "Check"})
@@ -363,7 +373,7 @@ def _reference_reinsert(doc, mapping, threshold):
     visit(new_doc.root, "/definitions")
     for elem, attr, path in locations:
         value = elem.get(attr) if attr else elem.text
-        replacement = usable.get(value)
+        replacement = (mapping[value] or value) if value in mapping else None
         if replacement is None:
             best_key, best_sim = None, 0.0
             for key in usable:
