@@ -240,9 +240,9 @@ def batch_evaluate(pairs: list[tuple[str | Path, str | Path]],
     embedder, whose tasks run one after another on the calling thread. With
     ``results_dir``, each pair result is written to ``<pair-id>.json``, the
     pair id being the truth's stem made unique (``summary`` is the summary's),
-    and a stored result is reused (resume) when it names the same truth and
-    reconstruction paths. The report counts ``descriptions`` descriptions,
-    one per pair by default."""
+    and a stored breakdown is reused (resume) when it names the same truth
+    and reconstruction paths; a stored error is recomputed. The report
+    counts ``descriptions`` descriptions, one per pair by default."""
     from .embeddings import HashingEmbedder, MemoEmbedder  # numpy, for the stage that embeds
 
     if jobs < 1:
@@ -257,9 +257,10 @@ def batch_evaluate(pairs: list[tuple[str | Path, str | Path]],
     for model_id, (truth, recon) in zip(ids, pairs):
         truth, recon = Path(truth), Path(recon)
         record = _read_record(out_dir / f"{model_id}.json") if out_dir is not None else None
-        # a pair id can name another pair in an earlier run with other pairs
-        if record is not None and (record.get("truth"), record.get("reconstruction")) \
-                == (str(truth), str(recon)):
+        # a pair id can name another pair in an earlier run with other pairs;
+        # a stored error is computed anew, as the cause may have passed
+        if record is not None and "breakdown" in record and (
+                record.get("truth"), record.get("reconstruction")) == (str(truth), str(recon)):
             records.append(record)
         else:
             tasks.setdefault(truth, []).append((model_id, recon))

@@ -113,10 +113,12 @@ def _read_config(path: str) -> dict:
 
 
 def _from_config(key: str, value):
-    """A config-file value, converted as its flag converts it. A JSON boolean
-    is not a number, although `int` and `float` would take it for one."""
+    """A config-file value, converted as its flag converts it: a JSON boolean
+    is no number and 3.7 no integer, though `int` and `float` take them."""
     kind = _SETTINGS[key].type
     if kind in (int, float) and not isinstance(value, bool):
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{value} is not an integer")
         return kind(value)
     if isinstance(value, bool if kind is bool else (str, type(None))):
         return value

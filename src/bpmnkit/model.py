@@ -1,7 +1,7 @@
 """Typed directed-graph view of BPMN models plus basic graph statistics.
 
 Elements are grouped into five categories (tasks, gateways, events, data,
-flows); anything unrecognized maps to ``OTHER`` and stays out of the metrics.
+flows); anything unrecognized stays out of the graph and the metrics.
 Tasks/gateways/events/data become nodes, flow elements become edges.
 ``DocumentIndex`` gathers what graph building, compliance and layout share in
 one walk, so the three agree on ids, nodes, links and process membership.
@@ -26,7 +26,6 @@ class ElementCategory(Enum):
     EVENT = "event"
     DATA = "data"
     FLOW = "flow"
-    OTHER = "other"
 
 
 _CATEGORY_BY_TAG: dict[str, ElementCategory] = {}
@@ -69,13 +68,15 @@ class BpmnEdge:
 
 class BpmnGraph:
     """Directed graph over BPMN nodes. Immutable after construction; all
-    edge endpoints must resolve to nodes."""
+    edge endpoints must resolve to nodes, and flows are edges, never nodes."""
 
     def __init__(self, nodes: Iterable[BpmnNode], edges: Iterable[BpmnEdge]):
         self._nodes: dict[str, BpmnNode] = {}
         for node in nodes:
             if node.id in self._nodes:
                 raise ValueError(f"duplicate node id {node.id!r}")
+            if node.category is ElementCategory.FLOW:
+                raise ValueError(f"node {node.id!r} is a flow; flows are edges")
             self._nodes[node.id] = node
         self._edges: tuple[BpmnEdge, ...] = tuple(edges)
         self._succ: dict[str, list[str]] = {nid: [] for nid in self._nodes}

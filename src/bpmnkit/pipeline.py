@@ -355,13 +355,13 @@ def correct_model(doc: BpmnDocument, client, limit: int = 5,
                   simple_threshold: int = 10) -> CorrectionResult:
     """Validate-and-repair until compliance or ``limit`` iterations.
 
-    DI is stripped while prompting and reattached afterward. Small models
-    (node count <= ``simple_threshold``) are fully regenerated; larger ones
-    receive localized JSON repair actions. Each prompt quotes the last
-    ``HISTORY_WINDOW`` attempts. A repair that increases the error count is
-    rolled back and the iteration counts as failed, so the returned document
-    never validates worse than the input. ``doc`` is left unchanged: the
-    result is a fresh tree when a repair was accepted, else ``doc`` itself.
+    DI is stripped while prompting; only ``doc``'s own is reattached after.
+    Small models (node count <= ``simple_threshold``) are fully regenerated;
+    larger ones receive localized JSON repair actions. Each prompt quotes the
+    last ``HISTORY_WINDOW`` attempts. A repair that increases the error count
+    is rolled back and the iteration counts as failed, so the returned
+    document never validates worse than the input. ``doc`` is left unchanged:
+    the result is a fresh tree when a repair was accepted, else ``doc`` itself.
     """
     working, di = strip_di(doc)  # shares doc's elements until a candidate replaces it
     report = validate(working)
@@ -423,7 +423,7 @@ def _apply_correction(doc: BpmnDocument, response: str, mode: str,
                       warnings: list[str]) -> BpmnDocument | None:
     if mode == "regenerate":
         try:
-            return parse(extract_xml(response))
+            return reply_model(response)
         except ValueError as exc:  # XmlSyntaxError and MissingBpmnNamespace too
             warnings.append(f"regenerated model rejected: {exc}")
             return None
@@ -516,6 +516,12 @@ def extract_xml(text: str) -> str:
     return text[start:end].strip()
 
 
+def reply_model(text: str) -> BpmnDocument:
+    """The model in a chat response, without the response's own diagram
+    interchange: DI is laid out or reattached only after compliance."""
+    return strip_di(parse(extract_xml(text)))[0]
+
+
 # --- description ---------------------------------------------------------------
 
 
@@ -540,9 +546,9 @@ def reconstruct(description: str, client, run_dir: str | Path | None = None,
     """Run the six reconstruction stages in order and return the compliant
     document plus the per-stage artifact trail.
 
-    Stage k+1's prompt embeds stage k's validated payload. The stage-6 XML is
-    parsed and handed to the correction loop, which validates it and repairs
-    it when non-compliant; DI layout is appended only after compliance. Raises
+    Stage k+1's prompt embeds stage k's validated payload. The stage-6 model,
+    without the reply's DI, is validated and repaired by the correction loop;
+    DI layout is appended only after compliance. Raises
     ReconstructionNonCompliant (artifacts attached) when correction fails.
     ``run_dir`` receives ``stage1.json``-``stage5.json``, ``stage6.bpmn`` and
     one line per correction iteration appended to ``correction.log.jsonl``.
@@ -566,8 +572,7 @@ def reconstruct(description: str, client, run_dir: str | Path | None = None,
             rendered[stage] = canonical_json(payload)
         else:
             doc, raw = parse_with_retry(client, messages, response,
-                                        lambda text: parse(extract_xml(text)), _XML_COMPLAINT,
-                                        stage=stage)
+                                        reply_model, _XML_COMPLAINT, stage=stage)
             payload = serialize(doc).decode("utf-8")
         artifact = StageArtifact(stage, payload, raw)
         artifacts.append(artifact)

@@ -24,14 +24,6 @@ from .model import (
     graph_stats,
 )
 
-METRIC_CATEGORIES = (
-    ElementCategory.TASK,
-    ElementCategory.GATEWAY,
-    ElementCategory.EVENT,
-    ElementCategory.DATA,
-    ElementCategory.FLOW,
-)
-
 
 class NegativeInput(ValueError):
     pass
@@ -108,10 +100,9 @@ def js_divergence(p, q) -> float:
 
 def type_counts(graph: BpmnGraph) -> dict[str, int]:
     """Element counts per category of the five (flows counted from edges)."""
-    counts = {category.value: 0 for category in METRIC_CATEGORIES}
+    counts = {category.value: 0 for category in ElementCategory}
     for node in graph.nodes:
-        if node.category is not ElementCategory.OTHER:
-            counts[node.category.value] += 1
+        counts[node.category.value] += 1
     counts[ElementCategory.FLOW.value] = graph.edge_count
     return counts
 
@@ -348,23 +339,17 @@ class SimilarityBreakdown:
         return asdict(self)
 
 
-def _semantic_nodes(graph: BpmnGraph):
-    return [node for node in graph.nodes
-            if node.category not in (ElementCategory.OTHER, ElementCategory.FLOW)]
-
-
 def semantic_texts(graph: BpmnGraph, context_augmentation: bool = True
                    ) -> tuple[list[str], list[str], list[str]]:
     """The texts of the three semantic dimensions: each node's name (with its
     neighbours' names under context augmentation), each element's type, and
     each name followed by its node's ``[type]``."""
-    nodes = _semantic_nodes(graph)
+    nodes = graph.nodes
     if context_augmentation:
         names = [context_label(graph, node.id) for node in nodes]
     else:
         names = [effective_label(node) for node in nodes]
-    types = [node.tag for node in graph.nodes if node.category is not ElementCategory.OTHER]
-    types += [edge.tag for edge in graph.edges]
+    types = [node.tag for node in nodes] + [edge.tag for edge in graph.edges]
     name_types = [f"{name} [{node.tag}]" for name, node in zip(names, nodes)]
     return names, types, name_types
 

@@ -150,6 +150,28 @@ class TestBatchEvaluate:
         assert intact.stat().st_mtime_ns == intact_mtime
         assert json.loads((tmp_path / "summary.json").read_text()) == first.to_dict()
 
+    def test_resume_recomputes_a_stored_error(self, tmp_path):
+        class _Flaky(_Delegating):
+            """Down for its first call, as a remote service can be."""
+            calls = 0
+
+            def embed_batch(self, texts):
+                self.calls += 1
+                if self.calls == 1:
+                    raise ConnectionError("embedding service unavailable")
+                return super().embed_batch(texts)
+
+        pairs = _pairs(("chain3.bpmn", "chain4.bpmn"))
+        provider = _Flaky()
+        failed = batch_evaluate(pairs, provider, results_dir=tmp_path)
+        assert failed.counts["reconstructed"] == 0
+        assert "unavailable" in load_report(tmp_path).errors[0]["error"]
+        resumed = batch_evaluate(pairs, provider, results_dir=tmp_path)
+        assert resumed.counts["reconstructed"] == 1
+        assert resumed.errors == []
+        assert resumed.to_dict() == batch_evaluate(pairs, HashingEmbedder()).to_dict()
+        assert load_report(tmp_path).errors == []
+
     def test_results_dir_holds_no_temporary_files(self, embedder, tmp_path):
         pairs = _pairs(("chain3.bpmn", "chain4.bpmn"), ("diamond.bpmn", "parallel.bpmn"))
         batch_evaluate(pairs, embedder, jobs=2, results_dir=tmp_path)

@@ -632,6 +632,7 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("key,value", [
         ("limit", None), ("jobs", "x"), ("jobs", 1e400), ("threshold", [1]),
         ("embed_fallback", "no"), ("embed_cache_dir", 5), ("llm_model", ["m"]),
+        ("limit", 3.7), ("jobs", 2.5),
     ])
     def test_config_value_of_the_wrong_type_fails_cleanly(self, capsys, tmp_path, key, value):
         config = tmp_path / "config.json"

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from bpmnkit.compliance import RuleCode, validate
 from bpmnkit.layout import auto_layout
 from bpmnkit.model import ElementCategory, build_graph
+from bpmnkit.similarity import type_counts
 from bpmnkit.xmlio import BPMNDI_NS, parse, qname
 
 # A small id pool makes repeated ids common; None leaves the id out.
@@ -90,3 +91,13 @@ def test_graph_layout_and_compliance_agree_on_flow_nodes(xml):
     for diagnostic in validate(doc).diagnostics:
         if diagnostic.code is RuleCode.R4_CONNECTIVITY:
             assert diagnostic.element_id in flow_nodes | sequence_flows
+
+
+@given(documents())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_the_graph_holds_only_node_categories(xml):
+    graph, _ = build_graph(parse(xml))
+    assert {node.category for node in graph.nodes} <= {
+        ElementCategory.TASK, ElementCategory.GATEWAY, ElementCategory.EVENT,
+        ElementCategory.DATA}
+    assert list(type_counts(graph)) == [category.value for category in ElementCategory]

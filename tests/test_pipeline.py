@@ -19,7 +19,8 @@ from bpmnkit.pipeline import (
     reconstruct,
     translate_model,
 )
-from bpmnkit.xmlio import BPMN_NS, BpmnDocument, parse, qname, serialize, tree_equal
+from bpmnkit.xmlio import (BPMN_NS, BPMNDI_NS, BpmnDocument, parse, qname, serialize,
+                           tree_equal)
 
 from conftest import element_by_id, fixture_path, load_doc
 
@@ -211,6 +212,15 @@ class TestCorrectModel:
         assert result.report.compliant
         shapes = [e for e in result.document.root.iter() if e.tag.endswith("BPMNShape")]
         assert shapes  # DI came back
+
+    def test_a_regenerated_model_keeps_none_of_the_replys_di(self):
+        doc = load_doc("diamond.bpmn")
+        element_by_id(doc, "gw_split").attrib.pop("default")
+        reply = fixture_path("diamond.bpmn").read_text(encoding="utf-8")
+        result = correct_model(doc, MockChatClient([reply]))
+        assert result.log[0]["mode"] == "regenerate" and result.report.compliant
+        assert validate(result.document).to_dict() == result.report.to_dict()
+        assert len(result.document.root.findall(f"{{{BPMNDI_NS}}}BPMNDiagram")) == 1
 
     def test_history_window_bounds_prompt_content(self):
         doc = load_doc("r1_missing_default.bpmn")
@@ -412,6 +422,17 @@ class TestReconstruct:
         shapes = [e for e in doc.root.iter() if e.tag.endswith("BPMNShape")]
         assert shapes
         assert "BPMNDI" not in client.calls[5][1].content
+
+    def test_a_stage6_reply_with_di_gets_one_diagram(self, tmp_path):
+        script = json.loads(fixture_path("mock_reconstruct_ok.json").read_text())
+        diagram = (f'<bpmndi:BPMNDiagram xmlns:bpmndi="{BPMNDI_NS}" id="reply_diagram">'
+                   '<bpmndi:BPMNPlane id="reply_plane" bpmnElement="proc_recon"/>'
+                   '</bpmndi:BPMNDiagram></bpmn:definitions>')
+        script[5] = script[5].replace("</bpmn:definitions>", diagram)
+        doc, _ = reconstruct(DESCRIPTION, MockChatClient(script), run_dir=tmp_path)
+        diagrams = doc.root.findall(f"{{{BPMNDI_NS}}}BPMNDiagram")
+        assert [diagram.get("id") for diagram in diagrams] == ["di_diagram_proc_recon"]
+        assert "reply_diagram" not in (tmp_path / "stage6.bpmn").read_text(encoding="utf-8")
 
     def test_each_stage_prompt_embeds_previous_payload(self):
         client = MockChatClient.from_json(fixture_path("mock_reconstruct_ok.json"))

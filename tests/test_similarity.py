@@ -469,11 +469,9 @@ def test_compare_scores_each_semantic_dimension_on_the_raw_provider(left, right,
 def test_semantic_texts_derive_name_types_from_names():
     graph = _graph("loan-approval.bpmn")
     names, types, name_types = semantic_texts(graph)
-    tags = [node.tag for node in graph.nodes
-            if node.category not in (ElementCategory.OTHER, ElementCategory.FLOW)]
+    tags = [node.tag for node in graph.nodes]
     assert name_types == [f"{name} [{tag}]" for name, tag in zip(names, tags)]
-    assert len(types) == sum(node.category is not ElementCategory.OTHER
-                             for node in graph.nodes) + len(graph.edges)
+    assert len(types) == len(graph.nodes) + len(graph.edges)
 
 
 def test_groups_tell_rows_of_one_hash_apart_by_their_bytes(monkeypatch):
