@@ -160,6 +160,9 @@ _WARNINGS = _StderrHandler()
 
 
 def main(argv: list[str] | None = None) -> int:
+    # before numpy loads: BLAS's own threads double a compare's CPU time; a set value wins
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        os.environ.setdefault(name, "1")
     logging.getLogger("bpmnkit").addHandler(_WARNINGS)  # a no-op once it is there
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -201,7 +204,7 @@ def _translate(path: Path, client, settings: dict):
     translated, warnings = pipeline.translate_model(
         parse(path.read_bytes()), client, threshold=settings["threshold"])
     for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+        print(f"warning: {path}: {warning}", file=sys.stderr)
     return serialize(translated), None
 
 
@@ -267,9 +270,9 @@ _SETTINGS = {
                                help="use the deterministic offline embedder"),
     "embed_cache_dir": _Setting(None, str),
     "jobs": _Setting(1, int, ("batch",)),
-    "limit": _Setting(5, int, ("correct", "reconstruct")),
-    "simple_threshold": _Setting(10, int, ("correct",)),
-    "threshold": _Setting(0.8, float, ("translate",)),
+    "limit": _Setting(5, int, ("correct", "reconstruct", "batch")),
+    "simple_threshold": _Setting(10, int, ("correct", "reconstruct", "batch")),
+    "threshold": _Setting(0.8, float, ("translate", "batch")),
 }
 
 

@@ -355,7 +355,8 @@ def correct_model(doc: BpmnDocument, client, limit: int = 5,
                   simple_threshold: int = 10) -> CorrectionResult:
     """Validate-and-repair until compliance or ``limit`` iterations.
 
-    DI is stripped while prompting; only ``doc``'s own is reattached after.
+    DI is stripped while prompting; only ``doc``'s own is reattached after,
+    following the model's root elements.
     Small models (node count <= ``simple_threshold``) are fully regenerated;
     larger ones receive localized JSON repair actions. Each prompt quotes the
     last ``HISTORY_WINDOW`` attempts. A repair that increases the error count
@@ -379,8 +380,7 @@ def correct_model(doc: BpmnDocument, client, limit: int = 5,
         prompt = _correction_prompt(model_excerpt, report, mode, history)
         messages = [system(CORRECTION_SYSTEM_PROMPT), user(prompt)]
         response = complete(client, messages)
-        history = [*history, (_truncate(report.to_json(), HISTORY_EXCERPT_LIMIT),
-                              response)][-HISTORY_WINDOW:]
+        history = [*history, (report.to_json(), response)][-HISTORY_WINDOW:]
 
         entry = {"iteration": len(log) + 1, "mode": mode,
                  "errors_before": report.error_count, "accepted": False, "warnings": []}
@@ -409,10 +409,10 @@ def _correction_prompt(model_excerpt: str, report: ComplianceReport, mode: str,
         "Model:",
         model_excerpt,
     ]
-    for prompt, response in history:
+    for diagnostics, response in history:
         parts.append("### Previous attempt")
         parts.append("Diagnostics then:")
-        parts.append(_truncate(prompt, HISTORY_EXCERPT_LIMIT))
+        parts.append(_truncate(diagnostics, HISTORY_EXCERPT_LIMIT))
         parts.append("Your response:")
         parts.append(_truncate(response, HISTORY_EXCERPT_LIMIT))
     parts.append(_REGENERATE_INSTRUCTION if mode == "regenerate" else _REPAIR_INSTRUCTION)
@@ -421,19 +421,15 @@ def _correction_prompt(model_excerpt: str, report: ComplianceReport, mode: str,
 
 def _apply_correction(doc: BpmnDocument, response: str, mode: str,
                       warnings: list[str]) -> BpmnDocument | None:
-    if mode == "regenerate":
-        try:
-            return reply_model(response)
-        except ValueError as exc:  # XmlSyntaxError and MissingBpmnNamespace too
-            warnings.append(f"regenerated model rejected: {exc}")
-            return None
     try:
+        if mode == "regenerate":
+            return reply_model(response)
         actions = extract_json(response)
-    except ValueError as exc:
-        warnings.append(f"repair actions rejected: {exc}")
-        return None
-    if not isinstance(actions, list):
-        warnings.append("repair actions rejected: expected a JSON array")
+        if not isinstance(actions, list):
+            raise ValueError("expected a JSON array")
+    except ValueError as exc:  # XmlSyntaxError and MissingBpmnNamespace too
+        rejected = "regenerated model" if mode == "regenerate" else "repair actions"
+        warnings.append(f"{rejected} rejected: {exc}")
         return None
     return _apply_repair_actions(doc, actions, warnings)
 
@@ -442,39 +438,30 @@ def _apply_repair_actions(doc: BpmnDocument, actions: list,
                           warnings: list[str]) -> BpmnDocument:
     new_doc = doc.copy()
     for action in actions:
-        if not isinstance(action, dict):
+        if (not isinstance(action, dict) or action.get("action") not in _REPAIR_ACTIONS
+                or not action.get("target_id")):
             warnings.append(f"skipped malformed action {action!r}")
             continue
-        kind = action.get("action")
-        target_id = action.get("target_id")
-        if kind not in _REPAIR_ACTIONS or not target_id:
-            warnings.append(f"skipped malformed action {action!r}")
-            continue
+        kind, target_id = action["action"], action["target_id"]
         # the first element in document order owns an id, as in DocumentIndex
         target = next((e for e in new_doc.root.iter() if e.get("id") == target_id), None)
         if target is None:
             warnings.append(f"repair target {target_id!r} not found; action skipped")
             continue
         parent = next((e for e in new_doc.root.iter() if target in e), None)
-        if kind == "delete":
-            if parent is None:
-                warnings.append("cannot delete the document root; action skipped")
-            else:
-                parent.remove(target)
+        if parent is None and kind != "augment":
+            warnings.append(f"cannot {kind} the document root; action skipped")
             continue
-        fragment_xml = action.get("new_xml", "")
-        fragment = _parse_fragment(fragment_xml, new_doc, warnings)
+        if kind == "delete":
+            parent.remove(target)
+            continue
+        fragment = _parse_fragment(action.get("new_xml", ""), new_doc, warnings)
         if fragment is None:
             continue
         if kind == "augment":
             target.append(fragment)
         else:  # replace / modify
-            if parent is None:
-                warnings.append("cannot replace the document root; action skipped")
-                continue
-            index = list(parent).index(target)
-            parent.remove(target)
-            parent.insert(index, fragment)
+            parent[list(parent).index(target)] = fragment
     return new_doc
 
 

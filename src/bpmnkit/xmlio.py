@@ -242,35 +242,34 @@ def tree_equal(a: ET.Element, b: ET.Element) -> bool:
 # --- diagram interchange ------------------------------------------------------
 
 
-def strip_di(doc: BpmnDocument) -> tuple[BpmnDocument, list[tuple[int, ET.Element]]]:
+def strip_di(doc: BpmnDocument) -> tuple[BpmnDocument, list[ET.Element]]:
     """Detach the BPMNDiagram children of ``definitions``, the only place
-    BPMN 2.0 allows them, as (position among those children, diagram) pairs.
+    BPMN 2.0 allows them.
 
     Nothing is copied: the result's root is a new ``definitions`` element
     that holds the very same non-DI child elements as ``doc.root``, and the
-    pairs hold ``doc``'s own diagrams. ``doc.root`` keeps all its children,
+    list holds ``doc``'s own diagrams. ``doc.root`` keeps all its children,
     so an edit below the result's root is an edit of ``doc``; copy the
     result before changing it in place."""
     root = doc.root.makeelement(doc.root.tag, doc.root.attrib)
     root.text, root.tail = doc.root.text, doc.root.tail
     diagrams = []
-    for index, child in enumerate(doc.root):
+    for child in doc.root:
         if child.tag == f"{{{BPMNDI_NS}}}BPMNDiagram":
-            diagrams.append((index, child))
+            diagrams.append(child)
         else:
             root.append(child)
     return BpmnDocument(root, dict(doc.nsmap)), diagrams
 
 
-def reattach_di(doc: BpmnDocument,
-                diagrams: list[tuple[int, ET.Element]]) -> tuple[BpmnDocument, int]:
-    """Insert a copy of each (position, diagram) pair of ``strip_di`` into
-    ``doc`` itself, dropping shapes and edges whose semantic element no
-    longer exists; returns ``doc`` and the drop count. The given diagrams
-    are left as they were."""
+def reattach_di(doc: BpmnDocument, diagrams: list[ET.Element]) -> tuple[BpmnDocument, int]:
+    """Append a copy of each diagram of ``strip_di`` to ``doc`` itself, after
+    its root elements as BPMN 2.0 orders them, dropping shapes and edges
+    whose semantic element no longer exists; returns ``doc`` and the drop
+    count. The given diagrams are left as they were."""
     ids = doc.element_ids()
     dropped = 0
-    for index, detached in diagrams:
+    for detached in diagrams:
         diagram = deepcopy(detached)
         for parent in list(diagram.iter()):
             for child in list(parent):
@@ -279,7 +278,7 @@ def reattach_di(doc: BpmnDocument,
                     if ref and ref not in ids:
                         parent.remove(child)
                         dropped += 1
-        doc.root.insert(index, diagram)
+        doc.root.append(diagram)
     if dropped:
         logger.info("reattach_di dropped %d stale DI shape(s)/edge(s)", dropped)
     return doc, dropped

@@ -96,7 +96,9 @@ _READ = [(command, option) for command, options in _OPTIONS_READ.items()
          for option in ("--config", *options)]
 _SETTING_FLAGS = [*((command, option) for command, option in _READ if option != "--config"),
                   ("translate", "--threshold"), ("correct", "--limit"),
-                  ("correct", "--simple-threshold"), ("reconstruct", "--limit")]
+                  ("correct", "--simple-threshold"), ("reconstruct", "--limit"),
+                  ("reconstruct", "--simple-threshold"), ("batch", "--threshold"),
+                  ("batch", "--limit"), ("batch", "--simple-threshold")]
 _TYPED = {  # a flag's argument, its config-file value, and the value both give; else "x"
     **dict.fromkeys(("--jobs", "--limit", "--simple-threshold"), ("3", "3", 3)),
     "--threshold": ("0.5", "0.5", 0.5),
@@ -400,6 +402,26 @@ class TestBatchAndReport:
         assert entry["status"] == "translated"
         assert "Check" in (tmp_path / "translate" / "unicode.bpmn").read_text(
             encoding="utf-8")
+
+    def test_batch_translate_warnings_name_their_model(self, capsys, tmp_path):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps([json.dumps({"Prüfen": "Check"})] * 2))
+        models = [tmp_path / "one.bpmn", tmp_path / "two.bpmn"]
+        for model in models:
+            model.write_bytes(fixture_path("unicode.bpmn").read_bytes())
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"entries": [{"model_path": str(m)} for m in models]}))
+        code, _, err = _run(capsys, "batch", str(manifest), "--stage", "translate",
+                            "--llm-mock-script", str(script))
+        assert code == EXIT_OK
+        single = "".join(_run(capsys, "translate", str(model), "-o", str(tmp_path / "out"),
+                              "--llm-mock-script", str(script))[2] for model in models)
+        assert err == single
+        lines = err.splitlines()
+        assert len(lines) == 8
+        for model, half in zip(models, (lines[:4], lines[4:])):
+            assert all(line.startswith(f"warning: {model}: no translation matched ")
+                       for line in half)
 
 
 class TestConfigPrecedence:
@@ -980,3 +1002,25 @@ def test_commands_that_embed_nothing_do_not_load_numpy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert json.loads(manifest.read_text())["entries"][0]["status"] == "translated"
     assert '"reconstructed": 1' in done.stdout
+
+
+_BLAS_THREADS = """
+import os, sys
+from bpmnkit import cli
+
+assert cli.main(["validate", sys.argv[1]]) == 0
+print(os.environ["OPENBLAS_NUM_THREADS"], os.environ["OMP_NUM_THREADS"])
+"""
+
+
+@pytest.mark.parametrize("preset, printed", [(None, "1 1"), ("3", "3 1")])
+def test_the_cli_runs_blas_on_one_thread_unless_told_otherwise(preset, printed):
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(bpmnkit.__file__).parents[1])
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    done = subprocess.run([sys.executable, "-c", _BLAS_THREADS, str(fixture_path("chain3.bpmn"))],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == printed

@@ -19,8 +19,8 @@ from bpmnkit.pipeline import (
     reconstruct,
     translate_model,
 )
-from bpmnkit.xmlio import (BPMN_NS, BPMNDI_NS, BpmnDocument, parse, qname, serialize,
-                           tree_equal)
+from bpmnkit.xmlio import (BPMN_NS, BPMNDI_NS, BpmnDocument, local_name, parse, qname,
+                           serialize, tree_equal)
 
 from conftest import element_by_id, fixture_path, load_doc
 
@@ -101,6 +101,11 @@ def _long_r1_model():
         '<bpmn:sequenceFlow id="flow_1" sourceRef="start_1" targetRef="task_assess"/>',
         tasks + flows)
     return parse(source)
+
+
+def _diamond_without_default():
+    return parse(fixture_path("diamond.bpmn").read_text(encoding="utf-8").replace(
+        ' default="flow_reject"', ""))
 
 
 def _mutate(doc) -> None:
@@ -221,6 +226,83 @@ class TestCorrectModel:
         assert result.log[0]["mode"] == "regenerate" and result.report.compliant
         assert validate(result.document).to_dict() == result.report.to_dict()
         assert len(result.document.root.findall(f"{{{BPMNDI_NS}}}BPMNDiagram")) == 1
+
+    @pytest.mark.parametrize("mode, reply, warning", [
+        ("regenerate", "no model here",
+         "regenerated model rejected: response contains no XML document"),
+        ("local_repair", "no actions here",
+         "repair actions rejected: response contains no parseable JSON value"),
+        ("local_repair", '{"action": "delete", "target_id": "end_1"}',
+         "repair actions rejected: expected a JSON array"),
+    ], ids=["regenerate_without_xml", "repair_without_json", "repair_object"])
+    def test_an_unusable_reply_is_rejected_with_one_warning(self, mode, reply, warning):
+        doc = load_doc("r1_missing_default.bpmn")
+        result = correct_model(doc, MockChatClient([reply]), limit=1,
+                               simple_threshold=10 if mode == "regenerate" else 0)
+        assert result.log == [{"iteration": 1, "mode": mode, "errors_before": 1,
+                               "accepted": False, "warnings": [warning]}]
+        assert result.document is doc
+
+    @pytest.mark.parametrize("action, warning", [
+        (5, "skipped malformed action 5"),
+        ({"action": "rename", "target_id": "end_1"},
+         "skipped malformed action {'action': 'rename', 'target_id': 'end_1'}"),
+        ({"action": "delete"}, "skipped malformed action {'action': 'delete'}"),
+        # the root is reported before the new_xml is read
+        ({"action": "modify", "target_id": "defs_diamond", "new_xml": "<broken"},
+         "cannot modify the document root; action skipped"),
+        ({"action": "replace", "target_id": "defs_diamond", "new_xml": "<broken"},
+         "cannot replace the document root; action skipped"),
+        ({"action": "delete", "target_id": "defs_diamond"},
+         "cannot delete the document root; action skipped"),
+        ({"action": "augment", "target_id": "proc_diamond",
+          "new_xml": '<bpmn:task id="a"/><bpmn:task id="b"/>'},
+         "new_xml must contain exactly one element; skipped"),
+        ({"action": "replace", "target_id": "end_1", "new_xml": '<bpmn:endEvent id="end_1"'},
+         "unparseable new_xml: not well-formed (invalid token): line 1, column 302"),
+    ], ids=["not_an_object", "unknown_action", "no_target_id", "modify_root",
+            "replace_root", "delete_root", "augment_two_elements", "unparseable"])
+    def test_an_action_that_cannot_apply_is_skipped_with_one_warning(self, action, warning):
+        doc = _diamond_without_default()
+        result = correct_model(doc, MockChatClient(_repair_script([action])), limit=1,
+                               simple_threshold=0)
+        # the unchanged candidate validates no worse, so it is accepted
+        assert [(entry["accepted"], entry["warnings"]) for entry in result.log] == [
+            (True, [warning])]
+        assert serialize(result.document) == serialize(doc)
+
+    def test_long_texts_are_cut_in_the_prompt(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "MODEL_EXCERPT_LIMIT", 200)
+        monkeypatch.setattr(pipeline, "HISTORY_EXCERPT_LIMIT", 50)
+        doc = load_doc("r1_missing_default.bpmn")
+        reply = json.dumps([{"action": "delete", "target_id": "no_such_element",
+                             "note": "x" * 100}])
+        client = MockChatClient([reply] * 2)
+        correct_model(doc, client, limit=2, simple_threshold=0)
+        model, diagnostics = serialize(doc).decode("utf-8"), validate(doc).to_json()
+        for call in client.calls:
+            assert f"Model:\n\n{model[:200]}\n... (truncated)\n\n" in call[1].content
+        previous = (f"Diagnostics then:\n\n{diagnostics[:50]}\n... (truncated)\n\n"
+                    f"Your response:\n\n{reply[:50]}\n... (truncated)\n\n")
+        assert previous in client.calls[1][1].content
+
+    @pytest.mark.parametrize("mode, script, order", [
+        ("regenerate", [fixture_path("diamond.bpmn").read_text(encoding="utf-8").replace(
+            '<bpmn:process id="proc_diamond"',
+            '<bpmn:message id="msg_claim"/><bpmn:process id="proc_diamond"')],
+         ["message", "process", "BPMNDiagram"]),
+        ("local_repair", _repair_script([{"action": "augment", "target_id": "defs_diamond",
+                                          "new_xml": '<bpmn:message id="msg_claim"/>'}]),
+         ["process", "message", "BPMNDiagram"]),
+    ], ids=["regenerate", "local_repair"])
+    def test_the_diagram_comes_back_after_a_new_root_element(self, mode, script, order):
+        doc = _diamond_without_default()
+        result = correct_model(doc, MockChatClient(script), limit=1,
+                               simple_threshold=10 if mode == "regenerate" else 0)
+        assert [(entry["mode"], entry["accepted"]) for entry in result.log] == [(mode, True)]
+        assert [local_name(child.tag) for child in result.document.root] == order
+        diagram = f"{{{BPMNDI_NS}}}BPMNDiagram"
+        assert tree_equal(doc.root.find(diagram), result.document.root.find(diagram))
 
     def test_history_window_bounds_prompt_content(self):
         doc = load_doc("r1_missing_default.bpmn")

@@ -124,7 +124,7 @@ class TestDiagramInterchange:
                     if e.tag == f"{{{BPMNDI_NS}}}BPMNDiagram"]
         assert di
         assert any(e.get("id") == "shape_start_1" and e.get("bpmnElement") == "start_1"
-                   for _, diagram in di for e in diagram.iter())
+                   for diagram in di for e in diagram.iter())
 
     def test_strip_without_di_is_identity(self):
         doc = load_doc("chain3.bpmn")
@@ -158,27 +158,25 @@ class TestDiagramInterchange:
         assert restored is stripped
         assert tree_equal(doc.root, restored.root)
         # the detached diagrams are copied in, not moved
-        assert all(diagram is not child for _, diagram in di for child in restored.root)
+        assert all(diagram is not child for diagram in di for child in restored.root)
 
-    def test_interleaved_diagrams_return_to_their_positions(self):
+    def test_diagrams_come_back_after_the_root_elements(self):
         doc = parse(f"""<definitions xmlns="{BPMN_NS}" xmlns:di="{BPMNDI_NS}">
           <di:BPMNDiagram id="d0"/><process id="p1"/><message id="m"/>
           <di:BPMNDiagram id="d1"/><process id="p2"/></definitions>""")
-        order = ["d0", "p1", "m", "d1", "p2"]
-        assert [child.get("id") for child in doc.root] == order
         stripped, di = strip_di(doc)
         assert [child.get("id") for child in stripped.root] == ["p1", "m", "p2"]
-        assert [(index, diagram.get("id")) for index, diagram in di] == [(0, "d0"), (3, "d1")]
+        assert [diagram.get("id") for diagram in di] == ["d0", "d1"]
         restored, dropped = reattach_di(stripped, di)
         assert dropped == 0
-        assert [child.get("id") for child in restored.root] == order
+        assert [child.get("id") for child in restored.root] == ["p1", "m", "p2", "d0", "d1"]
 
     def test_diagram_below_a_process_is_left_in_place(self):
         doc = parse(f"""<definitions xmlns="{BPMN_NS}" xmlns:di="{BPMNDI_NS}">
           <process id="p"><di:BPMNDiagram id="nested"/></process>
           <di:BPMNDiagram id="top"/></definitions>""")
         stripped, di = strip_di(doc)
-        assert [diagram.get("id") for _, diagram in di] == ["top"]
+        assert [diagram.get("id") for diagram in di] == ["top"]
         assert element_by_id(stripped, "nested") is not None
 
     def test_stale_shape_is_dropped_and_counted(self):
