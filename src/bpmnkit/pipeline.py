@@ -16,6 +16,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
+from xml.parsers.expat import ErrorString
 
 from .compliance import ComplianceReport, validate
 from .layout import auto_layout
@@ -360,8 +361,9 @@ def correct_model(doc: BpmnDocument, client, limit: int = 5,
     Small models (node count <= ``simple_threshold``) are fully regenerated;
     larger ones receive localized JSON repair actions. Each prompt quotes the
     last ``HISTORY_WINDOW`` attempts. A repair that increases the error count
-    is rolled back and the iteration counts as failed, so the returned
-    document never validates worse than the input. ``doc`` is left unchanged:
+    is rolled back and the iteration counts as failed, as does a reply none of
+    whose repair actions applies, so the returned document never validates
+    worse than the input. ``doc`` is left unchanged:
     the result is a fresh tree when a repair was accepted, else ``doc`` itself.
     """
     working, di = strip_di(doc)  # shares doc's elements until a candidate replaces it
@@ -435,8 +437,10 @@ def _apply_correction(doc: BpmnDocument, response: str, mode: str,
 
 
 def _apply_repair_actions(doc: BpmnDocument, actions: list,
-                          warnings: list[str]) -> BpmnDocument:
+                          warnings: list[str]) -> BpmnDocument | None:
+    """A copy of ``doc`` with ``actions`` applied in order, or None if none applies."""
     new_doc = doc.copy()
+    applied = False
     for action in actions:
         if (not isinstance(action, dict) or action.get("action") not in _REPAIR_ACTIONS
                 or not action.get("target_id")):
@@ -454,14 +458,16 @@ def _apply_repair_actions(doc: BpmnDocument, actions: list,
             continue
         if kind == "delete":
             parent.remove(target)
+        elif (fragment := _parse_fragment(action.get("new_xml", ""), new_doc, warnings)) is None:
             continue
-        fragment = _parse_fragment(action.get("new_xml", ""), new_doc, warnings)
-        if fragment is None:
-            continue
-        if kind == "augment":
+        elif kind == "augment":
             target.append(fragment)
         else:  # replace / modify
             parent[list(parent).index(target)] = fragment
+        applied = True
+    if not applied:
+        warnings.append("no repair action applied")
+        return None
     return new_doc
 
 
@@ -473,11 +479,14 @@ def _parse_fragment(fragment_xml, doc: BpmnDocument, warnings: list[str]):
         f'xmlns:{prefix}="{uri}"' if prefix else f'xmlns="{uri}"'
         for prefix, uri in doc.nsmap.items()
     )
-    wrapped = f"<_wrapper {declarations}>{fragment_xml}</_wrapper>"
+    opening = f"<_wrapper {declarations}>"
     try:
-        wrapper = ET.fromstring(wrapped)
+        wrapper = ET.fromstring(f"{opening}{fragment_xml}</_wrapper>")
     except ET.ParseError as exc:
-        warnings.append(f"unparseable new_xml: {exc}")
+        line, column = exc.position  # in the wrapper, whose opening tag starts line 1
+        column -= len(opening) if line == 1 else 0
+        reason = ErrorString(exc.code)
+        warnings.append(f"unparseable new_xml: {reason}: line {line}, column {column}")
         return None
     if len(wrapper) != 1:
         warnings.append("new_xml must contain exactly one element; skipped")

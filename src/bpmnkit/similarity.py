@@ -126,15 +126,6 @@ def type_distribution_similarity(g1: BpmnGraph, g2: BpmnGraph) -> float:
 
 # --- optimal assignment -------------------------------------------------------
 
-def _groups(lines: np.ndarray) -> list[list[int]]:
-    """The indices of each distinct row of `lines` in first-seen order, rows
-    told apart by their bytes."""
-    members: dict[bytes, list[int]] = {}
-    for index, line in enumerate(lines):
-        members.setdefault(line.tobytes(), []).append(index)
-    return list(members.values())
-
-
 def _flows(cost: np.ndarray, supply: list[int],
            capacity: list[int]) -> list[dict[int, int]]:
     """Minimum-cost transportation from row groups (`supply` units each, no
@@ -152,7 +143,7 @@ def _flows(cost: np.ndarray, supply: list[int],
     second-cheapest and the cheapest cost of the rows that send to it, and
     those rows raise u by as much: their units stay on arcs of reduced cost
     0, the reduced costs stay non-negative, and a later path reroutes them
-    for less. Columns left with spare capacity keep v = 0.
+    for less. Rows left with units then fill spare columns that cost them u.
 
     A row reaches every column (reduced cost cost[p, q] - u[p] - v[q]), a
     full column reaches the rows that send it units (reduced cost 0), and a
@@ -190,6 +181,13 @@ def _flows(cost: np.ndarray, supply: list[int],
         np.minimum.at(transfer, filled, gap)
         u[senders] += transfer[filled]
         v[filled] = -transfer[filled]
+        for p in [p for p, left in enumerate(supply) if left]:
+            for q in np.flatnonzero(cost[p] == u[p]).tolist():
+                units = min(supply[p], capacity[q])
+                if units:
+                    flows[q][p] = units
+                    supply[p] -= units
+                    capacity[q] -= units
     via = np.empty(len(capacity), dtype=np.intp)  # the row that reached each column
     for source, left in enumerate(supply):
         while left:
@@ -262,11 +260,8 @@ def max_weight_assignment(scores: np.ndarray, row_counts=None,
     `col_counts[j]` (1 each by default). Every unit of the side with fewer
     units is matched to one unit of the other; returns the sorted (row, col)
     pairs, one per matched unit, so a pair repeats when it carries several.
-    With unit counts this is the one-to-one assignment.
-
-    Identical rows are interchangeable, and so are identical columns, so both
-    are merged into groups whose counts add up, and `_flows` solves the
-    transportation problem between the groups exactly.
+    With unit counts this is the one-to-one assignment. Identical rows are not
+    merged: pass each distinct row once, with its count.
     """
     matrix = np.asarray(scores, dtype=np.float64)
     if matrix.ndim != 2:
@@ -277,30 +272,12 @@ def max_weight_assignment(scores: np.ndarray, row_counts=None,
     col_counts = _counts(col_counts, matrix.shape[1])
     if matrix.size == 0:
         return []
-    flipped = sum(row_counts) > sum(col_counts)
-    if flipped:
-        matrix = matrix.T
-        row_counts, col_counts = col_counts, row_counts
-    row_members = _groups(matrix)
-    col_members = _groups(matrix.T)
-    # cost[p, q] between row group p and column group q, to be minimized.
-    cost = matrix[np.ix_([members[0] for members in row_members],
-                         [members[0] for members in col_members])]
-    np.negative(cost, out=cost)
-    supply = [sum(row_counts[i] for i in members) for members in row_members]
-    capacity = [sum(col_counts[j] for j in members) for members in col_members]
-    flows = _flows(cost, supply, capacity)
-
-    row_units = [[i for i in members for _ in range(row_counts[i])] for members in row_members]
-    col_units = [[j for j in members for _ in range(col_counts[j])] for members in col_members]
-    pairs = []
-    for q, sent in enumerate(flows):
-        for p, units in sent.items():
-            for _ in range(units):
-                pairs.append((row_units[p].pop(), col_units[q].pop()))
-    if flipped:
-        pairs = [(j, i) for i, j in pairs]
-    return sorted(pairs)
+    if flipped := sum(row_counts) > sum(col_counts):
+        matrix, row_counts, col_counts = matrix.T, col_counts, row_counts
+    # costs to minimize, row-major even when flipped, as _flows reads whole rows
+    flows = _flows(np.negative(matrix, order="C"), row_counts, col_counts)
+    return sorted((q, p) if flipped else (p, q) for q, sent in enumerate(flows)
+                  for p, units in sent.items() for _ in range(units))
 
 
 def semantic_set_similarity(texts1: list[str], texts2: list[str],

@@ -182,7 +182,8 @@ class TestCorrectModel:
         result = correct_model(doc, client, limit=1, simple_threshold=0)
         assert not result.report.compliant
         assert element_by_id(result.document, "gw_route") is not None
-        assert result.log[0]["warnings"] == ["action carries no new_xml; skipped"]
+        assert result.log[0]["warnings"] == ["action carries no new_xml; skipped",
+                                             "no repair action applied"]
 
     def test_augment_appends_child(self):
         doc = load_doc("r6_empty_process.bpmn")
@@ -259,17 +260,23 @@ class TestCorrectModel:
           "new_xml": '<bpmn:task id="a"/><bpmn:task id="b"/>'},
          "new_xml must contain exactly one element; skipped"),
         ({"action": "replace", "target_id": "end_1", "new_xml": '<bpmn:endEvent id="end_1"'},
-         "unparseable new_xml: not well-formed (invalid token): line 1, column 302"),
+         "unparseable new_xml: not well-formed (invalid token): line 1, column 25"),
+        ({"action": "replace", "target_id": "end_1", "new_xml":
+          '<bpmn:endEvent id="end_1">\n  <bpmn:incoming>f</bpmn:outgoing>\n</bpmn:endEvent>'},
+         "unparseable new_xml: mismatched tag: line 2, column 20"),
     ], ids=["not_an_object", "unknown_action", "no_target_id", "modify_root",
-            "replace_root", "delete_root", "augment_two_elements", "unparseable"])
-    def test_an_action_that_cannot_apply_is_skipped_with_one_warning(self, action, warning):
+            "replace_root", "delete_root", "augment_two_elements", "unparseable",
+            "unparseable_line_2"])
+    def test_an_action_that_cannot_apply_is_skipped_and_not_accepted(self, action, warning):
         doc = _diamond_without_default()
         result = correct_model(doc, MockChatClient(_repair_script([action])), limit=1,
                                simple_threshold=0)
-        # the unchanged candidate validates no worse, so it is accepted
-        assert [(entry["accepted"], entry["warnings"]) for entry in result.log] == [
-            (True, [warning])]
-        assert serialize(result.document) == serialize(doc)
+        # a reply that changes nothing is not a repair, so nothing is validated again
+        (entry,) = result.log
+        assert (entry["accepted"], entry["warnings"]) == (
+            False, [warning, "no repair action applied"])
+        assert "errors_after" not in entry
+        assert result.document is doc
 
     def test_long_texts_are_cut_in_the_prompt(self, monkeypatch):
         monkeypatch.setattr(pipeline, "MODEL_EXCERPT_LIMIT", 200)

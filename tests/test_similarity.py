@@ -359,7 +359,7 @@ def _check_pairs(matrix, pairs):
     assert all(0 <= i < n for i in rows) and all(0 <= j < m for j in cols)
 
 
-class TestGroupedAssignment:
+class TestTiedAssignment:
     @staticmethod
     def _matrices():
         rng = np.random.default_rng(2024)
@@ -399,8 +399,8 @@ class TestGroupedAssignment:
 
     def test_large_tie_heavy_matrix_is_fast(self):
         # 1003 x 1003 with 6 distinct rows and columns, the shape of the type
-        # texts of a 500-task model. An ungrouped O(n^2 m) Hungarian takes
-        # many seconds here; the grouped solver tens of milliseconds.
+        # texts of a 500-task model. Rows that tie fill the spare columns as
+        # cheap in the start, so most need no path search of their own.
         rng = np.random.default_rng(9)
         matrix = _tied_matrix(rng, 1003, 1003, 6, 6, decimals=3)
         start = time.perf_counter()
@@ -408,6 +408,20 @@ class TestGroupedAssignment:
         elapsed = time.perf_counter() - start
         _check_pairs(matrix, pairs)
         assert elapsed < 2.0
+        # semantic_set_similarity passes such texts as 6 x 6 scores with counts
+        matrix = np.round(rng.random((6, 6)), 3)
+        row_counts, col_counts = (np.bincount(rng.integers(0, 6, 1003), minlength=6).tolist()
+                                  for _ in range(2))
+        start = time.perf_counter()
+        pairs = max_weight_assignment(matrix, row_counts=row_counts, col_counts=col_counts)
+        elapsed = time.perf_counter() - start
+        assert len(pairs) == 1003
+        assert elapsed < 2.0
+        optimize = pytest.importorskip("scipy.optimize")
+        expanded = np.repeat(np.repeat(matrix, row_counts, axis=0), col_counts, axis=1)
+        rows, cols = optimize.linear_sum_assignment(expanded, maximize=True)
+        assert _assignment_value(matrix, pairs) == pytest.approx(
+            expanded[rows, cols].sum(), abs=1e-9)
 
 
 class _RecordingProvider:
@@ -474,24 +488,6 @@ def test_semantic_texts_derive_name_types_from_names():
     assert len(types) == len(graph.nodes) + len(graph.edges)
 
 
-def test_groups_tell_rows_of_one_hash_apart_by_their_bytes(monkeypatch):
-    rng = np.random.default_rng(3)
-    matrix = np.round(rng.random((30, 25)), 1)
-    matrix[7] = matrix[2]
-    matrix[:, 11] = matrix[:, 4]
-    expected = {}
-    for axis, lines in (("rows", matrix), ("cols", matrix.T)):
-        members = {}
-        for index, line in enumerate(lines):
-            members.setdefault(line.tobytes(), []).append(index)
-        expected[axis] = list(members.values())
-    pairs = max_weight_assignment(matrix)
-    monkeypatch.setattr(similarity, "hash", lambda data: 0, raising=False)
-    assert similarity._groups(matrix) == expected["rows"]
-    assert similarity._groups(matrix.T) == expected["cols"]
-    assert max_weight_assignment(matrix) == pairs
-
-
 @st.composite
 def counted_problems(draw):
     """A small matrix of quarter steps, so scores tie, with 1-4 units per
@@ -522,22 +518,31 @@ def test_counted_assignment_is_optimal(problem):
     assert _assignment_value(matrix.T, flipped) == pytest.approx(value, abs=1e-9)
 
 
-def test_solver_gets_one_row_and_column_per_group(monkeypatch):
-    shapes = []
+def test_solver_gets_the_matrix_and_the_callers_counts(monkeypatch):
+    calls = []
     solve = similarity._flows
 
     def recording(cost, supply, capacity):
-        shapes.append(cost.shape)
+        calls.append((cost.copy(), list(supply), list(capacity), cost.flags.c_contiguous))
         return solve(cost, supply, capacity)
 
     monkeypatch.setattr(similarity, "_flows", recording)
     rng = np.random.default_rng(9)
-    matrix = _tied_matrix(rng, 1003, 1003, 6, 6, decimals=3)
-    _check_pairs(matrix, max_weight_assignment(matrix))
+    matrix = np.round(rng.random((4, 3)), 1)
+    matrix[2] = matrix[0]
+    max_weight_assignment(matrix, row_counts=[1, 2, 1, 1], col_counts=[3, 1, 2])
+    max_weight_assignment(matrix, row_counts=[2, 2, 3, 1], col_counts=[3, 1, 2])
     pairs = max_weight_assignment(rng.random((3, 3)), row_counts=[400] * 3,
                                   col_counts=[400] * 3)
     assert len(pairs) == 1200
-    assert shapes == [(6, 6), (3, 3)]
+    (rows_cost, *rows_rest), (cols_cost, *cols_rest), (counted_cost, *counted_rest) = calls
+    assert np.array_equal(rows_cost, -matrix)
+    assert rows_rest == [[1, 2, 1, 1], [3, 1, 2], True]
+    # the rows carry 8 units and the columns 6, so the columns are the rows
+    assert np.array_equal(cols_cost, -matrix.T)
+    assert cols_rest == [[3, 1, 2], [2, 2, 3, 1], True]
+    assert counted_cost.shape == (3, 3)
+    assert counted_rest == [[400] * 3, [400] * 3, True]
 
 
 class TestFlows:
