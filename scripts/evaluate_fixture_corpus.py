@@ -20,6 +20,13 @@ REPO = Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "tests" / "fixtures"
 
 
+def fixture_pairs() -> list[tuple[Path, Path]]:
+    """The (truth, reconstruction) fixture paths of expected_breakdowns.json, in its order."""
+    expected = json.loads((FIXTURES / "expected_breakdowns.json").read_text())
+    return [(FIXTURES / f"{left}.bpmn", FIXTURES / f"{right}.bpmn")
+            for left, right in (key.split("__") for key in expected["pairs"])]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("results_dir", nargs="?", default="results")
@@ -27,11 +34,7 @@ def main():
     args = parser.parse_args()
 
     expected = json.loads((FIXTURES / "expected_breakdowns.json").read_text())
-    pairs = [
-        (FIXTURES / f"{left}.bpmn", FIXTURES / f"{right}.bpmn")
-        for left, right in (key.split("__") for key in expected["pairs"])
-    ]
-    report = batch_evaluate(pairs, HashingEmbedder(), jobs=args.jobs,
+    report = batch_evaluate(fixture_pairs(), HashingEmbedder(), jobs=args.jobs,
                             results_dir=args.results_dir)
     print(render_report(report, "csv").decode())
     for dim, value in report.averages.items():

@@ -285,13 +285,14 @@ def semantic_set_similarity(texts1: list[str], texts2: list[str],
     """Embed both text lists, clamp negative cosines to zero, take the
     maximum-weight assignment, and normalize by the larger list size so
     missing or extra elements are penalized. Each distinct text is embedded
-    and scored once; its count is its number of units in the assignment."""
+    and scored once, in sorted order, so the scores do not depend on the
+    lists' order; its count is its number of units in the assignment."""
     if not texts1 and not texts2:
         return 1.0
     if not texts1 or not texts2:
         return 0.0
-    counts1 = Counter(texts1)
-    counts2 = Counter(texts2)
+    counts1 = Counter(sorted(texts1))
+    counts2 = Counter(sorted(texts2))
     scores = provider.embed_batch(list(counts1)) @ provider.embed_batch(list(counts2)).T
     np.clip(scores, 0.0, 1.0, out=scores)
     pairs = max_weight_assignment(scores, row_counts=list(counts1.values()),
