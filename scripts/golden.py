@@ -12,9 +12,10 @@ else moved.
 Encoding: a digest takes a sequence of items, each preceded by its length. A
 float enters formatted to 10 decimal places, a string as UTF-8, bytes as they
 are, and a JSON value or file re-encoded with its floats so formatted. The
-rounding keeps a digest independent of the BLAS kernel: which kernel numpy's
-matrix product runs moves some scores in their last bits (up to 2.2e-16),
-never at the 10th decimal.
+rounding keeps a digest independent of the BLAS kernel in practice: which
+kernel numpy's matrix product runs moves some scores in their last bits (up
+to 2.2e-16), which flips the 10th decimal only for a score that sits at a
+rounding boundary.
 
 Run from the repository root:  python3 scripts/golden.py
 """
@@ -58,8 +59,7 @@ class Digest:
 
     def add(self, *items: float | str | bytes) -> None:
         for item in items:
-            if isinstance(item, float):
-                item = f"{item:.10f}"
+            item = _rounded(item)
             if isinstance(item, str):
                 item = item.encode("utf-8")
             self._sha.update(b"%d:" % len(item))

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import re
 import xml.etree.ElementTree as ET
-from copy import deepcopy
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
@@ -439,40 +438,36 @@ def _apply_correction(doc: BpmnDocument, response: str, mode: str,
 
 def _apply_repair_actions(doc: BpmnDocument, actions: list,
                           warnings: list[str]) -> BpmnDocument | None:
-    """A copy of ``doc`` with ``actions`` applied in order, or None if none
-    applies. Actions resolve against ``doc`` until the first one that applies,
-    which makes the copy."""
-    new_doc = None
+    """A copy of ``doc`` with ``actions`` applied in order, or None if none applies."""
+    new_doc = doc.copy()
+    applied = False
     for action in actions:
         if (not isinstance(action, dict) or action.get("action") not in _REPAIR_ACTIONS
                 or not action.get("target_id")):
             warnings.append(f"skipped malformed action {action!r}")
             continue
         kind, target_id = action["action"], action["target_id"]
-        root = (new_doc or doc).root
         # the first element in document order owns an id, as in DocumentIndex
-        target = next((e for e in root.iter() if e.get("id") == target_id), None)
+        target = next((e for e in new_doc.root.iter() if e.get("id") == target_id), None)
         if target is None:
             warnings.append(f"repair target {target_id!r} not found; action skipped")
             continue
-        parent = next((e for e in root.iter() if target in e), None)
+        parent = next((e for e in new_doc.root.iter() if target in e), None)
         if parent is None and kind != "augment":
             warnings.append(f"cannot {kind} the document root; action skipped")
             continue
-        if kind != "delete" and (
-                fragment := _parse_fragment(action.get("new_xml", ""), doc, warnings)) is None:
-            continue
-        if new_doc is None:  # deepcopy records each element's copy in memo
-            new_doc = BpmnDocument(deepcopy(doc.root, memo := {}), dict(doc.nsmap))
-            target, parent = memo[id(target)], memo.get(id(parent))  # no parent: the root
         if kind == "delete":
             parent.remove(target)
+        elif (fragment := _parse_fragment(action.get("new_xml", ""), new_doc, warnings)) is None:
+            continue
         elif kind == "augment":
             target.append(fragment)
         else:  # replace / modify
             parent[list(parent).index(target)] = fragment
-    if new_doc is None:
+        applied = True
+    if not applied:
         warnings.append("no repair action applied")
+        return None
     return new_doc
 
 

@@ -355,35 +355,6 @@ class TestCorrectModel:
         assert result.document is doc
         assert copies == []
 
-    @pytest.mark.parametrize("actions, accepted, copies", [
-        ([5], False, 0),
-        # an action that cannot apply, then two that do: one copy for both
-        ([{"action": "delete", "target_id": "no_such_element"},
-          {"action": "modify", "target_id": "gw_split",
-           "new_xml": '<bpmn:exclusiveGateway id="gw_split" default="flow_reject"/>'},
-          {"action": "augment", "target_id": "proc_diamond",
-           "new_xml": "<bpmn:documentation>fixed</bpmn:documentation>"}], True, 1),
-    ], ids=["nothing_applies", "applies"])
-    def test_a_repair_copies_the_model_once_its_first_action_applies(
-            self, monkeypatch, actions, accepted, copies):
-        copied = []
-        real_copy, real_deepcopy = BpmnDocument.copy, pipeline.deepcopy
-        monkeypatch.setattr(BpmnDocument, "copy",
-                            lambda doc: copied.append(doc) or real_copy(doc))
-        monkeypatch.setattr(pipeline, "deepcopy", lambda tree, memo=None:
-                            copied.append(tree) or real_deepcopy(tree, memo))
-        doc = _diamond_without_default()
-        before = serialize(doc)
-        result = correct_model(doc, MockChatClient(_repair_script(actions)), limit=1,
-                               simple_threshold=0)
-        assert [entry["accepted"] for entry in result.log] == [accepted]
-        assert len(copied) == copies
-        assert serialize(doc) == before
-        if accepted:
-            assert result.report.compliant
-            process = result.document.root.find(qname("process"))
-            assert process.find(qname("documentation")).text == "fixed"
-
     def test_each_working_state_is_built_and_serialized_once(self, monkeypatch):
         calls = {"build_graph": [], "serialize": []}
         for name, seen in calls.items():
