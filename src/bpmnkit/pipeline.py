@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 from xml.parsers.expat import ErrorString
@@ -310,8 +310,11 @@ class StageArtifact:
 class CorrectionResult:
     document: BpmnDocument
     report: ComplianceReport
-    iterations: int
-    log: list[dict] = field(default_factory=list)
+    log: list[dict]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.log)
 
 
 class ReconstructionNonCompliant(RuntimeError):
@@ -399,7 +402,7 @@ def correct_model(doc: BpmnDocument, client, limit: int = 5,
 
     if any(entry["accepted"] for entry in log):  # then working is a fresh tree
         doc, _dropped = reattach_di(working, di)
-    return CorrectionResult(doc, report, len(log), log)
+    return CorrectionResult(doc, report, log)
 
 
 def _correction_prompt(model_excerpt: str, report: ComplianceReport, mode: str,

@@ -398,10 +398,13 @@ def _closest(target: str, candidates: Sequence[tuple[str, Counter, str]],
 
     A similarity never exceeds ``1 - |la - lb| / max(la, lb)``, so a key
     whose bound cannot win is skipped, and the other distances are cut off
-    at the largest one that could still win. The bag distance, the longer
-    length minus the characters the two strings share as multisets, is a
-    lower bound on the edit distance (Bartolini, Ciaccia and Patella, SPIRE
-    2002), so a key whose bag distance exceeds that cutoff is skipped too."""
+    at ``int((1 - max(best, threshold)) * longer length) + 1``: no larger
+    distance wins, and the ``+ 1`` keeps a winning distance that float
+    rounding puts past the product, as in ``(1 - 0.8) * 5 < 1``. The bag
+    distance, the longer length minus the characters the two strings share
+    as multisets, is a lower bound on the edit distance (Bartolini, Ciaccia
+    and Patella, SPIRE 2002), so a key whose bag distance exceeds that
+    cutoff is skipped too."""
     best, best_sim = None, 0.0
     target_counts = Counter(target)
     for key, key_counts, translation in candidates:
@@ -411,31 +414,15 @@ def _closest(target: str, candidates: Sequence[tuple[str, Counter, str]],
         bound = 1.0 - abs(len(key) - len(target)) / longest
         if not threshold <= bound > best_sim:  # also skips all for a NaN threshold
             continue
-        cutoff = _winning_distance(longest, best_sim, threshold)
+        cutoff = int((1.0 - max(best_sim, threshold)) * longest) + 1
         shared = sum(n if n < (m := key_counts.get(ch, 0)) else m  # min(n, m), inlined
                      for ch, n in target_counts.items())
         if longest - shared > cutoff:  # the bag distance
             continue
-        distance = levenshtein(target, key, cutoff)
-        if distance <= cutoff:
-            best, best_sim = translation, 1.0 - distance / longest
+        sim = 1.0 - levenshtein(target, key, cutoff) / longest
+        if sim > best_sim and sim >= threshold:
+            best, best_sim = translation, sim
     return best
-
-
-def _winning_distance(longest: int, best_sim: float, threshold: float) -> int:
-    """The largest distance d whose similarity ``1 - d / longest`` is above
-    ``best_sim`` and at least ``threshold`` in float arithmetic, given that
-    some d wins. The first guess can be one off: ``(1 - 0.8) * 5 < 1``."""
-    def wins(distance: int) -> bool:
-        sim = 1.0 - distance / longest
-        return sim > best_sim and sim >= threshold
-
-    distance = int((1.0 - max(best_sim, threshold)) * longest)
-    while wins(distance + 1):
-        distance += 1
-    while not wins(distance):
-        distance -= 1
-    return distance
 
 
 def reinsert_strings(doc: BpmnDocument, mapping: dict[str, str], threshold: float = 0.8,

@@ -1,4 +1,4 @@
-"""Acceptance suite: the contract-level checks, one test per criterion.
+"""Acceptance suite: the contract-level checks, grouped by criterion.
 
 Each test prints a single `[acceptance] criterion N (...): PASS/FAIL` line
 (visible with `pytest -s` or in captured output). Everything here runs fully
@@ -12,14 +12,18 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bpmnkit import cli
 from bpmnkit.batch import batch_evaluate, render_report
 from bpmnkit.compliance import validate
+from bpmnkit.embeddings import HashingEmbedder
 from bpmnkit.llm import MockChatClient
 from bpmnkit.model import build_graph
 from bpmnkit.pipeline import (
@@ -32,6 +36,11 @@ from bpmnkit.similarity import compare, js_divergence, max_weight_assignment
 from bpmnkit.xmlio import parse, serialize, tree_equal
 
 from conftest import FIXTURES, element_by_id, fixture_bytes, fixture_path, load_doc
+
+REPO = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(REPO / "perfbench"), str(REPO / "scripts")]
+import gen  # noqa: E402  the benchmark's input generator
+import similarity_oracle  # noqa: E402  the metric recomputed with scipy
 
 EXPECTED = json.loads((FIXTURES / "expected_breakdowns.json").read_text())
 
@@ -74,6 +83,35 @@ def test_criterion_2_metric_formula_oracle(embedder):
             got = compare(g1, g2, embedder).to_dict()
             for dim in DIMENSIONS:
                 assert abs(got[dim] - expected[dim]) <= 1e-9, (key, dim)
+
+
+def _printed_compare(capsys, a: Path, b: Path) -> str:
+    assert cli.main(["compare", str(a), str(b), "--embed-fallback"]) == 0, (a, b)
+    return capsys.readouterr().out
+
+
+def test_criterion_2_exact_at_benchmark_size(capsys, tmp_path):
+    """The CLI's compare against the oracle on the benchmark's seed-1 inputs:
+    the 3 large pairs, the 36 corpus pairs, and 18 cross pairs (truth k
+    against a reconstruction of truth k + 1), unbalanced and dissimilar.
+    The swapped compare of each pair prints the same JSON."""
+    with criterion(2, "independent metric oracle at benchmark size"):
+        corpus = gen.corpus(1, "full")
+        pairs = [(truth, reco) for _, truth, reco in gen.compare_pairs(1, "full")]
+        pairs += [(truth, reco) for _, truth, recos in corpus for reco in recos]
+        pairs += [(truth, corpus[(k + 1) % len(corpus)][2][0])
+                  for k, (_, truth, _) in enumerate(corpus)]
+        assert len(pairs) == 57
+        embedder = HashingEmbedder()  # the one --embed-fallback selects
+        for k, (truth, reco) in enumerate(pairs):
+            a, b = tmp_path / f"{k}-a.bpmn", tmp_path / f"{k}-b.bpmn"
+            a.write_bytes(truth)
+            b.write_bytes(reco)
+            printed = _printed_compare(capsys, a, b)
+            assert _printed_compare(capsys, b, a) == printed, k
+            got = json.loads(printed)
+            for dim, want in similarity_oracle.breakdown(a, b, embedder).items():
+                assert abs(got[dim] - want) <= 1e-9, (k, dim)
 
 
 def test_criterion_3_js_divergence_properties():

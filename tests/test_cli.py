@@ -12,7 +12,7 @@ import pytest
 import bpmnkit
 from bpmnkit.cli import EXIT_FAILURE, EXIT_NONCOMPLIANT, EXIT_OK, main
 
-from conftest import fixture_path, flaky_chat
+from conftest import FIXTURES, fixture_path, flaky_chat
 
 NO_PROCESS = '<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL" id="d"/>'
 NO_PROCESS_FINDING = {"code": "R6_START_END", "element_id": None, "severity": "Error",
@@ -956,9 +956,11 @@ _NO_NUMPY = """
 import sys
 from bpmnkit import cli
 
-chain3, script, description, reconstruct_script, out, manifest, results = sys.argv[1:]
+(chain3, script, unicode, drift_script, description, reconstruct_script, out, manifest,
+ results) = sys.argv[1:]
 assert cli.main(["validate", chain3]) == 0
 assert cli.main(["translate", chain3, "-o", out, "--llm-mock-script", script]) == 0
+assert cli.main(["translate", unicode, "-o", out, "--llm-mock-script", drift_script]) == 0
 assert cli.main(["reconstruct", description, "-o", out,
                  "--llm-mock-script", reconstruct_script]) == 0
 assert cli.main(["batch", manifest, "--stage", "translate", "--llm-mock-script", script]) == 0
@@ -977,9 +979,9 @@ else:
 
 
 def test_commands_that_embed_nothing_do_not_load_numpy(tmp_path):
-    """In a fresh interpreter, validate, a mock translate and reconstruct, a
-    mock batch translate and a report leave numpy unloaded; the package's
-    lazy names still import."""
+    """In a fresh interpreter, validate, two mock translates (one of them
+    with fuzzy matches) and a mock reconstruct, a mock batch translate and a
+    report leave numpy unloaded; the package's lazy names still import."""
     script = tmp_path / "script.json"
     script.write_text(json.dumps(["{}"]))
     description = tmp_path / "description.txt"
@@ -996,12 +998,62 @@ def test_commands_that_embed_nothing_do_not_load_numpy(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(bpmnkit.__file__).parents[1]))
     done = subprocess.run(
         [sys.executable, "-c", _NO_NUMPY, str(fixture_path("chain3.bpmn")), str(script),
+         str(fixture_path("unicode.bpmn")), str(fixture_path("mock_translate_drift.json")),
          str(description), str(fixture_path("mock_reconstruct_ok.json")),
          str(tmp_path / "out.bpmn"), str(manifest), str(results)],
         env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert json.loads(manifest.read_text())["entries"][0]["status"] == "translated"
     assert '"reconstructed": 1' in done.stdout
+
+
+_RUNTIME_IMPORTS = """
+import sys
+from pathlib import Path
+
+sys.modules["jsonschema"] = None  # every import of it fails
+from bpmnkit import cli
+
+fixtures, perfbench, tmp = map(Path, sys.argv[1:])
+description, out = str(tmp / "description.txt"), str(tmp / "out.bpmn")
+assert cli.main(["reconstruct", description, "-o", out, "--llm-mock-script",
+                 str(fixtures / "mock_reconstruct_fixup.json")]) == 0
+assert cli.main(["translate", str(fixtures / "unicode.bpmn"), "-o", out, "--llm-mock-script",
+                 str(fixtures / "mock_translate_drift.json")]) == 0
+assert cli.main(["reconstruct", description, "-o", out, "--llm-mock-script",
+                 str(tmp / "stage2.json")]) == 1
+sys.path.insert(0, str(perfbench))
+import gen  # the benchmark's input generator
+
+_, truth, reconstruction = gen.compare_pairs(1, "full")[0]
+(tmp / "truth.bpmn").write_bytes(truth)
+(tmp / "reconstruction.bpmn").write_bytes(reconstruction)
+for a, b in [(fixtures / "chain3.bpmn", fixtures / "diamond.bpmn"),
+             (tmp / "truth.bpmn", tmp / "reconstruction.bpmn")]:
+    assert cli.main(["compare", str(a), str(b), "--embed-fallback"]) == 0
+for name in ("scipy", "requests"):
+    assert name not in sys.modules, f"{name} was loaded"
+"""
+
+
+def test_the_runtime_needs_neither_scipy_nor_jsonschema(tmp_path):
+    """scipy and jsonschema are dev dependencies, the oracles of the tests,
+    and requests is no dependency at all. In a fresh interpreter with
+    jsonschema blocked, a mock reconstruct and translate run, and a stage-2
+    reply that never validates fails naming the stage and the missing
+    property; compare, on fixtures and on a 150-node benchmark pair, loads
+    neither scipy nor requests."""
+    (tmp_path / "description.txt").write_text("A clerk checks the order.", encoding="utf-8")
+    replies = json.loads(fixture_path("mock_reconstruct_ok.json").read_text())
+    (tmp_path / "stage2.json").write_text(json.dumps(replies[:1] + ['[{"decision": "d"}]'] * 4))
+    env = dict(os.environ, PYTHONPATH=str(Path(bpmnkit.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", _RUNTIME_IMPORTS, str(FIXTURES),
+         str(Path(__file__).resolve().parents[1] / "perfbench"), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ("error: decision_analysis: no schema-valid response after 4 "
+                           "attempt(s): 'outcomes' is a required property\n")
 
 
 _BLAS_THREADS = """
