@@ -191,7 +191,10 @@ def _cmd_compare(args, settings) -> int:
     provider = _make_provider(settings)
     graphs = []
     for path in (args.model_a, args.model_b):
-        graph, warnings = build_graph(parse(Path(path).read_bytes()))
+        try:
+            graph, warnings = build_graph(parse(Path(path).read_bytes()))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         for warning in warnings:
             print(f"warning: {path}: {warning}", file=sys.stderr)
         graphs.append(graph)
@@ -219,19 +222,17 @@ def _describe(path: Path, client, settings: dict):
 
 
 def _reconstruct(path: Path, client, settings: dict):
-    try:
-        doc, _artifacts = pipeline.reconstruct(
-            path.read_text(encoding="utf-8"), client, settings.get("run_dir"),
-            settings["limit"], settings["simple_threshold"])
-    except pipeline.ReconstructionNonCompliant as exc:
-        return serialize(exc.document), exc.report
-    return serialize(doc), None
+    doc, report = pipeline.reconstruct(
+        path.read_text(encoding="utf-8"), client, settings.get("run_dir"),
+        settings["limit"], settings["simple_threshold"])
+    return serialize(doc), None if report.compliant else report
 
 
 class _Stage(NamedTuple):
     """An LLM stage as run by its single-file command and by `batch --stage`.
-    ``run(input path, client, settings)`` gives the output bytes and a
-    compliance report, or None when the stage does not validate. The k-th
+    ``run(input path, client, settings)`` gives the output bytes and the
+    compliance report to print, or None when there is none: the stage does
+    not validate, or its reconstructed model is compliant. The k-th
     stage runs a batch entry at status ``batch.STATUSES[k]`` on its ``reads``
     path; its ``writes`` field gets the output path, and its status becomes
     ``STATUSES[k + 1]`` unless the report is non-compliant."""

@@ -3,6 +3,9 @@
 Two providers share one interface: a deterministic hashing bag-of-words
 fallback for offline use, and an HTTP client for external embedding services
 (JSON POST ``{model, input: [...]}`` -> ``{embeddings: [[...], ...]}``).
+Two wrappers take the same interface in front of either: ``MemoEmbedder``,
+the in-memory memo one compare or one batch task keeps, and
+``CachingEmbedder``, the on-disk cache of remote vectors.
 Vectors are unit-norm; empty text maps to the zero vector.
 """
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 from xml.parsers.expat import ErrorString
@@ -297,16 +297,6 @@ def _truncate(text: str, limit: int) -> str:
 
 
 @dataclass
-class StageArtifact:
-    stage: str
-    payload: Any
-    raw_response: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass
 class CorrectionResult:
     document: BpmnDocument
     report: ComplianceReport
@@ -315,18 +305,6 @@ class CorrectionResult:
     @property
     def iterations(self) -> int:
         return len(self.log)
-
-
-class ReconstructionNonCompliant(RuntimeError):
-    def __init__(self, report: ComplianceReport, artifacts: list[StageArtifact],
-                 document: BpmnDocument):
-        super().__init__(
-            f"reconstructed model still has {report.error_count} compliance error(s) "
-            "after the correction limit"
-        )
-        self.report = report
-        self.artifacts = artifacts
-        self.document = document
 
 
 # --- translation ---------------------------------------------------------------
@@ -541,16 +519,16 @@ def generate_description(doc: BpmnDocument, client) -> str:
 
 def reconstruct(description: str, client, run_dir: str | Path | None = None,
                 correction_limit: int = 5, simple_threshold: int = 10,
-                ) -> tuple[BpmnDocument, list[StageArtifact]]:
-    """Run the six reconstruction stages in order and return the compliant
-    document plus the per-stage artifact trail.
+                ) -> tuple[BpmnDocument, ComplianceReport]:
+    """Run the six reconstruction stages in order and return the model and
+    its compliance report, as ``correct_model`` does.
 
     Stage k+1's prompt embeds stage k's validated payload. The stage-6 model,
     without the reply's DI, is validated and repaired by the correction loop;
-    DI layout is appended only after compliance. Raises
-    ReconstructionNonCompliant (artifacts attached) when correction fails.
-    ``run_dir`` receives ``stage1.json``-``stage5.json``, ``stage6.bpmn`` and
-    one line per correction iteration appended to ``correction.log.jsonl``.
+    a compliant model gets its DI layout, a non-compliant one is returned
+    without DI. ``run_dir`` receives ``stage1.json``-``stage5.json``,
+    ``stage6.bpmn`` and one line per correction iteration appended to
+    ``correction.log.jsonl``.
     """
     if not description.strip():
         raise ValueError("description must be non-empty")
@@ -558,7 +536,6 @@ def reconstruct(description: str, client, run_dir: str | Path | None = None,
     if run_path is not None:
         run_path.mkdir(parents=True, exist_ok=True)
 
-    artifacts: list[StageArtifact] = []
     rendered: dict[str, str] = {}  # stage -> its payload's canonical_json
 
     for index, stage in enumerate(STAGES, start=1):
@@ -569,17 +546,15 @@ def reconstruct(description: str, client, run_dir: str | Path | None = None,
             payload, raw = parse_json_with_retry(client, messages, response,
                                                  STAGE_SCHEMAS[stage], stage=stage)
             rendered[stage] = canonical_json(payload)
+            if run_path is not None:
+                record = {"stage": stage, "payload": payload, "raw_response": raw}
+                (run_path / f"stage{index}.json").write_text(
+                    json.dumps(record, indent=2, ensure_ascii=False), encoding="utf-8")
         else:
-            doc, raw = parse_with_retry(client, messages, response,
-                                        reply_model, _XML_COMPLAINT, stage=stage)
-            payload = serialize(doc).decode("utf-8")
-        artifact = StageArtifact(stage, payload, raw)
-        artifacts.append(artifact)
-        if run_path is not None and stage in STAGE_SCHEMAS:
-            (run_path / f"stage{index}.json").write_text(
-                json.dumps(artifact.to_dict(), indent=2, ensure_ascii=False), encoding="utf-8")
-        elif run_path is not None:
-            (run_path / f"stage{index}.bpmn").write_text(payload, encoding="utf-8")
+            doc, _ = parse_with_retry(client, messages, response,
+                                      reply_model, _XML_COMPLAINT, stage=stage)
+            if run_path is not None:
+                (run_path / f"stage{index}.bpmn").write_bytes(serialize(doc))
 
     result = correct_model(doc, client, correction_limit, simple_threshold)
     doc = result.document
@@ -587,11 +562,9 @@ def reconstruct(description: str, client, run_dir: str | Path | None = None,
     if run_path is not None and (result.log or not result.report.compliant):
         with (run_path / "correction.log.jsonl").open("a", encoding="utf-8") as handle:
             handle.writelines(json.dumps(entry) + "\n" for entry in result.log)
-    if not result.report.compliant:
-        raise ReconstructionNonCompliant(result.report, artifacts, doc)
-
-    doc.root.extend(auto_layout(doc))
-    return doc, artifacts
+    if result.report.compliant:
+        doc.root.extend(auto_layout(doc))
+    return doc, result.report
 
 
 def _stage_prompt(stage: str, description: str, rendered: dict[str, str]) -> str:

@@ -18,7 +18,6 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from bpmnkit import cli
 from bpmnkit.batch import batch_evaluate, render_report
@@ -27,13 +26,12 @@ from bpmnkit.embeddings import HashingEmbedder
 from bpmnkit.llm import MockChatClient
 from bpmnkit.model import build_graph
 from bpmnkit.pipeline import (
-    ReconstructionNonCompliant,
     correct_model,
     reconstruct,
     translate_model,
 )
 from bpmnkit.similarity import compare, js_divergence, max_weight_assignment
-from bpmnkit.xmlio import parse, serialize, tree_equal
+from bpmnkit.xmlio import BPMNDI_NS, parse, serialize, tree_equal
 
 from conftest import FIXTURES, element_by_id, fixture_bytes, fixture_path, load_doc
 
@@ -220,16 +218,17 @@ def test_criterion_6_round_trip_and_translation_safety():
         assert serialize(reverted) == serialize(doc)
 
 
-def test_criterion_7_mock_llm_end_to_end():
+def test_criterion_7_mock_llm_end_to_end(tmp_path):
     with criterion(7, "mock-LLM end-to-end reconstruction"):
         description = "Orders are registered, checked against inventory, then confirmed."
         started = time.perf_counter()
 
         client = MockChatClient.from_json(fixture_path("mock_reconstruct_ok.json"))
-        doc, artifacts = reconstruct(description, client)
+        doc, report = reconstruct(description, client, run_dir=tmp_path)
         assert client.call_count == 6
-        assert validate(doc).compliant
-        assert len(artifacts) == 6
+        assert report.compliant and validate(doc).compliant
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            *(f"stage{k}.json" for k in range(1, 6)), "stage6.bpmn"]
 
         client = MockChatClient.from_json(fixture_path("mock_reconstruct_fixup.json"))
         doc, _ = reconstruct(description, client)
@@ -239,9 +238,10 @@ def test_criterion_7_mock_llm_end_to_end():
         script = json.loads(fixture_path("mock_reconstruct_fixup.json").read_text())
         noop = script[:6] + [script[5]] * 3
         client = MockChatClient(noop)
-        with pytest.raises(ReconstructionNonCompliant) as exc:
-            reconstruct(description, client, correction_limit=3)
-        assert not exc.value.report.compliant
+        doc, report = reconstruct(description, client, correction_limit=3)
+        assert not report.compliant
+        assert report.to_dict() == validate(doc).to_dict()
+        assert doc.root.find(f"{{{BPMNDI_NS}}}BPMNDiagram") is None
         assert client.call_count == 9
 
         elapsed = time.perf_counter() - started

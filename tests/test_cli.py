@@ -11,6 +11,7 @@ import pytest
 
 import bpmnkit
 from bpmnkit.cli import EXIT_FAILURE, EXIT_NONCOMPLIANT, EXIT_OK, main
+from bpmnkit.compliance import validate_bytes
 
 from conftest import FIXTURES, fixture_path, flaky_chat
 
@@ -240,11 +241,11 @@ class TestReconstructCommand:
         desc.write_text("Orders are registered, checked, and confirmed.")
         out_file = tmp_path / "reconstructed.bpmn"
         run_dir = tmp_path / "run"
-        code, _, _ = _run(capsys, "reconstruct", str(desc), "-o", str(out_file),
-                          "--llm-mock-script", str(fixture_path("mock_reconstruct_ok.json")),
-                          "--run-dir", str(run_dir))
-        assert code == EXIT_OK
-        assert out_file.exists()
+        code, out, _ = _run(capsys, "reconstruct", str(desc), "-o", str(out_file),
+                            "--llm-mock-script", str(fixture_path("mock_reconstruct_ok.json")),
+                            "--run-dir", str(run_dir))
+        assert (code, out) == (EXIT_OK, "")
+        assert b"BPMNDiagram" in out_file.read_bytes()
         assert (run_dir / "stage3.json").exists()
 
     def test_reconstruction_without_a_process_is_not_compliant(self, capsys, tmp_path):
@@ -258,7 +259,9 @@ class TestReconstructCommand:
                               "--llm-mock-script", str(script), "--limit", "1")
         assert (code, err) == (EXIT_NONCOMPLIANT, "")
         assert json.loads(out)["diagnostics"] == [NO_PROCESS_FINDING]
-        assert out_file.exists()
+        written = out_file.read_bytes()
+        assert b"BPMNDiagram" not in written
+        assert json.loads(out) == validate_bytes(written).to_dict()
 
 
     @pytest.mark.parametrize("stage, replies_kept, complaint", [
@@ -505,6 +508,21 @@ class TestConfigPrecedence:
 
 
 class TestMalformedInputs:
+    @pytest.mark.parametrize("source, complaint", [
+        (NO_PROCESS, "no process definition found"),
+        ("<definitions", "XML syntax error: unclosed token: line 1, column 0"),
+    ], ids=["no-process", "malformed"])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_compare_names_the_input_that_fails_to_load(self, capsys, tmp_path, source,
+                                                        complaint, side):
+        bad = tmp_path / "bad.bpmn"
+        bad.write_text(source)
+        models = [str(fixture_path("chain3.bpmn"))] * 2
+        models[side] = str(bad)
+        code, out, err = _run(capsys, "compare", *models, "--embed-fallback")
+        assert (code, out) == (EXIT_FAILURE, "")
+        assert err == f"error: {bad}: {complaint}\n"
+
     def test_embedding_reply_without_embeddings_fails_cleanly(self, capsys, loopback, sleeps):
         loopback.answer = lambda body: {"data": []}
         model = str(fixture_path("chain3.bpmn"))

@@ -10,7 +10,6 @@ from bpmnkit.llm import MockChatClient, SchemaFailureAfterRetries
 from bpmnkit.model import DocumentIndex
 from bpmnkit.pipeline import (
     STAGES,
-    ReconstructionNonCompliant,
     _apply_repair_actions,
     canonical_json,
     correct_model,
@@ -25,6 +24,17 @@ from bpmnkit.xmlio import (BPMN_NS, BPMNDI_NS, BpmnDocument, local_name, parse, 
 from conftest import element_by_id, fixture_path, load_doc
 
 DESCRIPTION = "Orders are registered, checked against inventory, then confirmed."
+RUN_DIR_FILES = [*(f"stage{k}.json" for k in range(1, 6)), "stage6.bpmn"]
+
+
+def _stage_records(run_dir) -> list[dict]:
+    """The records of stage1.json-stage5.json in ``run_dir``."""
+    return [json.loads((run_dir / f"stage{k}.json").read_text(encoding="utf-8"))
+            for k in range(1, 6)]
+
+
+def _has_diagram(doc) -> bool:
+    return doc.root.find(f"{{{BPMNDI_NS}}}BPMNDiagram") is not None
 
 
 def _ids(doc) -> list[str]:
@@ -453,14 +463,23 @@ class TestExtractXml:
 class TestReconstruct:
     def test_clean_script_runs_six_calls(self, tmp_path):
         client = MockChatClient.from_json(fixture_path("mock_reconstruct_ok.json"))
-        doc, artifacts = reconstruct(DESCRIPTION, client, run_dir=tmp_path)
+        doc, report = reconstruct(DESCRIPTION, client, run_dir=tmp_path)
         assert client.call_count == 6
-        assert [a.stage for a in artifacts] == list(STAGES)
-        assert validate(doc).compliant
-        # artifacts persisted per run
-        for i in range(1, 6):
-            assert (tmp_path / f"stage{i}.json").exists()
-        assert (tmp_path / "stage6.bpmn").exists()
+        assert [record["stage"] for record in _stage_records(tmp_path)] == list(STAGES[:5])
+        assert sorted(path.name for path in tmp_path.iterdir()) == RUN_DIR_FILES
+        assert report.compliant and validate(doc).compliant
+
+    @pytest.mark.parametrize("label", ["Register Order", "Auftrag prüfen"])
+    def test_run_dir_files_keep_their_format(self, tmp_path, label):
+        script = json.loads(fixture_path("mock_reconstruct_ok.json").read_text())
+        script[0] = script[0].replace("Register Order", label)  # non-ASCII is written as it is
+        reconstruct(DESCRIPTION, MockChatClient(script), run_dir=tmp_path)
+        record = {"stage": STAGES[0], "payload": json.loads(script[0]),
+                  "raw_response": script[0]}
+        assert (tmp_path / "stage1.json").read_text(encoding="utf-8") == json.dumps(
+            record, indent=2, ensure_ascii=False)
+        assert (tmp_path / "stage6.bpmn").read_bytes() == serialize(
+            pipeline.reply_model(script[5]))
 
     def test_correction_log_appended_to_run_dir(self, tmp_path):
         for run in (1, 2):
@@ -475,8 +494,11 @@ class TestReconstruct:
         reconstruct(DESCRIPTION, client, run_dir=tmp_path / "clean")
         assert not (tmp_path / "clean" / "correction.log.jsonl").exists()
         client = MockChatClient.from_json(fixture_path("mock_reconstruct_fixup.json"))
-        with pytest.raises(ReconstructionNonCompliant):
-            reconstruct(DESCRIPTION, client, run_dir=tmp_path / "cut", correction_limit=0)
+        doc, report = reconstruct(DESCRIPTION, client, run_dir=tmp_path / "cut",
+                                  correction_limit=0)
+        assert not report.compliant
+        assert report.to_dict() == validate(doc).to_dict()
+        assert not _has_diagram(doc)
         assert (tmp_path / "cut" / "correction.log.jsonl").read_text() == ""
 
     @pytest.mark.parametrize("script, validations", [
@@ -494,7 +516,7 @@ class TestReconstruct:
         reconstruct(DESCRIPTION, MockChatClient.from_json(fixture_path(script)))
         assert len(seen) == validations
 
-    def test_each_stage_payload_is_rendered_once(self, monkeypatch):
+    def test_each_stage_payload_is_rendered_once(self, monkeypatch, tmp_path):
         rendered = []
 
         def spy(payload):
@@ -503,8 +525,8 @@ class TestReconstruct:
 
         monkeypatch.setattr(pipeline, "canonical_json", spy)
         client = MockChatClient.from_json(fixture_path("mock_reconstruct_ok.json"))
-        _, artifacts = reconstruct(DESCRIPTION, client)
-        assert rendered == [artifact.payload for artifact in artifacts[:5]]
+        reconstruct(DESCRIPTION, client, run_dir=tmp_path)
+        assert rendered == [record["payload"] for record in _stage_records(tmp_path)]
 
     def test_layout_added_after_compliance(self):
         client = MockChatClient.from_json(fixture_path("mock_reconstruct_ok.json"))
@@ -524,19 +546,20 @@ class TestReconstruct:
         assert [diagram.get("id") for diagram in diagrams] == ["di_diagram_proc_recon"]
         assert "reply_diagram" not in (tmp_path / "stage6.bpmn").read_text(encoding="utf-8")
 
-    def test_each_stage_prompt_embeds_previous_payload(self):
+    def test_each_stage_prompt_embeds_previous_payload(self, tmp_path):
         client = MockChatClient.from_json(fixture_path("mock_reconstruct_ok.json"))
-        _, artifacts = reconstruct(DESCRIPTION, client)
-        for k in range(1, 6):
+        reconstruct(DESCRIPTION, client, run_dir=tmp_path)
+        for k, record in enumerate(_stage_records(tmp_path), start=1):
             prompt = client.calls[k][1].content
-            assert canonical_json(artifacts[k - 1].payload) in prompt
+            assert canonical_json(record["payload"]) in prompt
 
-    def test_defective_stage6_fixed_in_one_iteration(self):
+    def test_defective_stage6_fixed_in_one_iteration(self, tmp_path):
         client = MockChatClient.from_json(fixture_path("mock_reconstruct_fixup.json"))
-        doc, artifacts = reconstruct(DESCRIPTION, client)
+        doc, report = reconstruct(DESCRIPTION, client, run_dir=tmp_path)
         assert client.call_count == 7  # six stages + one repair
-        assert validate(doc).compliant
-        assert len(artifacts) == 6
+        assert report.compliant and validate(doc).compliant
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "correction.log.jsonl", *RUN_DIR_FILES]
 
     def test_invalid_stage2_retries_then_proceeds(self):
         script = json.loads(fixture_path("mock_reconstruct_ok.json").read_text())
@@ -554,16 +577,18 @@ class TestReconstruct:
                            match="^decision_analysis: no schema-valid response after 4 "):
             reconstruct(DESCRIPTION, client)
 
-    def test_noop_repairs_raise_non_compliant_with_artifacts(self):
+    def test_noop_repairs_return_the_non_compliant_model_without_di(self, tmp_path):
         script = json.loads(fixture_path("mock_reconstruct_fixup.json").read_text())
         defective_xml = script[5]
         script = script[:6] + [defective_xml] * 3  # repairs that change nothing
         client = MockChatClient(script)
-        with pytest.raises(ReconstructionNonCompliant) as exc:
-            reconstruct(DESCRIPTION, client, correction_limit=3)
+        doc, report = reconstruct(DESCRIPTION, client, run_dir=tmp_path, correction_limit=3)
         assert client.call_count == 9  # 6 stages + 3 failed corrections
-        assert not exc.value.report.compliant
-        assert len(exc.value.artifacts) == 6
+        assert not report.compliant
+        assert report.to_dict() == validate(doc).to_dict()
+        assert not _has_diagram(doc)
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "correction.log.jsonl", *RUN_DIR_FILES]
 
     def test_empty_description_rejected(self):
         with pytest.raises(ValueError):
@@ -576,10 +601,10 @@ class TestReconstruct:
         doc2, _ = reconstruct(DESCRIPTION, client2)
         assert serialize(doc1) == serialize(doc2)
 
-    def test_unparseable_stage6_reprompts_once_then_succeeds(self):
+    def test_unparseable_stage6_reprompts_once_then_succeeds(self, tmp_path):
         script = json.loads(fixture_path("mock_reconstruct_ok.json").read_text())
         client = MockChatClient(script[:5] + ["not xml at all"] + script[5:])
-        doc, artifacts = reconstruct(DESCRIPTION, client)
+        doc, _ = reconstruct(DESCRIPTION, client, run_dir=tmp_path)
         assert validate(doc).compliant
         assert client.call_count == 7  # six stages + one stage-6 reprompt
         reprompt = client.calls[6]
@@ -593,7 +618,8 @@ class TestReconstruct:
         complaints = [call for call in client.calls
                       if "not a parseable BPMN 2.0 XML document" in call[-1].content]
         assert complaints == [reprompt]
-        assert artifacts[-1].raw_response == script[5]
+        assert (tmp_path / "stage6.bpmn").read_bytes() == serialize(
+            pipeline.reply_model(script[5]))
 
     def test_persistent_stage6_garbage_raises_stage_tagged(self):
         script = json.loads(fixture_path("mock_reconstruct_ok.json").read_text())
